@@ -14,7 +14,7 @@
 // build sweep; self-asserting), cluster (multi-node routed applies), oracle
 // (geometry-oblivious dense-oracle build vs the kernel path;
 // self-asserting cross-validation), build (construction-time trajectory:
-// blocked vs seed-era build path across worker counts; self-asserting).
+// median build time across worker counts; self-asserting).
 // Output is a plain-text report with one aligned table per panel; see
 // EXPERIMENTS.md for how each maps onto the paper.
 package main

@@ -13,12 +13,11 @@ import (
 )
 
 // BuildRun is one measured construction configuration in the build section of
-// BENCH_matvec.json. Mode distinguishes the current build path ("blocked":
-// blocked CPQR + fused panel assembly) from the pre-acceleration baseline
-// ("seed": unblocked CPQR, per-entry assembly, via core.Config.
-// SeedConstruction); the blocked/seed pair at workers=1 is the cross-PR
-// build-speed record. Build time is the median over Samples full builds;
-// PeakRSSKiB is the process high-water mark after the row's builds (ru_maxrss
+// BENCH_matvec.json. Mode names the build path: "blocked" (blocked CPQR +
+// fused panel assembly) is the only one measured; "seed" rows (unblocked
+// CPQR, per-entry assembly) in older reports are a frozen historical record
+// of the pre-acceleration baseline. Build time is the median over Samples
+// full builds; PeakRSSKiB is the process high-water mark after the row's builds (ru_maxrss
 // is monotone over the process lifetime, so rows only ever raise it).
 type BuildRun struct {
 	N             int     `json:"n"`
@@ -63,10 +62,8 @@ func buildWorkerSweep(resolved int) []int {
 }
 
 // BuildBench measures wall-clock construction time across problem sizes and
-// worker counts in error-controlled mode, comparing the current build path
-// against the seed-era one (unblocked CPQR, per-entry assembly) at one
-// worker. Rows land in the build section of BENCH_matvec.json next to the
-// apply trajectory.
+// worker counts in error-controlled mode. Rows land in the build section of
+// BENCH_matvec.json next to the apply trajectory.
 //
 // Self-asserting: every build's a-posteriori certificate must come in at or
 // under the requested tolerance, so running the experiment (CI runs it at
@@ -93,7 +90,7 @@ func BuildBench(opt Options) error {
 		"n", "leaf", "workers", "mode", "build_ms", "peak_rss_MiB", "est err", "relerr")
 
 	var runs []BuildRun
-	measure := func(n, leaf, workers int, mode string, cfg core.Config) error {
+	measure := func(n, leaf, workers int, cfg core.Config) error {
 		pts := pointset.Cube(n, 3, opt.seed())
 		times := make([]int64, samples)
 		var m *core.Matrix
@@ -101,7 +98,7 @@ func BuildBench(opt Options) error {
 			t0 := time.Now()
 			mm, err := core.Build(pts, k, cfg)
 			if err != nil {
-				return fmt.Errorf("build n=%d %s: %w", n, mode, err)
+				return fmt.Errorf("build n=%d workers=%d: %w", n, workers, err)
 			}
 			times[s] = time.Since(t0).Nanoseconds()
 			m = mm
@@ -111,7 +108,7 @@ func BuildBench(opt Options) error {
 		b := randVec(n, opt.seed()+7)
 		y := m.Apply(b)
 		run := BuildRun{
-			N: n, Leaf: leaf, Workers: workers, Mode: mode, RelTol: reltol,
+			N: n, Leaf: leaf, Workers: workers, Mode: "blocked", RelTol: reltol,
 			Samples:       samples,
 			MedianBuildNS: times[len(times)/2],
 			PeakRSSKiB:    peakRSSKiB(),
@@ -120,10 +117,10 @@ func BuildBench(opt Options) error {
 		}
 		if run.EstRelErr > reltol {
 			return fmt.Errorf("build bench: n=%d %s certificate %.3e exceeds requested reltol %g",
-				n, mode, run.EstRelErr, reltol)
+				n, run.Mode, run.EstRelErr, reltol)
 		}
 		runs = append(runs, run)
-		tb.row(fmt.Sprintf("%d", n), fmt.Sprintf("%d", leaf), fmt.Sprintf("%d", workers), mode,
+		tb.row(fmt.Sprintf("%d", n), fmt.Sprintf("%d", leaf), fmt.Sprintf("%d", workers), run.Mode,
 			fmt.Sprintf("%.1f", float64(run.MedianBuildNS)/1e6),
 			fmt.Sprintf("%.1f", float64(run.PeakRSSKiB)/1024),
 			fmt.Sprintf("%.2e", run.EstRelErr), fmt.Sprintf("%.2e", run.RelErr))
@@ -138,42 +135,15 @@ func BuildBench(opt Options) error {
 		// the apply path.
 		base := core.Config{Kind: core.DataDriven, Mode: core.Normal, RelTol: reltol,
 			LeafSize: leaf, Sampler: opt.sampler()}
-
-		// Seed-era baseline, one worker: the denominator of the speedup record.
-		seedCfg := base
-		seedCfg.Workers = 1
-		seedCfg.SeedConstruction = true
-		if err := measure(n, leaf, 1, "seed", seedCfg); err != nil {
-			return err
-		}
 		for _, w := range buildWorkerSweep(resolved) {
 			cfg := base
 			cfg.Workers = w
-			if err := measure(n, leaf, w, "blocked", cfg); err != nil {
+			if err := measure(n, leaf, w, cfg); err != nil {
 				return err
 			}
 		}
 	}
 	tb.flush()
-
-	// Report the headline single-worker speedup per n.
-	for _, n := range buildCases(opt.Scale) {
-		var seedNS, blockedNS int64
-		for _, r := range runs {
-			if r.N == n && r.Workers == 1 {
-				switch r.Mode {
-				case "seed":
-					seedNS = r.MedianBuildNS
-				case "blocked":
-					blockedNS = r.MedianBuildNS
-				}
-			}
-		}
-		if seedNS > 0 && blockedNS > 0 {
-			fmt.Fprintf(out, "\nn=%d single-worker build: seed %.1f ms, blocked %.1f ms (%.2fx)\n",
-				n, float64(seedNS)/1e6, float64(blockedNS)/1e6, float64(seedNS)/float64(blockedNS))
-		}
-	}
 
 	// Merge into BENCH_matvec.json: this experiment owns the build section,
 	// every other experiment's rows are preserved.

@@ -90,10 +90,8 @@ type MatvecReport struct {
 	Oracle []OracleRun `json:"oracle,omitempty"`
 
 	// Build is the construction-time trajectory (the build experiment):
-	// median build time and peak RSS across problem sizes and worker counts,
-	// with the seed-era construction path (unblocked CPQR, per-entry
-	// assembly) as the single-worker baseline. Owned by BuildBench;
-	// MatvecJSON preserves it.
+	// median build time and peak RSS across problem sizes and worker counts.
+	// Owned by BuildBench; MatvecJSON preserves it.
 	Build []BuildRun `json:"build,omitempty"`
 }
 

@@ -9,7 +9,6 @@ import (
 	"h2ds/internal/kernel"
 	"h2ds/internal/mat"
 	"h2ds/internal/par"
-	"h2ds/internal/pointset"
 	"h2ds/internal/sample"
 )
 
@@ -35,16 +34,6 @@ func (s swapped) EvalPair(x, y []float64) float64 { return s.k.EvalPair(y, x) }
 func (s swapped) Symmetric() bool                 { return s.k.Symmetric() }
 func (s swapped) Name() string                    { return s.k.Name() + "-swapped" }
 
-// newBlock assembles a kernel tile on the fused chunked path, or the
-// per-entry seed path under Cfg.SeedConstruction (bench baseline /
-// equivalence suites only — the two are bitwise identical).
-func (m *Matrix) newBlock(k kernel.Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int) *mat.Dense {
-	if m.Cfg.SeedConstruction {
-		return kernel.NewBlockSeed(k, x, rows, y, cols)
-	}
-	return kernel.NewBlock(k, x, rows, y, cols)
-}
-
 // buildPhase runs fn with a pprof label attributing its CPU samples to the
 // named construction phase, so -pprof profiles of a serving process split
 // build cost by phase. Labels attach to the calling goroutine (which
@@ -64,14 +53,9 @@ func (m *Matrix) buildDataDriven() {
 		// hit): no sampling runs, so no sample time is charged.
 		m.hier = m.Cfg.ReuseHierarchy
 	} else {
-		smp := m.Cfg.Sampler
-		if m.Cfg.SeedConstruction {
-			// A/B baseline: the pre-acceleration candidate scans, same output.
-			smp = sample.Reference(smp)
-		}
 		t0 := time.Now()
 		buildPhase("sample", func() {
-			m.hier = sample.Run(m.Tree, smp, m.Cfg.SampleBudget, m.Cfg.Workers)
+			m.hier = sample.Run(m.Tree, m.Cfg.Sampler, m.Cfg.SampleBudget, m.Cfg.Workers)
 		})
 		m.stats.SampleTime = time.Since(t0)
 	}
@@ -152,15 +136,10 @@ func (m *Matrix) buildNodeSide(id int, isLeaf bool, ystar []int, kern kernel.Pai
 		return
 	}
 	ta := time.Now()
-	a := m.newBlock(kern, m.Tree.Points, cand, m.Tree.Points, ystar)
+	a := kernel.NewBlock(kern, m.Tree.Points, cand, m.Tree.Points, ystar)
 	ti := time.Now()
 	m.phaseAssembly.Add(ti.Sub(ta).Nanoseconds())
-	var id2 *mat.RowID
-	if m.Cfg.SeedConstruction {
-		id2 = mat.NewRowIDUnblocked(a, idTol, maxRank)
-	} else {
-		id2 = mat.NewRowIDPool(a, idTol, maxRank, pool)
-	}
+	id2 := mat.NewRowIDPool(a, idTol, maxRank, pool)
 	if isLeaf {
 		m.phaseID.Add(time.Since(ti).Nanoseconds())
 	} else {

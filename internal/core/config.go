@@ -162,13 +162,6 @@ type Config struct {
 	// FastMath off. Stored-block (Normal/Hybrid-resident) arithmetic is
 	// unaffected. Off by default.
 	FastMath bool
-
-	// SeedConstruction forces construction down the pre-acceleration paths
-	// (unblocked CPQR, per-entry panel assembly, reference sampler scans).
-	// Every path pair produces identical matrices — this knob only selects
-	// the slow implementations. It exists for the build bench's baseline
-	// rows and the equivalence suites; serving code should leave it false.
-	SeedConstruction bool
 }
 
 // withDefaults returns cfg with zero fields resolved.

@@ -35,8 +35,9 @@ func (m *Matrix) storedBytesForTest() int64 {
 }
 
 // TestFusedOTFMatchesSeedBitwise pins the fused on-the-fly sweeps (vector,
-// transpose, batch) against the seed assemble-then-multiply path on the same
-// matrix, bitwise, for a symmetric and an unsymmetric kernel.
+// transpose, batch) against the seed assemble-then-multiply kernels on the
+// level-synchronous reference sweeps, on the same matrix, bitwise, for a
+// symmetric and an unsymmetric kernel.
 func TestFusedOTFMatchesSeedBitwise(t *testing.T) {
 	pts := pointset.Cube(3000, 3, 91)
 	b := randVec(3000, 92)
@@ -47,11 +48,9 @@ func TestFusedOTFMatchesSeedBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.seedOTF = true
-		wantY := m.Apply(b)
-		wantT := m.ApplyTranspose(b)
-		wantB := m.ApplyBatch(B)
-		m.seedOTF = false
+		wantY := refApply(m, b, false, true)
+		wantT := refApply(m, b, true, true)
+		wantB := refApplyBatch(m, B, true)
 		bitsEqualVec(t, k.Name()+"/apply", m.Apply(b), wantY)
 		bitsEqualVec(t, k.Name()+"/transpose", m.ApplyTranspose(b), wantT)
 		bitsEqualVec(t, k.Name()+"/batch", m.ApplyBatch(B).Data, wantB.Data)

@@ -72,11 +72,6 @@ type Matrix struct {
 	// and deserialization (nil otherwise); parFor runs on it.
 	buildPool *par.Pool
 
-	// seedOTF forces the on-the-fly sweeps down the seed
-	// assemble-then-multiply path instead of the fused primitives. It
-	// exists only for the bitwise-equivalence tests.
-	seedOTF bool
-
 	// sched is the lazily built barrier-free apply task graph (see
 	// schedule.go); it depends only on the immutable tree topology, so one
 	// graph serves every workspace and apply variant.
@@ -416,35 +411,9 @@ func (m *Matrix) storeBlocks() {
 		}
 	}
 
-	if m.Cfg.SeedConstruction {
-		// Seed-era flow: individually allocated blocks into the build-phase
-		// map, copied into the CSR slab at Freeze.
-		buildPhase("coupling", func() {
-			m.parFor(len(coupPairs), func(k int) {
-				p := coupPairs[k]
-				if m.ranks[p.i] == 0 || m.colRank(p.j) == 0 {
-					return
-				}
-				b := m.newBlock(m.Kern, m.skelPts[p.i], m.skel[p.i], m.skelPts[p.j], m.colSkeleton(p.j))
-				m.coup.Put(p.i, p.j, b)
-			})
-		})
-		buildPhase("nearfield", func() {
-			m.parFor(len(nearPairs), func(k int) {
-				p := nearPairs[k]
-				ni, nj := &m.Tree.Nodes[p.i], &m.Tree.Nodes[p.j]
-				b := m.newBlock(m.Kern, m.Tree.Points, m.allIdx[ni.Start:ni.End], m.Tree.Points, m.allIdx[nj.Start:nj.End])
-				m.near.Put(p.i, p.j, b)
-			})
-		})
-		m.coup.Freeze()
-		m.near.Freeze()
-		return
-	}
-
-	// Accelerated flow: block shapes are known before assembly, so lay out
-	// the frozen CSR slab first and assemble every payload in place through
-	// the fused tile path — no per-block allocations, no Freeze-time copy.
+	// Block shapes are known before assembly, so lay out the frozen CSR slab
+	// first and assemble every payload in place through the fused tile path —
+	// no per-block allocations, no Freeze-time copy.
 	coupKeep := coupPairs[:0]
 	for _, p := range coupPairs {
 		if m.ranks[p.i] > 0 && m.colRank(p.j) > 0 {
@@ -594,11 +563,11 @@ func (m *Matrix) storeBlocksHybrid(budget int64) {
 			c := selected[k]
 			if c.near {
 				ni, nj := &m.Tree.Nodes[c.i], &m.Tree.Nodes[c.j]
-				b := m.newBlock(m.Kern, m.Tree.Points, m.allIdx[ni.Start:ni.End], m.Tree.Points, m.allIdx[nj.Start:nj.End])
+				b := kernel.NewBlock(m.Kern, m.Tree.Points, m.allIdx[ni.Start:ni.End], m.Tree.Points, m.allIdx[nj.Start:nj.End])
 				m.near.Put(c.i, c.j, b)
 				return
 			}
-			b := m.newBlock(m.Kern, m.skelPts[c.i], m.skel[c.i], m.skelPts[c.j], m.colSkeleton(c.j))
+			b := kernel.NewBlock(m.Kern, m.skelPts[c.i], m.skel[c.i], m.skelPts[c.j], m.colSkeleton(c.j))
 			m.coup.Put(c.i, c.j, b)
 		})
 	})

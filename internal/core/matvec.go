@@ -34,14 +34,15 @@ func (m *Matrix) ApplyTo(y, b []float64) {
 //  4. top-to-bottom sweep      g_c += R_c g_i
 //  5. leaf horizontal sweep    y_i = U_i g_i + Σ_{j ∈ near(i)} K(X_i,X_j) b_j
 //
-// Nodes on a level are processed in parallel; each output slot is written
-// by exactly one worker in a fixed order, so the result is independent of
-// the worker count.
+// The sweeps run as one drain of a per-node task graph (schedule.go), so
+// nodes run as soon as their inputs are final; each output slot is written
+// by exactly one task in a fixed order, so the result is independent of the
+// worker count.
 func (m *Matrix) ApplyPermuted(yp, bp []float64) {
 	if len(yp) != m.N || len(bp) != m.N {
 		panic(fmt.Sprintf("core: applyPermuted length mismatch y=%d b=%d n=%d", len(yp), len(bp), m.N))
 	}
 	ws := m.getWorkspace()
-	m.applyPermutedWith(ws, yp, bp)
+	m.applyPermutedWith(ws, yp, bp, applyVec)
 	m.putWorkspace(ws)
 }

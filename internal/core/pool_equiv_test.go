@@ -11,21 +11,20 @@ import (
 )
 
 // seedPaths temporarily reverts m to the seed hot path — map-backed frozen
-// block stores — and returns a workspace whose pool has been released, so
-// sweeps run on the fork-join runtime. The returned restore func reinstates
-// the compacted stores.
+// block stores — and returns a workspace for the level-synchronous
+// reference sweeps (fork-join runtime). The returned restore func
+// reinstates the compacted stores.
 func seedPaths(t *testing.T, m *Matrix) (*Workspace, func()) {
 	t.Helper()
 	coup, near := m.coup, m.near
 	m.coup, m.near = coup.uncompacted(), near.uncompacted()
-	ws := m.NewWorkspace()
-	ws.Close() // nil pool: forWorker falls back to par.ForWorker
-	return ws, func() { m.coup, m.near = coup, near }
+	return m.NewWorkspace(), func() { m.coup, m.near = coup, near }
 }
 
 // TestPooledCompactedMatchesSeedBitwise checks the full modernized hot path
-// — persistent worker pool plus CSR-compacted block stores — against the
-// seed configuration (fork-join runtime, map-backed frozen stores) for
+// — task-graph scheduler on the persistent worker pool plus CSR-compacted
+// block stores — against the seed configuration (level-synchronous
+// fork-join sweeps, map-backed frozen stores) for
 // bitwise-identical results on the apply, transpose-apply, and batched
 // paths, for a symmetric kernel (shared bases, triangular stores) and an
 // unsymmetric one (separate bases, directed stores).
@@ -62,10 +61,10 @@ func TestPooledCompactedMatchesSeedBitwise(t *testing.T) {
 			defer restore()
 			ySeed := make([]float64, m.N)
 			ytSeed := make([]float64, m.N)
-			m.ApplyToWith(wsSeed, ySeed, b)
-			m.ApplyTransposeToWith(wsSeed, ytSeed, b)
+			refApplyTo(m, wsSeed, ySeed, b, false, false)
+			refApplyTo(m, wsSeed, ytSeed, b, true, false)
 			YSeed := mat.NewDense(0, 0)
-			m.ApplyBatchToWith(wsSeed, YSeed, BNew)
+			refApplyBatchTo(m, wsSeed, YSeed, BNew, false)
 
 			for i := range yNew {
 				if yNew[i] != ySeed[i] {
@@ -164,8 +163,8 @@ func TestSerializeRoundTripCompacted(t *testing.T) {
 	}
 }
 
-// TestWorkspaceCloseFallback checks a closed workspace keeps producing
-// bitwise-identical results on the fork-join fallback.
+// TestWorkspaceCloseFallback checks a closed workspace stays usable: the
+// next apply recreates its pool and produces bitwise-identical results.
 func TestWorkspaceCloseFallback(t *testing.T) {
 	pts := pointset.Cube(900, 3, 307)
 	m, err := Build(pts, kernel.Coulomb{}, Config{Kind: DataDriven, Mode: Normal, Tol: 1e-5, Workers: 3, LeafSize: 50})

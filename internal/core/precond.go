@@ -66,7 +66,7 @@ func (bj *BlockJacobi) ApplyTo(y, b []float64) {
 	ws := m.getWorkspace()
 	ws.check(m, par.Resolve(bj.workers))
 	m.Tree.PermuteVec(ws.bp, b)
-	ws.forWorker(len(bj.leaves), func(_, k int) {
+	ws.pool.ForWorker(len(bj.leaves), func(_, k int) {
 		nd := &m.Tree.Nodes[bj.leaves[k]]
 		bj.factors[k].SolveTo(ws.yp[nd.Start:nd.End], ws.bp[nd.Start:nd.End])
 	})

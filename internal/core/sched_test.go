@@ -63,19 +63,11 @@ func TestTaskGraphInvariants(t *testing.T) {
 }
 
 // schedRefApply computes the level-synchronous reference results (apply,
-// transpose apply, batch apply) on a closed-pool workspace — the seed
-// fork-join path the scheduler must match bitwise.
+// transpose apply, batch apply) — the seed fork-join sweeps the scheduler
+// must match bitwise.
 func schedRefApply(t *testing.T, m *Matrix, b []float64, B *mat.Dense) (y, yt []float64, Y *mat.Dense) {
 	t.Helper()
-	ws := m.NewWorkspace()
-	ws.Close() // fork-join level-synchronous fallback
-	y = make([]float64, m.N)
-	yt = make([]float64, m.N)
-	Y = mat.NewDense(0, 0)
-	m.ApplyToWith(ws, y, b)
-	m.ApplyTransposeToWith(ws, yt, b)
-	m.ApplyBatchToWith(ws, Y, B)
-	return y, yt, Y
+	return refApply(m, b, false, false), refApply(m, b, true, false), refApplyBatch(m, B, false)
 }
 
 // TestScheduledMatchesSeedEdgeShapes runs the barrier-free scheduler over
@@ -114,9 +106,6 @@ func TestScheduledMatchesSeedEdgeShapes(t *testing.T) {
 				for _, w := range []int{1, 2, 3, 7} {
 					m.Cfg.Workers = w
 					ws := m.NewWorkspace()
-					if w > 1 && !ws.useSched() {
-						t.Fatalf("w=%d: scheduler not selected", w)
-					}
 					y := make([]float64, m.N)
 					yt := make([]float64, m.N)
 					Y := mat.NewDense(0, 0)

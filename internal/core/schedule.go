@@ -7,14 +7,13 @@ import (
 	"h2ds/internal/tree"
 )
 
-// Barrier-free sweep scheduling.
+// Barrier-free sweep scheduling: the one sweep engine every apply runs on.
 //
-// The seed apply path runs Algorithm 2 as five level-synchronous sweeps:
-// every tree level is a fork/barrier on the worker pool, so workers idle at
-// each barrier and starve near the root where levels hold fewer nodes than
-// workers. The scheduler here replaces the barriers with a dependency-driven
-// task graph: one task per (node, stage), released the moment its inputs are
-// final. Upward tasks release their parent as soon as the last child lands,
+// Run as five level-synchronous sweeps, Algorithm 2 puts a fork/barrier on
+// every tree level, so workers idle at each barrier and starve near the root
+// where levels hold fewer nodes than workers. The scheduler here replaces the
+// barriers with a dependency-driven task graph: one task per (node, stage),
+// released the moment its inputs are final. Upward tasks release their parent as soon as the last child lands,
 // coupling tasks fire as soon as their interaction partners' upward partials
 // exist (long before the full upward sweep finishes), and leaf tasks — which
 // carry the nearfield block rows — interleave with everything else, filling
@@ -22,12 +21,13 @@ import (
 //
 // Bitwise contract: every output slot (a node's q segment, g segment, or a
 // leaf's y range) is written by exactly one task, and each task's internal
-// arithmetic is the unchanged per-node kernel of the seed sweeps. The graph
-// edges reproduce the seed ordering wherever two tasks touch the same slot
-// (coupling zero+accumulate before the parent's downward add, downward add
-// before the leaf expansion reads), so the result is bitwise-identical to
-// the level-synchronous path at every worker count — there is no merge step
-// to make deterministic because no slot ever has two writers.
+// arithmetic is the per-node kernel a level-synchronous sweep would run. The
+// graph edges reproduce the level-synchronous ordering wherever two tasks
+// touch the same slot (coupling zero+accumulate before the parent's downward
+// add, downward add before the leaf expansion reads), so the result is
+// bitwise-identical to the level-synchronous reference (kept as a test
+// oracle) at every worker count, one included — there is no merge step to
+// make deterministic because no slot ever has two writers.
 //
 // Task id layout for a tree with nNodes nodes (total = 3*nNodes tasks):
 //
@@ -36,7 +36,6 @@ import (
 //	[2*nNodes, 3*nNodes)   down(id)  downward sweep for internal nodes;
 //	                                 leaf nodes have no downward task, so
 //	                                 their slot holds the leaf sweep task
-//	                                 (leafIdx maps node id -> leaf index)
 //
 // Edges (dependency -> dependent):
 //
@@ -48,17 +47,17 @@ import (
 //	coup(l)  -> leaf(l)              leaf reads g_l after coupling
 //	down(p)  -> leaf(l)              ... and after the parent's add
 //
-// The same graph serves the forward, transpose, and batched applies: the
-// stages swap which generator they read (U/R vs V/W) but touch the same
-// slots in the same node topology.
+// The same graph serves the forward, transpose, and batched applies and both
+// halves of the sharded apply: the stages swap which generator they read
+// (U/R vs V/W) but touch the same slots in the same node topology, and the
+// sharded halves mask tasks out without removing their edges.
 type taskGraph struct {
 	nNodes  int
 	total   int32
 	initCnt []int32 // initial dependency count per task id
 	depOff  []int32 // CSR offsets into depList per task id
 	depList []int32 // dependent task ids
-	ready0  []int32 // zero-dependency tasks in deterministic seed order
-	leafIdx []int32 // node id -> index into Tree.Leaves, -1 for internal
+	ready0  []int32 // zero-dependency tasks in deterministic order
 }
 
 // schedGraph lazily builds the matrix's task graph (the tree is immutable
@@ -74,13 +73,6 @@ func buildTaskGraph(t *tree.Tree) *taskGraph {
 	up := func(id int) int32 { return int32(id) }
 	coup := func(id int) int32 { return int32(nN + id) }
 	down := func(id int) int32 { return int32(2*nN + id) }
-	g.leafIdx = make([]int32, nN)
-	for i := range g.leafIdx {
-		g.leafIdx[i] = -1
-	}
-	for k, id := range t.Leaves {
-		g.leafIdx[id] = int32(k)
-	}
 
 	// Two passes over the same edge enumeration: count out-degrees, then fill.
 	deg := make([]int32, 3*nN)
@@ -172,11 +164,14 @@ func (s *scheduler) reset(g *taskGraph) {
 
 // runSched is one worker slot's scheduling loop: claim the next ready task
 // slot, execute its task, release dependents, repeat until every task is
-// claimed. The pool runs one loop per slot (par.Pool.Run); the pool phase
-// (and hence the apply) completes only when every loop returns, and a loop
-// returns only after finishing the decrements of its last claimed task — so
-// loop exit implies every task has fully executed.
-func (ws *Workspace) runSched(w int) {
+// claimed. runScheduled hands it to par.Pool.ForWorker with one iteration
+// per worker slot; the iteration index is the slot, distinct even when one
+// goroutine claims two iterations, so it indexes the per-worker counter and
+// scratch lines. The pool phase (and hence the apply) completes only when
+// every loop returns, and a loop returns only after finishing the
+// decrements of its last claimed task — so loop exit implies every task has
+// fully executed. With one worker the single loop drains the whole graph.
+func (ws *Workspace) runSched(_, slot int) {
 	s := &ws.sched
 	g := s.g
 	total := int64(g.total)
@@ -194,57 +189,48 @@ func (ws *Workspace) runSched(w int) {
 			runtime.Gosched()
 		}
 		task--
-		ws.execTask(w, task)
+		ws.execTask(slot, task)
 		for _, d := range g.depList[g.depOff[task]:g.depOff[task+1]] {
 			if atomic.AddInt32(&s.cnt[d], -1) == 0 {
-				slot := s.tail.Add(1) - 1
-				atomic.StoreInt32(&s.queue[slot], d+1)
+				tail := s.tail.Add(1) - 1
+				atomic.StoreInt32(&s.queue[tail], d+1)
 			}
 		}
 	}
 }
 
-// execTask dispatches one task to the current apply variant's per-node
-// kernel and charges its wall time to the worker's per-stage counter line.
+// execTask runs one task's per-node kernel for the current apply variant
+// and charges its time to the worker's per-stage counter line. Tasks the
+// sharded apply masks out do nothing; runSched still releases their
+// dependents.
 func (ws *Workspace) execTask(w int, t int32) {
-	g := ws.sched.g
-	nN := int32(g.nNodes)
-	t0 := nowNS()
-	base := w * ctrStride
+	nN := int32(ws.sched.g.nNodes)
+	stage, id := int(t/nN), int(t%nN)
 	switch {
-	case t < nN:
-		ws.schedUp(w, int(t))
-		ws.ctr[base+ctrUpNS] += nowNS() - t0
-	case t < 2*nN:
-		ws.schedCoup(w, int(t-nN))
-		ws.ctr[base+ctrCoupNS] += nowNS() - t0
-	default:
-		id := int(t - 2*nN)
-		if k := g.leafIdx[id]; k >= 0 {
-			ws.schedLeaf(w, int(k))
-			ws.ctr[base+ctrLeafNS] += nowNS() - t0
-		} else {
-			ws.schedDown(w, id)
-			ws.ctr[base+ctrDownNS] += nowNS() - t0
-		}
+	case stage == stageDown && ws.m.Tree.Nodes[id].IsLeaf:
+		stage = stageLeaf
+	case stage == stageCoup && ws.coupMask != nil && !ws.coupMask[id]:
+		return
 	}
+	if ws.scatter && stage >= stageDown {
+		return
+	}
+	t0 := nowNS()
+	stageKernels[ws.kind][stage](ws, w, id)
+	ws.ctr[w*ctrStride+ctrUpNS+stage] += nowNS() - t0
 }
 
-// useSched reports whether this apply should run on the dependency-driven
-// scheduler: it needs the persistent pool (the fork-join fallback is the
-// seed reference path the equivalence suites pin against) and more than one
-// worker (a single worker has no barrier idle time to reclaim).
-func (ws *Workspace) useSched() bool {
-	return ws.pool != nil && ws.workers > 1
-}
-
-// runScheduled executes one full apply (all five sweeps) as a single
-// barrier-free pool phase using the previously assigned sched* kernels.
-// useSched guarantees a live pool, so the drain runs via par.Pool.Run: one
-// runSched loop per worker slot, each with a distinct per-worker counter and
-// scratch line.
+// runScheduled executes one apply (all five sweeps, or the masked subset
+// the sharded apply selects) as a single barrier-free pool phase, then
+// flushes the counters and clears the per-call state. A scatter drain is a
+// partial apply and does not count toward SweepStats.Applies.
 func (ws *Workspace) runScheduled() {
 	ws.sched.reset(ws.m.schedGraph())
-	ws.pool.Run(ws.schedRunFn)
-	ws.m.sweeps.applies.Add(1)
+	ws.pool.ForWorker(ws.workers, ws.drain)
+	if !ws.scatter {
+		ws.m.sweeps.applies.Add(1)
+	}
+	ws.flushCounters()
+	ws.curB, ws.curY = nil, nil
+	ws.coupMask, ws.scatter = nil, false
 }

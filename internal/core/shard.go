@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"h2ds/internal/mat"
-	"h2ds/internal/par"
 )
 
 // ShardPlan partitions one operator's tree at a subtree cut so the five-sweep
@@ -151,38 +150,94 @@ func (m *Matrix) ApplyShard(p *ShardPlan, s int, b []float64, transpose bool) ([
 
 // applyShardPermuted computes the packed coupling partials for one node set.
 func (m *Matrix) applyShardPermuted(ws *Workspace, bp []float64, nodes []int, transpose bool) []float64 {
-	ws.check(m, par.Resolve(m.Cfg.Workers))
+	ws.bind(m, vecKind(transpose))
 	ws.curB = bp
-	upFn, coupSel := ws.upFn, ws.coupSelFn
-	if transpose {
-		ws.q, ws.qOff = ws.rowSlab, ws.rowOff
-		ws.g, ws.gOff = ws.colSlab, ws.colOff
-		upFn, coupSel = ws.upTFn, ws.coupTSelFn
-	} else {
-		ws.q, ws.qOff = ws.colSlab, ws.colOff
-		ws.g, ws.gOff = ws.rowSlab, ws.rowOff
-	}
-	for l := m.Tree.Depth() - 1; l >= 0; l-- {
-		ws.level = m.Tree.Levels[l]
-		ws.forWorker(len(ws.level), upFn)
-	}
-	ws.level = nodes
-	ws.forWorker(len(nodes), coupSel)
-	ws.flushCounters()
+	ws.runScatter(nodes)
 
 	out := make([]float64, 0, m.PartialLen(nodes, transpose))
 	for _, id := range nodes {
 		out = append(out, seg(ws.g, ws.gOff, id)...)
 	}
-	ws.curB = nil
 	return out
 }
 
-// ApplyGather runs the gather half: its own upward sweep, the coupling sweep
-// for the coordinator-owned nodes, overlay of the shard partials (any nil
-// entry is recomputed locally — the coordinator's shard-failure fallback),
-// then the downward and leaf/nearfield sweeps. The result is bitwise-equal
-// to m.ApplyTo (or ApplyTransposeTo) on the same inputs.
+// runScatter drains the task graph as a scatter half: every upward task,
+// the coupling tasks of nodes only, no downward or leaf work.
+func (ws *Workspace) runScatter(nodes []int) {
+	mark(ws.maskCoupling(), nodes)
+	ws.scatter = true
+	ws.runScheduled()
+}
+
+// vecKind is the vector apply variant for the transpose flag.
+func vecKind(transpose bool) applyKind {
+	if transpose {
+		return applyTrans
+	}
+	return applyVec
+}
+
+// maskCoupling clears the workspace's coupling mask, installs it for the
+// next scheduled run, and returns it for the caller to mark.
+func (ws *Workspace) maskCoupling() []bool {
+	if ws.mask == nil {
+		ws.mask = make([]bool, len(ws.m.Tree.Nodes))
+	}
+	clear(ws.mask)
+	ws.coupMask = ws.mask
+	return ws.mask
+}
+
+// mark sets mask[id] for every id in nodes.
+func mark(mask []bool, nodes []int) {
+	for _, id := range nodes {
+		mask[id] = true
+	}
+}
+
+// checkPartials validates every supplied partial's length (width columns per
+// rank row) before any sweep work runs. Nil partials are allowed: the
+// gather recomputes them.
+func (m *Matrix) checkPartials(p *ShardPlan, parts [][]float64, transpose bool, width int) error {
+	for s, part := range parts {
+		if part == nil {
+			continue
+		}
+		if want := m.PartialLen(p.Nodes[s], transpose) * width; len(part) != want {
+			return fmt.Errorf("core: shard %d partial length %d want %d", s, len(part), want)
+		}
+	}
+	return nil
+}
+
+// maskGather installs the gather's coupling mask — coordinator nodes plus
+// the nodes of every nil (recomputed) partial — and places each supplied
+// partial into its nodes' g segments via segOf (node id -> segment). The
+// drain's downward tasks then add into the placed segments exactly as they
+// would into locally computed ones.
+func (ws *Workspace) maskGather(p *ShardPlan, parts [][]float64, segOf func(id int) []float64) {
+	mask := ws.maskCoupling()
+	mark(mask, p.Coord)
+	for s, part := range parts {
+		if part == nil {
+			mark(mask, p.Nodes[s])
+			continue
+		}
+		off := 0
+		for _, id := range p.Nodes[s] {
+			gi := segOf(id)
+			copy(gi, part[off:off+len(gi)])
+			off += len(gi)
+		}
+	}
+}
+
+// ApplyGather runs the gather half: after validating every partial, one
+// drain runs its own upward sweep, the coupling sweep for the
+// coordinator-owned nodes over the placed shard partials (any nil entry is
+// recomputed locally — the coordinator's shard-failure fallback), then the
+// downward and leaf/nearfield sweeps. The result is bitwise-equal to
+// m.ApplyTo (or ApplyTransposeTo) on the same inputs.
 func (m *Matrix) ApplyGather(p *ShardPlan, b []float64, parts [][]float64, transpose bool) ([]float64, error) {
 	if len(b) != m.N {
 		return nil, fmt.Errorf("core: ApplyGather input length %d want %d", len(b), m.N)
@@ -202,53 +257,13 @@ func (m *Matrix) ApplyGather(p *ShardPlan, b []float64, parts [][]float64, trans
 }
 
 func (m *Matrix) applyGatherPermuted(ws *Workspace, yp, bp []float64, p *ShardPlan, parts [][]float64, transpose bool) error {
-	ws.check(m, par.Resolve(m.Cfg.Workers))
+	if err := m.checkPartials(p, parts, transpose, 1); err != nil {
+		return err
+	}
+	ws.bind(m, vecKind(transpose))
 	ws.curB, ws.curY = bp, yp
-	upFn, coupSel, downFn, leafFn := ws.upFn, ws.coupSelFn, ws.downFn, ws.leafFn
-	if transpose {
-		ws.q, ws.qOff = ws.rowSlab, ws.rowOff
-		ws.g, ws.gOff = ws.colSlab, ws.colOff
-		upFn, coupSel, downFn, leafFn = ws.upTFn, ws.coupTSelFn, ws.downTFn, ws.leafTFn
-	} else {
-		ws.q, ws.qOff = ws.colSlab, ws.colOff
-		ws.g, ws.gOff = ws.rowSlab, ws.rowOff
-	}
-
-	t0 := nowNS()
-	for l := m.Tree.Depth() - 1; l >= 0; l-- {
-		ws.level = m.Tree.Levels[l]
-		ws.forWorker(len(ws.level), upFn)
-	}
-	t1 := nowNS()
-	ws.level = p.Coord
-	ws.forWorker(len(p.Coord), coupSel)
-	for s, part := range parts {
-		if part == nil {
-			ws.level = p.Nodes[s]
-			ws.forWorker(len(ws.level), coupSel)
-			continue
-		}
-		if want := m.PartialLen(p.Nodes[s], transpose); len(part) != want {
-			ws.curB, ws.curY = nil, nil
-			return fmt.Errorf("core: shard %d partial length %d want %d", s, len(part), want)
-		}
-		off := 0
-		for _, id := range p.Nodes[s] {
-			gi := seg(ws.g, ws.gOff, id)
-			copy(gi, part[off:off+len(gi)])
-			off += len(gi)
-		}
-	}
-	t2 := nowNS()
-	for l := 0; l < m.Tree.Depth(); l++ {
-		ws.level = m.Tree.Levels[l]
-		ws.forWorker(len(ws.level), downFn)
-	}
-	t3 := nowNS()
-	ws.forWorker(len(m.Tree.Leaves), leafFn)
-	m.sweeps.record(t0, t1, t2, t3, nowNS())
-	ws.flushCounters()
-	ws.curB, ws.curY = nil, nil
+	ws.maskGather(p, parts, func(id int) []float64 { return seg(ws.g, ws.gOff, id) })
+	ws.runScheduled()
 	return nil
 }
 
@@ -265,19 +280,9 @@ func (m *Matrix) ApplyBatchShard(p *ShardPlan, s int, B *mat.Dense) ([]float64, 
 	k := B.Cols
 	ws := m.getWorkspace()
 	defer m.putWorkspace(ws)
-	ws.check(m, par.Resolve(m.Cfg.Workers))
-	ws.ensureBatch(k)
-	for row, orig := range m.Tree.Perm {
-		copy(ws.bpB.Row(row), B.Row(orig))
-	}
-	for l := m.Tree.Depth() - 1; l >= 0; l-- {
-		ws.level = m.Tree.Levels[l]
-		ws.forWorker(len(ws.level), ws.bUpFn)
-	}
+	ws.bindBatch(m, B)
 	nodes := p.Nodes[s]
-	ws.level = nodes
-	ws.forWorker(len(nodes), ws.bCoupSelFn)
-	ws.flushCounters()
+	ws.runScatter(nodes)
 
 	out := make([]float64, 0, m.PartialLen(nodes, false)*k)
 	for _, id := range nodes {
@@ -295,52 +300,14 @@ func (m *Matrix) ApplyBatchGather(p *ShardPlan, Y, B *mat.Dense, parts [][]float
 	if len(parts) != len(p.Nodes) {
 		return fmt.Errorf("core: ApplyBatchGather got %d partials want %d", len(parts), len(p.Nodes))
 	}
-	k := B.Cols
+	if err := m.checkPartials(p, parts, false, B.Cols); err != nil {
+		return err
+	}
 	ws := m.getWorkspace()
 	defer m.putWorkspace(ws)
-	ws.check(m, par.Resolve(m.Cfg.Workers))
-	ws.ensureBatch(k)
-	for row, orig := range m.Tree.Perm {
-		copy(ws.bpB.Row(row), B.Row(orig))
-	}
-
-	t0 := nowNS()
-	for l := m.Tree.Depth() - 1; l >= 0; l-- {
-		ws.level = m.Tree.Levels[l]
-		ws.forWorker(len(ws.level), ws.bUpFn)
-	}
-	t1 := nowNS()
-	ws.level = p.Coord
-	ws.forWorker(len(p.Coord), ws.bCoupSelFn)
-	for s, part := range parts {
-		if part == nil {
-			ws.level = p.Nodes[s]
-			ws.forWorker(len(ws.level), ws.bCoupSelFn)
-			continue
-		}
-		if want := m.PartialLen(p.Nodes[s], false) * k; len(part) != want {
-			return fmt.Errorf("core: shard %d batch partial length %d want %d", s, len(part), want)
-		}
-		off := 0
-		for _, id := range p.Nodes[s] {
-			gi := ws.gB[id].Data
-			copy(gi, part[off:off+len(gi)])
-			off += len(gi)
-		}
-	}
-	t2 := nowNS()
-	for l := 0; l < m.Tree.Depth(); l++ {
-		ws.level = m.Tree.Levels[l]
-		ws.forWorker(len(ws.level), ws.bDownFn)
-	}
-	t3 := nowNS()
-	ws.forWorker(len(m.Tree.Leaves), ws.bLeafFn)
-	m.sweeps.record(t0, t1, t2, t3, nowNS())
-	ws.flushCounters()
-
-	Y.Reshape(m.N, k)
-	for row, orig := range m.Tree.Perm {
-		copy(Y.Row(orig), ws.ypB.Row(row))
-	}
+	ws.bindBatch(m, B)
+	ws.maskGather(p, parts, func(id int) []float64 { return ws.gB[id].Data })
+	ws.runScheduled()
+	ws.unpermuteBatch(Y)
 	return nil
 }

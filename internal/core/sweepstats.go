@@ -9,15 +9,17 @@ import (
 var sweepEpoch = time.Now()
 
 // nowNS returns a monotonic nanosecond timestamp for the sweep timers. One
-// call is ~tens of nanoseconds; an apply takes five, which is noise against
-// even the smallest sweep.
+// call is ~tens of nanoseconds; each scheduled task takes two, which is
+// noise against even the smallest per-node kernel.
 func nowNS() int64 { return int64(time.Since(sweepEpoch)) }
 
-// sweepTimers accumulates cumulative per-stage wall time across every apply
-// (vector, transpose, and batch) of a Matrix. Concurrent applies each add
-// their own stage durations, so under concurrency the sums can exceed wall
-// time — they are CPU-style cumulative stage costs, intended for relative
-// stage breakdowns (the serve layer's /stats endpoint reports them).
+// sweepTimers accumulates cumulative per-stage task time across every apply
+// (vector, transpose, batch, and both halves of the sharded apply) of a
+// Matrix: each scheduled task's duration is charged to its stage and summed
+// over workers — and over concurrent applies — so the sums are CPU-style
+// stage costs that can exceed wall time, at every worker count. They are
+// intended for relative stage breakdowns (the serve layer's /stats endpoint
+// reports them).
 type sweepTimers struct {
 	applies  atomic.Int64
 	up       atomic.Int64
@@ -35,20 +37,9 @@ type sweepTimers struct {
 	hybridMisses atomic.Int64
 }
 
-// record credits one apply given the five stage boundary timestamps.
-func (t *sweepTimers) record(t0, t1, t2, t3, t4 int64) {
-	t.applies.Add(1)
-	t.up.Add(t1 - t0)
-	t.coupling.Add(t2 - t1)
-	t.down.Add(t3 - t2)
-	t.leaf.Add(t4 - t3)
-}
-
-// recordStages credits per-stage durations measured task-by-task under the
-// barrier-free scheduler (cumulative across workers, so the four stage sums
-// are CPU time, consistent with the documented semantics under concurrency).
-// Each total lands with one atomic add per stage; the apply itself is
-// counted separately by the scheduled path.
+// recordStages credits one drain's per-stage task durations, summed over its
+// workers. Each total lands with one atomic add per stage; the apply itself
+// is counted separately by runScheduled.
 func (t *sweepTimers) recordStages(up, coupling, down, leaf int64) {
 	t.up.Add(up)
 	t.coupling.Add(coupling)
@@ -60,6 +51,12 @@ func (t *sweepTimers) recordStages(up, coupling, down, leaf int64) {
 // the matvec time splits across the upward (leaf projection + bottom-to-top
 // transfer), coupling, downward (top-to-bottom transfer), and leaf
 // (expansion + nearfield) stages of Algorithm 2.
+//
+// The stage fields have one meaning at every worker count: the time spent
+// in that stage's tasks, summed over workers (so with w busy workers the
+// four sums can reach w times the apply's wall time). Applies counts
+// complete applies — vector, transpose, batch, and sharded gathers; a
+// shard's scatter half adds its upward and coupling task time but no apply.
 type SweepStats struct {
 	Applies    int64 `json:"applies"`
 	UpNS       int64 `json:"up_ns"`

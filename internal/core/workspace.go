@@ -22,21 +22,21 @@ import (
 // which draw from an internal sync.Pool — concurrent requests then cost at
 // most one workspace per in-flight call, reused across calls.
 //
-// The sweep kernels are bound to the workspace as method-value closures at
-// construction time; per-call parameters travel through workspace fields.
-// This keeps the steady-state matvec at zero allocations per operation: the
-// serial path runs inline, and the parallel sweeps run on the workspace's
-// persistent par.Pool — the same long-lived worker goroutines across all
-// five sweeps and across successive applies — instead of forking and
-// joining fresh goroutines per tree level.
+// Every apply — vector, transpose, batch, and both halves of the sharded
+// apply — runs as one drain of the dependency-driven task graph (see
+// schedule.go) on the workspace's persistent par.Pool, at every worker
+// count; one worker drains the same graph serially. Per-call parameters
+// (the apply variant, the vectors, the q/g roles, the coupling mask) travel
+// through workspace fields and the drain loop is bound once at
+// construction, so the steady-state matvec makes zero allocations.
 type Workspace struct {
 	m *Matrix
 
-	// pool is the workspace's persistent parallel runtime. Workspaces are
+	// pool is the workspace's persistent parallel runtime: the same
+	// long-lived worker goroutines across successive applies. Workspaces are
 	// checked out by one goroutine at a time (the pool's contract), so
-	// concurrent applies each drive their own pool. A nil pool falls back
-	// to the fork-join par.ForWorker — the seed runtime, kept for the
-	// equivalence tests.
+	// concurrent applies each drive their own pool. Close releases it; the
+	// next apply recreates it.
 	pool    *par.Pool
 	workers int
 
@@ -50,49 +50,34 @@ type Workspace struct {
 	rowOff, colOff   []int
 	rowSlab, colSlab []float64
 
-	// Per-worker tile buffers for on-the-fly assembly (grown on demand when
-	// the configured worker count rises). The fused on-the-fly path only
-	// uses them as one-row panels in the batch sweeps; the seed path (and
-	// seedOTF test mode) reshapes them to full tiles.
+	// Per-worker tile buffers (grown on demand when the configured worker
+	// count rises). The fused on-the-fly kernels use them as one-row panels
+	// in the batch sweeps.
 	scratch []*mat.Dense
 
-	// ctr holds per-worker on-the-fly instrumentation, padded to ctrStride
-	// int64s per worker to keep workers off each other's cache lines:
-	// [w*ctrStride+ctrOtfNS] fused-evaluation nanoseconds,
-	// [.. +ctrHit] hybrid store hits, [.. +ctrMiss] hybrid misses. Flushed
-	// into the matrix's atomics once per apply.
+	// ctr holds per-worker instrumentation, padded to ctrStride int64s per
+	// worker to keep workers off each other's cache lines (layout below).
+	// Flushed into the matrix's atomics once per apply.
 	ctr []int64
 
-	// ---- per-call state consumed by the prebuilt sweep closures ----
+	// ---- per-call state read by the task kernels ----
+	kind       applyKind
 	curB, curY []float64 // permuted input/output vectors
-	level      []int     // node ids of the level being swept
 	q, g       []float64 // slab aliases for the call's q/g roles
 	qOff, gOff []int     // matching offset tables
 
-	upFn, coupFn, downFn, leafFn     func(w, i int)
-	upTFn, coupTFn, downTFn, leafTFn func(w, i int)
+	// coupMask, when non-nil, restricts the coupling stage to the marked
+	// nodes (the sharded apply); scatter additionally skips the downward and
+	// leaf stages. Masked tasks still release their dependents. mask is the
+	// reusable backing array.
+	coupMask []bool
+	scatter  bool
+	mask     []bool
 
-	// ID-based method values for the barrier-free scheduler (the level sweep
-	// closures above route through ws.level; the scheduler addresses nodes by
-	// id). Prebuilt so selecting a variant per apply is a field copy, not a
-	// closure allocation.
-	upIDFn, downIDFn   func(w, i int)
-	upTIDFn, downTIDFn func(w, i int)
-	bUpIDFn, bDownIDFn func(w, i int)
-
-	// Scheduler state: the current apply variant's per-stage kernels, the
-	// worker loop method value, and the resettable task-queue state.
-	schedUp, schedCoup, schedDown, schedLeaf func(w, i int)
-	schedRunFn                               func(slot int)
-	sched                                    scheduler
-
-	// Coupling selectors for the sharded scatter/gather apply: identical
-	// per-node arithmetic to coupFn/coupTFn/bCoupFn, but indexed through
-	// ws.level so a sweep can cover an arbitrary node subset instead of all
-	// nodes. Restricting the set never changes a g_i that is computed, which
-	// is what keeps the distributed apply bitwise-equal to the single-node
-	// one.
-	coupSelFn, coupTSelFn, bCoupSelFn func(w, i int)
+	// drain is the runSched method value, bound once so handing it to the
+	// pool allocates nothing; sched is the resettable task-queue state.
+	drain func(worker, slot int)
+	sched scheduler
 
 	// ---- batch (multi-RHS) state ----
 	k                  int // current batch width
@@ -100,8 +85,34 @@ type Workspace struct {
 	rowSlabB, colSlabB []float64
 	qB, gB             []*mat.Dense // per-node headers re-pointed into the slabs
 	viewIn, viewOut    []*mat.Dense // per-worker leaf-range views
+}
 
-	bUpFn, bCoupFn, bDownFn, bLeafFn func(w, i int)
+// applyKind selects the apply variant whose per-node kernels a drain runs.
+type applyKind uint8
+
+const (
+	applyVec   applyKind = iota // y = Â b
+	applyTrans                  // y = Âᵀ b
+	applyBatch                  // Y = Â B, one column per right-hand side
+)
+
+// Sweep stages of Algorithm 2, in task-graph order. stageLeaf covers stage 5
+// (leaf expansion plus nearfield); stages 1–2 share the upward kernel.
+const (
+	stageUp = iota
+	stageCoup
+	stageDown
+	stageLeaf
+	nStages
+)
+
+// stageKernels[kind][stage] is the per-node kernel of one apply variant's
+// sweep stage: kernel(ws, worker, node id). Method expressions, so selecting
+// a variant per task is a table lookup, not a closure.
+var stageKernels = [...][nStages]func(ws *Workspace, w, id int){
+	applyVec:   {(*Workspace).upNode, (*Workspace).coupNode, (*Workspace).downNode, (*Workspace).leafNode},
+	applyTrans: {(*Workspace).upNodeT, (*Workspace).coupNodeT, (*Workspace).downNodeT, (*Workspace).leafNodeT},
+	applyBatch: {(*Workspace).upNodeB, (*Workspace).coupNodeB, (*Workspace).downNodeB, (*Workspace).leafNodeB},
 }
 
 // NewWorkspace allocates a workspace sized for m's tree and ranks. Reuse it
@@ -129,60 +140,21 @@ func (m *Matrix) NewWorkspace() *Workspace {
 	ws.workers = par.Resolve(m.Cfg.Workers)
 	ws.pool = par.NewPool(ws.workers)
 	ws.growScratch(ws.workers)
-
-	ws.upFn = ws.upLevel
-	ws.coupFn = ws.coupNode
-	ws.downFn = ws.downLevel
-	ws.leafFn = ws.leafNode
-	ws.upTFn = ws.upLevelT
-	ws.coupTFn = ws.coupNodeT
-	ws.downTFn = ws.downLevelT
-	ws.leafTFn = ws.leafNodeT
-	ws.bUpFn = ws.upLevelB
-	ws.bCoupFn = ws.coupNodeB
-	ws.bDownFn = ws.downLevelB
-	ws.bLeafFn = ws.leafNodeB
-	ws.coupSelFn = ws.coupNodeSel
-	ws.coupTSelFn = ws.coupNodeTSel
-	ws.bCoupSelFn = ws.coupNodeBSel
-	ws.upIDFn = ws.upNode
-	ws.downIDFn = ws.downNode
-	ws.upTIDFn = ws.upNodeT
-	ws.downTIDFn = ws.downNodeT
-	ws.bUpIDFn = ws.upNodeB
-	ws.bDownIDFn = ws.downNodeB
-	ws.schedRunFn = ws.runSched
+	ws.drain = ws.runSched
 	return ws
 }
 
-// upLevel and friends route the level-synchronous sweeps (which index the
-// current ws.level slice) to the ID-based per-node kernels shared with the
-// barrier-free scheduler.
-func (ws *Workspace) upLevel(w, k int)    { ws.upNode(w, ws.level[k]) }
-func (ws *Workspace) downLevel(w, k int)  { ws.downNode(w, ws.level[k]) }
-func (ws *Workspace) upLevelT(w, k int)   { ws.upNodeT(w, ws.level[k]) }
-func (ws *Workspace) downLevelT(w, k int) { ws.downNodeT(w, ws.level[k]) }
-func (ws *Workspace) upLevelB(w, k int)   { ws.upNodeB(w, ws.level[k]) }
-func (ws *Workspace) downLevelB(w, k int) { ws.downNodeB(w, ws.level[k]) }
-
-// coupNodeSel and friends route a subset coupling sweep (node ids in
-// ws.level) to the full-sweep per-node kernels.
-func (ws *Workspace) coupNodeSel(w, k int)  { ws.coupNode(w, ws.level[k]) }
-func (ws *Workspace) coupNodeTSel(w, k int) { ws.coupNodeT(w, ws.level[k]) }
-func (ws *Workspace) coupNodeBSel(w, k int) { ws.coupNodeB(w, ws.level[k]) }
-
 // Per-worker counter layout within Workspace.ctr. The first three slots are
-// the on-the-fly instrumentation; the last four accumulate per-stage task
-// nanoseconds under the barrier-free scheduler (the level-synchronous path
-// times stages by wall clock instead and leaves them zero).
+// the on-the-fly instrumentation; the next four accumulate per-stage task
+// nanoseconds, indexed ctrUpNS+stage.
 const (
 	ctrOtfNS  = 0
 	ctrHit    = 1
 	ctrMiss   = 2
 	ctrUpNS   = 3
-	ctrCoupNS = 4
-	ctrDownNS = 5
-	ctrLeafNS = 6
+	ctrCoupNS = ctrUpNS + stageCoup
+	ctrDownNS = ctrUpNS + stageDown
+	ctrLeafNS = ctrUpNS + stageLeaf
 	ctrStride = 8 // one 64-byte cache line per worker
 )
 
@@ -231,34 +203,42 @@ func (ws *Workspace) flushCounters() {
 }
 
 // check validates the workspace against the matrix it is about to serve and
-// adapts to a changed worker count (resizing the pool if the resolved count
-// moved, e.g. under a GOMAXPROCS change).
+// adapts to the worker count: the pool is (re)created when it was closed or
+// when the resolved count moved (e.g. under a GOMAXPROCS change).
 func (ws *Workspace) check(m *Matrix, workers int) {
 	if ws.m != m {
 		panic("core: workspace used with a different Matrix than it was created for")
 	}
 	ws.workers = workers
-	if ws.pool != nil && ws.pool.Workers() != workers {
-		ws.pool.Close()
+	if ws.pool == nil || ws.pool.Workers() != workers {
+		if ws.pool != nil {
+			ws.pool.Close()
+		}
 		ws.pool = par.NewPool(workers)
 	}
 	ws.growScratch(workers)
 }
 
-// forWorker runs one sweep phase on the workspace's persistent pool, or on
-// the fork-join runtime when the pool has been released (nil).
-func (ws *Workspace) forWorker(n int, fn func(w, i int)) {
-	if ws.pool != nil {
-		ws.pool.ForWorker(n, fn)
-		return
+// bind prepares ws for one apply of the given kind on m: check, then the
+// q/g role assignment — q carries the upward (input-side) coefficients and g
+// the coupling results, so the transpose swaps the row and column slabs.
+// The batch variant addresses its own per-node panels and ignores the roles.
+func (ws *Workspace) bind(m *Matrix, kind applyKind) {
+	ws.check(m, par.Resolve(m.Cfg.Workers))
+	ws.kind = kind
+	if kind == applyTrans {
+		ws.q, ws.qOff = ws.rowSlab, ws.rowOff
+		ws.g, ws.gOff = ws.colSlab, ws.colOff
+	} else {
+		ws.q, ws.qOff = ws.colSlab, ws.colOff
+		ws.g, ws.gOff = ws.rowSlab, ws.rowOff
 	}
-	par.ForWorker(ws.workers, n, fn)
 }
 
 // Close releases the workspace's persistent worker goroutines. It is safe
-// to keep using the workspace afterwards (sweeps fall back to the fork-join
-// runtime); unclosed workspaces release their goroutines via a finalizer
-// when garbage-collected, so Close is an optimization for deterministic
+// to keep using the workspace afterwards: the next apply recreates the
+// pool. Unclosed workspaces release their goroutines via a finalizer when
+// garbage-collected, so Close is an optimization for deterministic
 // teardown, not a correctness requirement.
 func (ws *Workspace) Close() {
 	if ws.pool != nil {
@@ -313,7 +293,7 @@ func (m *Matrix) ApplyToWith(ws *Workspace, y, b []float64) {
 		panic(fmt.Sprintf("core: apply length mismatch y=%d b=%d n=%d", len(y), len(b), m.N))
 	}
 	m.Tree.PermuteVec(ws.bp, b)
-	m.applyPermutedWith(ws, ws.yp, ws.bp)
+	m.applyPermutedWith(ws, ws.yp, ws.bp, applyVec)
 	m.Tree.UnpermuteVec(y, ws.yp)
 }
 
@@ -324,77 +304,19 @@ func (m *Matrix) ApplyTransposeToWith(ws *Workspace, y, b []float64) {
 		panic(fmt.Sprintf("core: applyTranspose length mismatch y=%d b=%d n=%d", len(y), len(b), m.N))
 	}
 	m.Tree.PermuteVec(ws.bp, b)
-	m.applyTransposePermutedWith(ws, ws.yp, ws.bp)
+	m.applyPermutedWith(ws, ws.yp, ws.bp, applyTrans)
 	m.Tree.UnpermuteVec(y, ws.yp)
 }
 
 // applyPermutedWith runs the five sweeps of Algorithm 2 on permuted vectors
-// with all state drawn from ws. yp and bp must not alias (stage 5 reads
-// bp's nearfield neighbours while writing yp).
-func (m *Matrix) applyPermutedWith(ws *Workspace, yp, bp []float64) {
-	ws.check(m, par.Resolve(m.Cfg.Workers))
+// with all state drawn from ws: the plain product for applyVec, and for
+// applyTrans the transpose, whose upward sweep goes through U/R, couplings
+// apply B_{j,i}ᵀ, and downward/leaf sweeps go through V/W. yp and bp must
+// not alias (stage 5 reads bp's nearfield neighbours while writing yp).
+func (m *Matrix) applyPermutedWith(ws *Workspace, yp, bp []float64, kind applyKind) {
+	ws.bind(m, kind)
 	ws.curB, ws.curY = bp, yp
-	// Apply role assignment: q carries column-side coefficients, g row-side.
-	ws.q, ws.qOff = ws.colSlab, ws.colOff
-	ws.g, ws.gOff = ws.rowSlab, ws.rowOff
-
-	if ws.useSched() {
-		ws.schedUp, ws.schedCoup = ws.upIDFn, ws.coupFn
-		ws.schedDown, ws.schedLeaf = ws.downIDFn, ws.leafFn
-		ws.runScheduled()
-	} else {
-		t0 := nowNS()
-		for l := m.Tree.Depth() - 1; l >= 0; l-- {
-			ws.level = m.Tree.Levels[l]
-			ws.forWorker(len(ws.level), ws.upFn)
-		}
-		t1 := nowNS()
-		ws.forWorker(len(m.Tree.Nodes), ws.coupFn)
-		t2 := nowNS()
-		for l := 0; l < m.Tree.Depth(); l++ {
-			ws.level = m.Tree.Levels[l]
-			ws.forWorker(len(ws.level), ws.downFn)
-		}
-		t3 := nowNS()
-		ws.forWorker(len(m.Tree.Leaves), ws.leafFn)
-		m.sweeps.record(t0, t1, t2, t3, nowNS())
-	}
-	ws.flushCounters()
-	ws.curB, ws.curY = nil, nil
-}
-
-// applyTransposePermutedWith is the transpose product with the q/g roles
-// exchanged: the upward sweep goes through U/R, couplings apply B_{j,i}ᵀ,
-// and the downward/leaf sweeps go through V/W.
-func (m *Matrix) applyTransposePermutedWith(ws *Workspace, yp, bp []float64) {
-	ws.check(m, par.Resolve(m.Cfg.Workers))
-	ws.curB, ws.curY = bp, yp
-	ws.q, ws.qOff = ws.rowSlab, ws.rowOff
-	ws.g, ws.gOff = ws.colSlab, ws.colOff
-
-	if ws.useSched() {
-		ws.schedUp, ws.schedCoup = ws.upTIDFn, ws.coupTFn
-		ws.schedDown, ws.schedLeaf = ws.downTIDFn, ws.leafTFn
-		ws.runScheduled()
-	} else {
-		t0 := nowNS()
-		for l := m.Tree.Depth() - 1; l >= 0; l-- {
-			ws.level = m.Tree.Levels[l]
-			ws.forWorker(len(ws.level), ws.upTFn)
-		}
-		t1 := nowNS()
-		ws.forWorker(len(m.Tree.Nodes), ws.coupTFn)
-		t2 := nowNS()
-		for l := 0; l < m.Tree.Depth(); l++ {
-			ws.level = m.Tree.Levels[l]
-			ws.forWorker(len(ws.level), ws.downTFn)
-		}
-		t3 := nowNS()
-		ws.forWorker(len(m.Tree.Leaves), ws.leafTFn)
-		m.sweeps.record(t0, t1, t2, t3, nowNS())
-	}
-	ws.flushCounters()
-	ws.curB, ws.curY = nil, nil
+	ws.runScheduled()
 }
 
 // seg returns node id's segment of the given slab.
@@ -459,10 +381,7 @@ func (ws *Workspace) coupNode(w, id int) {
 			ws.ctr[w*ctrStride+ctrMiss]++
 		}
 		t := nowNS()
-		if m.seedOTF {
-			tile := kernel.Assemble(ws.scratch[w], m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j))
-			mat.MulVecAdd(gi, tile, qj)
-		} else if m.Cfg.FastMath {
+		if m.Cfg.FastMath {
 			kernel.BlockVecAddFMA(gi, m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j), qj)
 		} else {
 			kernel.BlockVecAdd(gi, m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j), qj)
@@ -492,9 +411,8 @@ func (ws *Workspace) downNode(_, id int) {
 
 // leafNode is stage 5 for Apply: expand the farfield result through the
 // leaf basis and add the dense nearfield interactions.
-func (ws *Workspace) leafNode(w, k int) {
+func (ws *Workspace) leafNode(w, id int) {
 	m := ws.m
-	id := m.Tree.Leaves[k]
 	nd := &m.Tree.Nodes[id]
 	yi := ws.curY[nd.Start:nd.End]
 	zero(yi)
@@ -516,10 +434,7 @@ func (ws *Workspace) leafNode(w, k int) {
 			ws.ctr[w*ctrStride+ctrMiss]++
 		}
 		t := nowNS()
-		if m.seedOTF {
-			tile := kernel.Assemble(ws.scratch[w], m.Kern, m.Tree.Points, m.leafRange(id), m.Tree.Points, m.leafRange(j))
-			mat.MulVecAdd(yi, tile, bj)
-		} else if m.Cfg.FastMath {
+		if m.Cfg.FastMath {
 			kernel.BlockVecAddFMA(yi, m.Kern, m.Tree.Points, m.leafRange(id), m.Tree.Points, m.leafRange(j), bj)
 		} else {
 			kernel.BlockVecAdd(yi, m.Kern, m.Tree.Points, m.leafRange(id), m.Tree.Points, m.leafRange(j), bj)
@@ -588,10 +503,7 @@ func (ws *Workspace) coupNodeT(w, id int) {
 			ws.ctr[w*ctrStride+ctrMiss]++
 		}
 		t := nowNS()
-		if m.seedOTF {
-			tile := kernel.Assemble(ws.scratch[w], m.Kern, m.skelPts[j], m.skel[j], m.skelPts[id], m.colSkeleton(id))
-			mat.MulTVecAdd(gi, tile, qj)
-		} else if m.Cfg.FastMath {
+		if m.Cfg.FastMath {
 			kernel.BlockTVecAddFMA(gi, m.Kern, m.skelPts[j], m.skel[j], m.skelPts[id], m.colSkeleton(id), qj)
 		} else {
 			kernel.BlockTVecAdd(gi, m.Kern, m.skelPts[j], m.skel[j], m.skelPts[id], m.colSkeleton(id), qj)
@@ -619,9 +531,8 @@ func (ws *Workspace) downNodeT(_, id int) {
 }
 
 // leafNodeT is the transpose leaf sweep: y_i = V_i g_i + Σ_j K(X_j, X_i)ᵀ b_j.
-func (ws *Workspace) leafNodeT(w, k int) {
+func (ws *Workspace) leafNodeT(w, id int) {
 	m := ws.m
-	id := m.Tree.Leaves[k]
 	nd := &m.Tree.Nodes[id]
 	yi := ws.curY[nd.Start:nd.End]
 	zero(yi)
@@ -649,10 +560,7 @@ func (ws *Workspace) leafNodeT(w, k int) {
 			ws.ctr[w*ctrStride+ctrMiss]++
 		}
 		t := nowNS()
-		if m.seedOTF {
-			tile := kernel.Assemble(ws.scratch[w], m.Kern, m.Tree.Points, m.leafRange(j), m.Tree.Points, m.leafRange(id))
-			mat.MulTVecAdd(yi, tile, bj)
-		} else if m.Cfg.FastMath {
+		if m.Cfg.FastMath {
 			kernel.BlockTVecAddFMA(yi, m.Kern, m.Tree.Points, m.leafRange(j), m.Tree.Points, m.leafRange(id), bj)
 		} else {
 			kernel.BlockTVecAdd(yi, m.Kern, m.Tree.Points, m.leafRange(j), m.Tree.Points, m.leafRange(id), bj)
@@ -720,40 +628,26 @@ func (m *Matrix) ApplyBatchToWith(ws *Workspace, Y, B *mat.Dense) {
 	if B.Rows != m.N {
 		panic(fmt.Sprintf("core: applyBatch rows %d want %d", B.Rows, m.N))
 	}
-	k := B.Cols
-	ws.check(m, par.Resolve(m.Cfg.Workers))
-	ws.ensureBatch(k)
+	ws.bindBatch(m, B)
+	ws.runScheduled()
+	ws.unpermuteBatch(Y)
+}
 
-	// Permute the batch rows.
+// bindBatch prepares ws for a batch apply of B's columns: bind, size the
+// batch buffers for B's width, and permute B's rows into the input panel.
+func (ws *Workspace) bindBatch(m *Matrix, B *mat.Dense) {
+	ws.bind(m, applyBatch)
+	ws.ensureBatch(B.Cols)
 	for row, orig := range m.Tree.Perm {
 		copy(ws.bpB.Row(row), B.Row(orig))
 	}
+}
 
-	if ws.useSched() {
-		ws.schedUp, ws.schedCoup = ws.bUpIDFn, ws.bCoupFn
-		ws.schedDown, ws.schedLeaf = ws.bDownIDFn, ws.bLeafFn
-		ws.runScheduled()
-	} else {
-		t0 := nowNS()
-		for l := m.Tree.Depth() - 1; l >= 0; l-- {
-			ws.level = m.Tree.Levels[l]
-			ws.forWorker(len(ws.level), ws.bUpFn)
-		}
-		t1 := nowNS()
-		ws.forWorker(len(m.Tree.Nodes), ws.bCoupFn)
-		t2 := nowNS()
-		for l := 0; l < m.Tree.Depth(); l++ {
-			ws.level = m.Tree.Levels[l]
-			ws.forWorker(len(ws.level), ws.bDownFn)
-		}
-		t3 := nowNS()
-		ws.forWorker(len(m.Tree.Leaves), ws.bLeafFn)
-		m.sweeps.record(t0, t1, t2, t3, nowNS())
-	}
-	ws.flushCounters()
-
-	// Un-permute rows into the caller's output.
-	Y.Reshape(m.N, k)
+// unpermuteBatch reshapes Y to N-by-k and un-permutes the batch output rows
+// into it.
+func (ws *Workspace) unpermuteBatch(Y *mat.Dense) {
+	m := ws.m
+	Y.Reshape(m.N, ws.k)
 	for row, orig := range m.Tree.Perm {
 		copy(Y.Row(orig), ws.ypB.Row(row))
 	}
@@ -808,10 +702,7 @@ func (ws *Workspace) coupNodeB(w, id int) {
 			ws.ctr[w*ctrStride+ctrMiss]++
 		}
 		t := nowNS()
-		if m.seedOTF {
-			tile := kernel.Assemble(ws.scratch[w], m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j))
-			mat.MulAddTo(gi, tile, ws.qB[j])
-		} else if m.Cfg.FastMath {
+		if m.Cfg.FastMath {
 			kernel.BlockMulAddFMA(gi, m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j), ws.qB[j], ws.scratch[w])
 		} else {
 			kernel.BlockMulAdd(gi, m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j), ws.qB[j], ws.scratch[w])
@@ -839,9 +730,8 @@ func (ws *Workspace) downNodeB(_, id int) {
 }
 
 // leafNodeB is the batched leaf sweep.
-func (ws *Workspace) leafNodeB(w, k int) {
+func (ws *Workspace) leafNodeB(w, id int) {
 	m := ws.m
-	id := m.Tree.Leaves[k]
 	nd := &m.Tree.Nodes[id]
 	yi := rowsView(ws.viewOut[w], ws.ypB, nd.Start, nd.End)
 	zero(yi.Data)
@@ -863,10 +753,7 @@ func (ws *Workspace) leafNodeB(w, k int) {
 			ws.ctr[w*ctrStride+ctrMiss]++
 		}
 		t := nowNS()
-		if m.seedOTF {
-			tile := kernel.Assemble(ws.scratch[w], m.Kern, m.Tree.Points, m.leafRange(id), m.Tree.Points, m.leafRange(j))
-			mat.MulAddTo(yi, tile, bj)
-		} else if m.Cfg.FastMath {
+		if m.Cfg.FastMath {
 			kernel.BlockMulAddFMA(yi, m.Kern, m.Tree.Points, m.leafRange(id), m.Tree.Points, m.leafRange(j), bj, ws.scratch[w])
 		} else {
 			kernel.BlockMulAdd(yi, m.Kern, m.Tree.Points, m.leafRange(id), m.Tree.Points, m.leafRange(j), bj, ws.scratch[w])

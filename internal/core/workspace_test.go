@@ -216,30 +216,38 @@ func TestSerializeRoundTripBatchEquivalence(t *testing.T) {
 }
 
 func TestApplyToWithZeroAllocSteadyState(t *testing.T) {
-	// With a caller-owned workspace and serial sweeps, the steady-state
-	// matvec must not touch the allocator at all.
+	// With a caller-owned workspace, the steady-state vector, transpose and
+	// batch applies must not touch the allocator at all — run serially at
+	// one worker or drained on the persistent pool at two.
 	pts := pointset.Cube(1000, 3, 260)
-	for _, mode := range []MemoryMode{Normal, OnTheFly} {
-		m, err := Build(pts, kernel.Coulomb{}, Config{Kind: DataDriven, Mode: mode, Tol: 1e-5, LeafSize: 60, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b := randVec(1000, 261)
-		y := make([]float64, 1000)
-		ws := m.NewWorkspace()
-		m.ApplyToWith(ws, y, b) // warm-up: grows the OTF scratch tile
-		allocs := testing.AllocsPerRun(10, func() {
-			m.ApplyToWith(ws, y, b)
-		})
-		if allocs != 0 {
-			t.Fatalf("mode %v: ApplyToWith allocates %.1f objects/op in steady state", mode, allocs)
-		}
-		m.ApplyTransposeToWith(ws, y, b)
-		allocs = testing.AllocsPerRun(10, func() {
-			m.ApplyTransposeToWith(ws, y, b)
-		})
-		if allocs != 0 {
-			t.Fatalf("mode %v: ApplyTransposeToWith allocates %.1f objects/op", mode, allocs)
+	b := randVec(1000, 261)
+	B := mat.NewDenseData(1000, 3, randVec(3000, 262))
+	for _, workers := range []int{1, 2} {
+		for _, mode := range []MemoryMode{Normal, OnTheFly} {
+			m, err := Build(pts, kernel.Coulomb{}, Config{Kind: DataDriven, Mode: mode, Tol: 1e-5, LeafSize: 60, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			y := make([]float64, 1000)
+			Y := mat.NewDense(0, 0)
+			ws := m.NewWorkspace()
+			for _, c := range []struct {
+				name  string
+				apply func()
+			}{
+				{"ApplyToWith", func() { m.ApplyToWith(ws, y, b) }},
+				{"ApplyTransposeToWith", func() { m.ApplyTransposeToWith(ws, y, b) }},
+				{"ApplyBatchToWith", func() { m.ApplyBatchToWith(ws, Y, B) }},
+			} {
+				// Warm-up: sizes the scheduler queue, batch slabs and the
+				// per-worker OTF scratch tiles.
+				c.apply()
+				c.apply()
+				if allocs := testing.AllocsPerRun(10, c.apply); allocs != 0 {
+					t.Fatalf("workers=%d mode %v: %s allocates %.1f objects/op in steady state", workers, mode, c.name, allocs)
+				}
+			}
+			ws.Close()
 		}
 	}
 }

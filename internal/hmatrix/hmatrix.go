@@ -205,41 +205,46 @@ func (m *Matrix) ApplyTo(y, b []float64) {
 	m.Tree.UnpermuteVec(y, yp)
 }
 
-// applyPermuted evaluates all blocks. Each node's output range is written
-// by exactly one loop iteration (node-major), so the parallel result is
-// deterministic.
+// applyPermuted evaluates all blocks, node-major. A node's output range
+// nests inside its ancestors' ranges, so the nodes run one tree level at a
+// time: within a level the ranges are disjoint (one writer per entry), and
+// every entry accumulates root-to-leaf, as in the serial id order, so the
+// parallel result is bitwise the serial one.
 func (m *Matrix) applyPermuted(yp, bp []float64) {
 	for i := range yp {
 		yp[i] = 0
 	}
 	nodes := m.Tree.Nodes
-	par.For(m.Cfg.Workers, len(nodes), func(id int) {
-		nd := &nodes[id]
-		yi := yp[nd.Start:nd.End]
-		// Direct low-rank blocks: y_i += T (B b_j).
-		for _, bi := range m.directOf[id] {
-			blk := &m.blocks[bi]
-			nj := &nodes[blk.j]
-			tmp := make([]float64, blk.b.Rows)
-			mat.MulVecAdd(tmp, blk.b, bp[nj.Start:nj.End])
-			mat.MulVecAdd(yi, blk.t, tmp)
-		}
-		// Transposed blocks: y_j += Bᵀ (Tᵀ b_i).
-		for _, bi := range m.transposeOf[id] {
-			blk := &m.blocks[bi]
-			niNode := &nodes[blk.i]
-			tmp := make([]float64, blk.t.Cols)
-			mat.MulTVecAdd(tmp, blk.t, bp[niNode.Start:niNode.End])
-			mat.MulTVecAdd(yi, blk.b, tmp)
-		}
-		// Nearfield (leaves only).
-		if nd.IsLeaf {
-			for p, j := range nd.Near {
-				nj := &nodes[j]
-				mat.MulVecAdd(yi, m.near[id][p], bp[nj.Start:nj.End])
+	for _, level := range m.Tree.Levels {
+		par.For(m.Cfg.Workers, len(level), func(k int) {
+			id := level[k]
+			nd := &nodes[id]
+			yi := yp[nd.Start:nd.End]
+			// Direct low-rank blocks: y_i += T (B b_j).
+			for _, bi := range m.directOf[id] {
+				blk := &m.blocks[bi]
+				nj := &nodes[blk.j]
+				tmp := make([]float64, blk.b.Rows)
+				mat.MulVecAdd(tmp, blk.b, bp[nj.Start:nj.End])
+				mat.MulVecAdd(yi, blk.t, tmp)
 			}
-		}
-	})
+			// Transposed blocks: y_j += Bᵀ (Tᵀ b_i).
+			for _, bi := range m.transposeOf[id] {
+				blk := &m.blocks[bi]
+				niNode := &nodes[blk.i]
+				tmp := make([]float64, blk.t.Cols)
+				mat.MulTVecAdd(tmp, blk.t, bp[niNode.Start:niNode.End])
+				mat.MulTVecAdd(yi, blk.b, tmp)
+			}
+			// Nearfield (leaves only).
+			if nd.IsLeaf {
+				for p, j := range nd.Near {
+					nj := &nodes[j]
+					mat.MulVecAdd(yi, m.near[id][p], bp[nj.Start:nj.End])
+				}
+			}
+		})
+	}
 }
 
 // Stats summarizes the representation.

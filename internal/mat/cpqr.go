@@ -77,8 +77,8 @@ func newCPQRInPlace(f *Dense, tol float64, maxRank int, pool *par.Pool) *CPQR {
 }
 
 // NewCPQRUnblocked is the reference one-reflector-at-a-time factorization
-// (the pre-blocking construction path). It is kept callable for the
-// blocked-vs-unblocked property suites and the build bench's seed baseline.
+// (the pre-blocking construction path). It is kept callable as the oracle of
+// the blocked-vs-unblocked property suites.
 func NewCPQRUnblocked(a *Dense, tol float64, maxRank int) *CPQR {
 	return newCPQRUnblocked(a.Clone(), tol, maxRank)
 }

@@ -39,8 +39,7 @@ func NewRowIDPool(a *Dense, tol float64, maxRank int, pool *par.Pool) *RowID {
 }
 
 // NewRowIDUnblocked is NewRowID on the reference unblocked CPQR — the
-// pre-blocking construction path, kept for equivalence suites and the build
-// bench's seed baseline.
+// pre-blocking construction path, kept as the equivalence suites' oracle.
 func NewRowIDUnblocked(a *Dense, tol float64, maxRank int) *RowID {
 	if a.Rows == 0 {
 		return &RowID{Skel: nil, T: NewDense(0, 0), Rank: 0}

@@ -121,19 +121,6 @@ func (p *Pool) For(n int, fn func(i int)) {
 	p.ForWorker(n, func(_, i int) { fn(i) })
 }
 
-// Run executes fn exactly once per worker slot in [0, Workers()),
-// concurrently across the pool. It is the entry point for cooperative
-// drains — fn is typically a loop that claims tasks from a shared queue
-// until it runs dry, with the slot id indexing per-worker scratch. Unlike
-// handing ForWorker a worker-indexed body, the slot argument is the claimed
-// ITERATION, so every invocation gets a distinct id even when a late-waking
-// helper lets one goroutine claim two slots (the two drains then run
-// sequentially on that goroutine, each with its own scratch line). Not safe
-// for concurrent use on one Pool.
-func (p *Pool) Run(fn func(slot int)) {
-	p.ForWorker(p.p.workers, func(_, i int) { fn(i) })
-}
-
 // ForWorker runs fn(worker, i) for every i in [0, n) on the pool, passing
 // the claiming worker's id in [0, workers). It returns when every iteration
 // has completed. Not safe for concurrent use on one Pool.

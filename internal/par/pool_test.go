@@ -184,10 +184,12 @@ func BenchmarkPhaseDispatch(b *testing.B) {
 func forkJoinName(w int) string { return "forkjoin/w" + string(rune('0'+w)) }
 func poolName(w int) string     { return "pool/w" + string(rune('0'+w)) }
 
-// TestPoolRunDistinctSlots pins Run's contract: fn is invoked exactly once
-// per slot in [0, Workers()), with distinct ids — the property cooperative
-// drains rely on to index per-worker scratch safely.
-func TestPoolRunDistinctSlots(t *testing.T) {
+// TestPoolForWorkerDistinctSlots pins the cooperative-drain contract of
+// ForWorker(Workers(), fn): fn is invoked exactly once per iteration in
+// [0, Workers()), so the iteration index is a distinct slot id even when one
+// goroutine claims two iterations — the property drains rely on to index
+// per-worker scratch safely.
+func TestPoolForWorkerDistinctSlots(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 7} {
 		p := NewPool(workers)
 		hits := make([]atomic.Int32, p.Workers())
@@ -195,7 +197,7 @@ func TestPoolRunDistinctSlots(t *testing.T) {
 			for i := range hits {
 				hits[i].Store(0)
 			}
-			p.Run(func(slot int) {
+			p.ForWorker(p.Workers(), func(_, slot int) {
 				if slot < 0 || slot >= p.Workers() {
 					t.Errorf("w=%d: slot %d out of range", workers, slot)
 					return

@@ -9,8 +9,7 @@ import (
 
 // TestAnchorNetReferenceIdentical: the tuned nearest-candidate scan and the
 // pre-acceleration reference scan must select byte-identical sample sets —
-// the contract that lets SeedConstruction builds share skeletons, caches,
-// and certificates with accelerated ones.
+// the contract that keeps the reference a valid oracle for the tuned scan.
 func TestAnchorNetReferenceIdentical(t *testing.T) {
 	ref := Reference(AnchorNet{})
 	if ref.Name() != "anchornet" || Key(ref) != Key(AnchorNet{}) {

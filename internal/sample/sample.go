@@ -153,8 +153,8 @@ func nearestTo(pts *pointset.Points, cand []int, anchor []float64) int {
 }
 
 // nearestRef is the pre-acceleration scan (Dist2 over At views), retained as
-// the SeedConstruction A/B baseline for construction benchmarks. Like every
-// other search it returns the winner's position in cand.
+// the reference the package's equivalence tests pin the tuned scan against.
+// Like every other search it returns the winner's position in cand.
 func nearestRef(pts *pointset.Points, cand []int, anchor []float64) int {
 	best, bestD := -1, math.Inf(1)
 	for pos, i := range cand {
@@ -423,8 +423,8 @@ func abs(x int) int {
 	return x
 }
 
-// Reference pins s to its pre-acceleration scan loops so construction
-// benchmarks can measure the seed-era build path like-for-like. Output is
+// Reference pins s to its pre-acceleration scan loops: the oracle the
+// package's equivalence tests compare the tuned scans against. Output is
 // bitwise-identical to the tuned path; only AnchorNet has a distinct
 // reference scan, other samplers pass through unchanged.
 func Reference(s Sampler) Sampler {
