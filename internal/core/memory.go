@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"h2ds/internal/kernel"
 	"h2ds/internal/par"
 )
 
@@ -101,7 +102,8 @@ func (m *Matrix) Memory() MemoryStats {
 
 // maxTileBytes returns the size of the largest block the on-the-fly sweeps
 // will assemble, computed from ranks and leaf sizes without assembling
-// anything.
+// anything. A nearfield pair's twin needs kernel.TwinBufRows rows of its
+// block, which only exceeds the block itself for leaves that small.
 func (m *Matrix) maxTileBytes() int64 {
 	var maxElems int64
 	for i := range m.Tree.Nodes {
@@ -115,7 +117,7 @@ func (m *Matrix) maxTileBytes() int64 {
 	for _, i := range m.Tree.Leaves {
 		si := int64(m.Tree.Nodes[i].Size())
 		for _, j := range m.Tree.Nodes[i].Near {
-			if e := si * int64(m.Tree.Nodes[j].Size()); e > maxElems {
+			if e := max(si, kernel.TwinBufRows) * int64(m.Tree.Nodes[j].Size()); e > maxElems {
 				maxElems = e
 			}
 		}

@@ -11,9 +11,11 @@ import (
 )
 
 // TestTaskGraphInvariants checks the structural properties the scheduler's
-// deadlock-freedom argument rests on: one task per (node, stage) slot, edge
-// endpoints in range, dependency counts consistent with the edge list, and a
-// non-empty initial frontier.
+// deadlock-freedom argument rests on: one task per (node, stage) slot plus
+// one per nearfield pair (i <= j), edge endpoints in range, dependency
+// counts consistent with the edge list, every pair task on one y chain per
+// endpoint (in-degree 2, or 1 for a diagonal pair), and a non-empty initial
+// frontier.
 func TestTaskGraphInvariants(t *testing.T) {
 	for _, tc := range []struct {
 		n, leaf int
@@ -29,8 +31,25 @@ func TestTaskGraphInvariants(t *testing.T) {
 		}
 		g := m.schedGraph()
 		nN := len(m.Tree.Nodes)
-		if g.total != int32(3*nN) {
-			t.Fatalf("n=%d: total %d want %d", tc.n, g.total, 3*nN)
+		nPairs := 0
+		for _, l := range m.Tree.Leaves {
+			for _, j := range m.Tree.Nodes[l].Near {
+				if j >= l {
+					nPairs++
+				}
+			}
+		}
+		if g.total != int32(3*nN+nPairs) || len(g.pairs) != nPairs {
+			t.Fatalf("n=%d: total %d (%d pairs) want %d (%d pairs)", tc.n, g.total, len(g.pairs), 3*nN+nPairs, nPairs)
+		}
+		for p, pr := range g.pairs {
+			want := int32(2)
+			if pr[0] == pr[1] {
+				want = 1
+			}
+			if c := g.initCnt[3*nN+p]; c != want {
+				t.Fatalf("n=%d: pair %v in-degree %d want %d", tc.n, pr, c, want)
+			}
 		}
 		var deps int32
 		for id, c := range g.initCnt {
@@ -73,7 +92,7 @@ func schedRefApply(t *testing.T, m *Matrix, b []float64, B *mat.Dense) (y, yt []
 // TestScheduledMatchesSeedEdgeShapes runs the barrier-free scheduler over
 // degenerate and adversarial tree shapes — a single-leaf tree (root only),
 // a depth-1 tree, and a tree whose leaf level is far wider than the worker
-// count — at worker counts 1/2/3/7, in Normal and OnTheFly modes, and
+// count — at worker counts 1/2/3/7, in Normal, OnTheFly and Hybrid modes, and
 // demands bitwise equality with the level-synchronous seed path for the
 // apply, transpose, and batched variants.
 func TestScheduledMatchesSeedEdgeShapes(t *testing.T) {
@@ -86,11 +105,14 @@ func TestScheduledMatchesSeedEdgeShapes(t *testing.T) {
 		{"wide-level", 1500, 25},
 	}
 	for _, sh := range shapes {
-		for _, mode := range []MemoryMode{Normal, OnTheFly} {
+		for _, mode := range []MemoryMode{Normal, OnTheFly, Hybrid} {
 			t.Run(sh.name+"/"+mode.String(), func(t *testing.T) {
 				pts := pointset.Cube(sh.n, 3, 402)
-				m, err := Build(pts, kernel.Coulomb{},
-					Config{Kind: DataDriven, Mode: mode, Tol: 1e-5, LeafSize: sh.leaf})
+				cfg := Config{Kind: DataDriven, Mode: mode, Tol: 1e-5, LeafSize: sh.leaf}
+				if mode == Hybrid {
+					cfg.StorageBudget = 64 << 10 // some blocks stored, the rest evaluated
+				}
+				m, err := Build(pts, kernel.Coulomb{}, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -20,22 +20,30 @@ import (
 // the idle time the barriers used to burn.
 //
 // Bitwise contract: every output slot (a node's q segment, g segment, or a
-// leaf's y range) is written by exactly one task, and each task's internal
-// arithmetic is the per-node kernel a level-synchronous sweep would run. The
-// graph edges reproduce the level-synchronous ordering wherever two tasks
-// touch the same slot (coupling zero+accumulate before the parent's downward
-// add, downward add before the leaf expansion reads), so the result is
-// bitwise-identical to the level-synchronous reference (kept as a test
-// oracle) at every worker count, one included — there is no merge step to
-// make deterministic because no slot ever has two writers.
+// leaf's y range) has its writers on one chain of graph edges, and each
+// task's internal arithmetic is the per-node kernel a level-synchronous
+// sweep would run. For q and g segments the chain is a single task, or the
+// coupling zero+accumulate before the parent's downward add; the downward
+// add precedes the leaf expansion that reads it. A leaf's y range is
+// written by its leaf task (y_i = U_i g_i) and then by one nearfield pair
+// task per entry of its Near list, chained in list order. Each task adds
+// into y_i exactly what the level-synchronous leaf kernel added for that
+// partner, in the same order, so the result is bitwise-identical to the
+// level-synchronous reference (kept as a test oracle) at every worker
+// count, one included — there is no merge step to make deterministic
+// because no slot ever has two unordered writers.
 //
-// Task id layout for a tree with nNodes nodes (total = 3*nNodes tasks):
+// Task id layout for a tree with nNodes nodes and nPairs nearfield pairs
+// (total = 3*nNodes + nPairs tasks):
 //
 //	[0, nNodes)            up(id)    upward sweep, one per node
 //	[nNodes, 2*nNodes)     coup(id)  coupling sweep, one per node
 //	[2*nNodes, 3*nNodes)   down(id)  downward sweep for internal nodes;
 //	                                 leaf nodes have no downward task, so
-//	                                 their slot holds the leaf sweep task
+//	                                 their slot holds the leaf task
+//	[3*nNodes, +nPairs)    pair(p)   nearfield of leaf pair p = (i, j),
+//	                                 i <= j, j ∈ Near(i), in lexicographic
+//	                                 (i, j) order; writes y_i and y_j
 //
 // Edges (dependency -> dependent):
 //
@@ -46,6 +54,16 @@ import (
 //	down(p)  -> down(i)              g_i is final only after p's contribution
 //	coup(l)  -> leaf(l)              leaf reads g_l after coupling
 //	down(p)  -> leaf(l)              ... and after the parent's add
+//	leaf(l)  -> first pair on l      the y_l chain: leaf task, then the
+//	pair     -> next pair on l       pairs containing l in Near(l) order
+//
+// Chains are threaded through the pairs in task-id order, so every pair
+// edge points to a higher task id and the graph stays acyclic whatever the
+// lists hold. The chain of leaf l visits its pairs in lexicographic order,
+// which is Near(l) order because Near lists are ascending (tree.New sorts
+// them and Read rejects streams whose lists are not) — the order the
+// level-synchronous leaf kernel adds them in. A pair has in-degree 2 (one
+// chain per endpoint), a diagonal pair (l, l) in-degree 1.
 //
 // The same graph serves the forward, transpose, and batched applies and both
 // halves of the sharded apply: the stages swap which generator they read
@@ -54,10 +72,11 @@ import (
 type taskGraph struct {
 	nNodes  int
 	total   int32
-	initCnt []int32 // initial dependency count per task id
-	depOff  []int32 // CSR offsets into depList per task id
-	depList []int32 // dependent task ids
-	ready0  []int32 // zero-dependency tasks in deterministic order
+	initCnt []int32    // initial dependency count per task id
+	depOff  []int32    // CSR offsets into depList per task id
+	depList []int32    // dependent task ids
+	ready0  []int32    // zero-dependency tasks in deterministic order
+	pairs   [][2]int32 // leaf pair (i, j) of pair task 3*nNodes+p
 }
 
 // schedGraph lazily builds the matrix's task graph (the tree is immutable
@@ -69,14 +88,24 @@ func (m *Matrix) schedGraph() *taskGraph {
 
 func buildTaskGraph(t *tree.Tree) *taskGraph {
 	nN := len(t.Nodes)
-	g := &taskGraph{nNodes: nN, total: int32(3 * nN)}
+	g := &taskGraph{nNodes: nN}
+	for i := range t.Nodes {
+		for _, j := range t.Nodes[i].Near {
+			if j >= i {
+				g.pairs = append(g.pairs, [2]int32{int32(i), int32(j)})
+			}
+		}
+	}
+	nT := 3*nN + len(g.pairs)
+	g.total = int32(nT)
 	up := func(id int) int32 { return int32(id) }
 	coup := func(id int) int32 { return int32(nN + id) }
 	down := func(id int) int32 { return int32(2*nN + id) }
 
 	// Two passes over the same edge enumeration: count out-degrees, then fill.
-	deg := make([]int32, 3*nN)
-	g.initCnt = make([]int32, 3*nN)
+	deg := make([]int32, nT)
+	g.initCnt = make([]int32, nT)
+	last := make([]int32, nN) // tail of each leaf's y chain
 	edges := func(emit func(from, to int32)) {
 		for id := range t.Nodes {
 			nd := &t.Nodes[id]
@@ -93,15 +122,26 @@ func buildTaskGraph(t *tree.Tree) *taskGraph {
 			if nd.Parent >= 0 {
 				emit(down(nd.Parent), down(id))
 			}
+			last[id] = down(id)
+		}
+		for p, pr := range g.pairs {
+			task := int32(3*nN + p)
+			i, j := pr[0], pr[1]
+			emit(last[i], task)
+			last[i] = task
+			if j != i {
+				emit(last[j], task)
+				last[j] = task
+			}
 		}
 	}
 	edges(func(from, to int32) { deg[from]++; g.initCnt[to]++ })
-	g.depOff = make([]int32, 3*nN+1)
-	for i := 0; i < 3*nN; i++ {
+	g.depOff = make([]int32, nT+1)
+	for i := 0; i < nT; i++ {
 		g.depOff[i+1] = g.depOff[i] + deg[i]
 	}
-	g.depList = make([]int32, g.depOff[3*nN])
-	fill := make([]int32, 3*nN)
+	g.depList = make([]int32, g.depOff[nT])
+	fill := make([]int32, nT)
 	edges(func(from, to int32) {
 		g.depList[g.depOff[from]+fill[from]] = to
 		fill[from]++
@@ -204,7 +244,18 @@ func (ws *Workspace) runSched(_, slot int) {
 // sharded apply masks out do nothing; runSched still releases their
 // dependents.
 func (ws *Workspace) execTask(w int, t int32) {
-	nN := int32(ws.sched.g.nNodes)
+	g := ws.sched.g
+	nN := int32(g.nNodes)
+	if p := t - 3*nN; p >= 0 {
+		if ws.scatter {
+			return
+		}
+		pr := g.pairs[p]
+		t0 := nowNS()
+		ws.pairTask(w, int(pr[0]), int(pr[1]))
+		ws.ctr[w*ctrStride+ctrLeafNS] += nowNS() - t0
+		return
+	}
 	stage, id := int(t/nN), int(t%nN)
 	switch {
 	case stage == stageDown && ws.m.Tree.Nodes[id].IsLeaf:

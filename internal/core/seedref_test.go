@@ -17,15 +17,28 @@ import (
 type refKernels = [nStages]func(ws *Workspace, w, id int)
 
 // refKernelsFor returns the reference kernel table for an apply variant:
-// the production per-node kernels, with the coupling and leaf stages
-// swapped for the assemble-then-multiply ones when assemble is set (valid
-// for OnTheFly matrices only).
+// the production per-node kernels, with the leaf stage carrying the whole
+// nearfield one directed block at a time (refLeaf), and with the
+// coupling and leaf stages swapped for the assemble-then-multiply ones when
+// assemble is set (valid for OnTheFly matrices only).
 func refKernelsFor(kind applyKind, assemble bool) refKernels {
 	ks := stageKernels[kind]
+	ks[stageLeaf] = refLeaf
 	if assemble {
 		ks[stageCoup], ks[stageLeaf] = assembledKernels[kind][0], assembledKernels[kind][1]
 	}
 	return ks
+}
+
+// refLeaf is the level-synchronous leaf kernel: the leaf expansion
+// followed by every Near entry's directed block in list order — the leaf
+// stage before the nearfield moved into pair tasks, and the order the pair
+// chains must reproduce.
+func refLeaf(ws *Workspace, w, id int) {
+	stageKernels[ws.kind][stageLeaf](ws, w, id)
+	for _, j := range ws.m.Tree.Nodes[id].Near {
+		nearKernels[ws.kind](ws, w, id, j)
+	}
 }
 
 // refSweeps runs the five sweeps level by level on the fork-join runtime:

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"h2ds/internal/interp"
 	"h2ds/internal/kernel"
@@ -715,6 +716,55 @@ func (m *Matrix) validateLoaded() error {
 		}
 		if v := m.Cfg.Tol; math.IsNaN(v) || v <= 0 {
 			return fmt.Errorf("core: corrupt tolerance %g", v)
+		}
+	}
+	return m.validateLists()
+}
+
+// validateLists checks the block lists the apply trusts: every leaf's Near
+// list is strictly ascending, contains the leaf, names only leaves, and is
+// mirrored (j ∈ Near(i) ⇔ i ∈ Near(j)); internal nodes carry no Near list;
+// and interaction lists are mirrored (the transpose coupling and the
+// nearfield pair tasks both rely on that symmetry). Entries are already
+// known to be in range.
+func (m *Matrix) validateLists() error {
+	nodes := m.Tree.Nodes
+	for id := range nodes {
+		nd := &nodes[id]
+		if !nd.IsLeaf {
+			if len(nd.Near) > 0 {
+				return fmt.Errorf("core: corrupt near list on internal node %d", id)
+			}
+			continue
+		}
+		self := false
+		for k, j := range nd.Near {
+			if k > 0 && j <= nd.Near[k-1] {
+				return fmt.Errorf("core: corrupt near list at node %d: not strictly ascending", id)
+			}
+			if !nodes[j].IsLeaf {
+				return fmt.Errorf("core: corrupt near list at node %d: %d is not a leaf", id, j)
+			}
+			if _, ok := slices.BinarySearch(nodes[j].Near, id); !ok {
+				return fmt.Errorf("core: corrupt near list at node %d: %d lists no reverse entry", id, j)
+			}
+			self = self || j == id
+		}
+		if !self {
+			return fmt.Errorf("core: corrupt near list at node %d: leaf missing from its own list", id)
+		}
+	}
+	inIL := make(map[[2]int]bool)
+	for id := range nodes {
+		for _, j := range nodes[id].Interaction {
+			inIL[[2]int{id, j}] = true
+		}
+	}
+	for id := range nodes {
+		for _, j := range nodes[id].Interaction {
+			if !inIL[[2]int{j, id}] {
+				return fmt.Errorf("core: corrupt interaction list: %d lists %d but not vice versa", id, j)
+			}
 		}
 	}
 	return nil

@@ -255,3 +255,87 @@ func TestSerializeCorruptPermutation(t *testing.T) {
 		t.Fatal("corrupt permutation accepted")
 	}
 }
+
+// TestSerializeRejectsCorruptLists mutates the block lists of a live tree
+// before WriteTo — so the stream's checksum is valid — and demands that Read
+// rejects every list shape the apply cannot trust: unsorted, self-less,
+// non-leaf or one-sided Near lists, a Near list on an internal node, and a
+// one-sided interaction list.
+func TestSerializeRejectsCorruptLists(t *testing.T) {
+	m, err := Build(pointset.Cube(600, 3, 97), kernel.Coulomb{},
+		Config{Kind: DataDriven, Mode: OnTheFly, Tol: 1e-4, LeafSize: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := m.Tree.Nodes
+	// A leaf with an off-diagonal partner, and a node with a non-empty
+	// interaction list.
+	leaf, partner := -1, -1
+	for _, l := range m.Tree.Leaves {
+		for _, j := range nodes[l].Near {
+			if j != l && leaf < 0 {
+				leaf, partner = l, j
+			}
+		}
+	}
+	ilNode := -1
+	for id := range nodes {
+		if len(nodes[id].Interaction) > 0 && ilNode < 0 {
+			ilNode = id
+		}
+	}
+	if leaf < 0 || ilNode < 0 || nodes[0].IsLeaf {
+		t.Fatal("test tree lacks a near pair, an interaction list, or an internal root")
+	}
+	without := func(list []int, v int) []int {
+		out := []int{}
+		for _, x := range list {
+			if x != v {
+				out = append(out, x)
+			}
+		}
+		return out
+	}
+	swapped := func(list []int) []int {
+		out := append([]int(nil), list...)
+		out[0], out[1] = out[1], out[0]
+		return out
+	}
+	cases := []struct {
+		name, want string
+		mutate     func()
+	}{
+		{"unsorted", "ascending", func() { nodes[leaf].Near = swapped(nodes[leaf].Near) }},
+		{"no-self", "own list", func() { nodes[leaf].Near = without(nodes[leaf].Near, leaf) }},
+		{"non-leaf", "not a leaf", func() { nodes[leaf].Near = append([]int{0}, nodes[leaf].Near...) }},
+		{"one-sided-near", "reverse entry", func() { nodes[partner].Near = without(nodes[partner].Near, leaf) }},
+		{"internal-near", "internal node", func() { nodes[0].Near = []int{leaf} }},
+		{"one-sided-interaction", "interaction list", func() {
+			j := nodes[ilNode].Interaction[0]
+			nodes[j].Interaction = without(nodes[j].Interaction, ilNode)
+		}},
+	}
+	for _, tc := range cases {
+		saved := make([][2][]int, len(nodes))
+		for id := range nodes {
+			saved[id] = [2][]int{nodes[id].Near, nodes[id].Interaction}
+		}
+		tc.mutate()
+		var buf bytes.Buffer
+		if _, err := m.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for id := range nodes {
+			nodes[id].Near, nodes[id].Interaction = saved[id][0], saved[id][1]
+		}
+		_, err := Read(&buf, kernel.Coulomb{})
+		if err == nil {
+			t.Fatalf("%s: corrupt lists accepted", tc.name)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+	// The restored tree still round-trips.
+	roundTrip(t, m, kernel.Coulomb{})
+}

@@ -52,7 +52,8 @@ type Workspace struct {
 
 	// Per-worker tile buffers (grown on demand when the configured worker
 	// count rises). The fused on-the-fly kernels use them as one-row panels
-	// in the batch sweeps.
+	// in the batch sweeps, the vector pair twins as a row panel plus the
+	// four transposed-dot lanes.
 	scratch []*mat.Dense
 
 	// ctr holds per-worker instrumentation, padded to ctrStride int64s per
@@ -96,8 +97,9 @@ const (
 	applyBatch                  // Y = Â B, one column per right-hand side
 )
 
-// Sweep stages of Algorithm 2, in task-graph order. stageLeaf covers stage 5
-// (leaf expansion plus nearfield); stages 1–2 share the upward kernel.
+// Sweep stages of Algorithm 2, in task-graph order. stageLeaf covers stage 5:
+// the leaf expansion task and the nearfield pair tasks behind it; stages 1–2
+// share the upward kernel.
 const (
 	stageUp = iota
 	stageCoup
@@ -113,6 +115,15 @@ var stageKernels = [...][nStages]func(ws *Workspace, w, id int){
 	applyVec:   {(*Workspace).upNode, (*Workspace).coupNode, (*Workspace).downNode, (*Workspace).leafNode},
 	applyTrans: {(*Workspace).upNodeT, (*Workspace).coupNodeT, (*Workspace).downNodeT, (*Workspace).leafNodeT},
 	applyBatch: {(*Workspace).upNodeB, (*Workspace).coupNodeB, (*Workspace).downNodeB, (*Workspace).leafNodeB},
+}
+
+// nearKernels[kind] is one apply variant's directed nearfield kernel:
+// kernel(ws, worker, i, j) adds block (i, j)'s contribution into leaf i's
+// output rows.
+var nearKernels = [...]func(ws *Workspace, w, i, j int){
+	applyVec:   (*Workspace).nearVec,
+	applyTrans: (*Workspace).nearT,
+	applyBatch: (*Workspace).nearB,
 }
 
 // NewWorkspace allocates a workspace sized for m's tree and ranks. Reuse it
@@ -409,38 +420,109 @@ func (ws *Workspace) downNode(_, id int) {
 	}
 }
 
-// leafNode is stage 5 for Apply: expand the farfield result through the
-// leaf basis and add the dense nearfield interactions.
-func (ws *Workspace) leafNode(w, id int) {
+// leafNode is stage 5 for Apply, farfield half: y_i = U_i g_i. The
+// nearfield half runs as pair tasks (pairTask) chained behind it.
+func (ws *Workspace) leafNode(_, id int) {
 	m := ws.m
-	nd := &m.Tree.Nodes[id]
-	yi := ws.curY[nd.Start:nd.End]
+	yi := ws.leafY(id)
 	zero(yi)
 	if m.ranks[id] > 0 {
 		mat.MulVecAdd(yi, m.u[id], seg(ws.g, ws.gOff, id))
 	}
-	for _, j := range nd.Near {
-		nj := &m.Tree.Nodes[j]
-		bj := ws.curB[nj.Start:nj.End]
-		switch m.Cfg.Mode {
-		case Normal:
-			m.near.Apply(yi, id, j, bj)
-			continue
-		case Hybrid:
-			if m.near.applyOTFOrder(yi, id, j, bj) {
-				ws.ctr[w*ctrStride+ctrHit]++
-				continue
-			}
-			ws.ctr[w*ctrStride+ctrMiss]++
-		}
-		t := nowNS()
-		if m.Cfg.FastMath {
-			kernel.BlockVecAddFMA(yi, m.Kern, m.Tree.Points, m.leafRange(id), m.Tree.Points, m.leafRange(j), bj)
-		} else {
-			kernel.BlockVecAdd(yi, m.Kern, m.Tree.Points, m.leafRange(id), m.Tree.Points, m.leafRange(j), bj)
-		}
-		ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
+}
+
+// leafY and leafB return leaf id's range of the call's output and input
+// vectors.
+func (ws *Workspace) leafY(id int) []float64 {
+	nd := &ws.m.Tree.Nodes[id]
+	return ws.curY[nd.Start:nd.End]
+}
+
+func (ws *Workspace) leafB(id int) []float64 {
+	nd := &ws.m.Tree.Nodes[id]
+	return ws.curB[nd.Start:nd.End]
+}
+
+// pairTask is the nearfield of one leaf pair (i, j), i <= j: block (i, j)
+// into leaf i's outputs and, for i < j, block (j, i) into leaf j's. In the
+// vector apply, where the kernel is symmetric and the block has one stored
+// (or evaluated) orientation, a twin visits it once for both outputs — the
+// triangular Normal store through mat.MulVecAddTwin, a hybrid hit through
+// mat.MulVecAddTwinDot, an on-the-fly radial block through
+// kernel.BlockVecAddTwin — each bitwise-identical to the two directed
+// blocks it replaces. Everything else (the diagonal block, the transpose
+// and batch applies, directed stores, non-radial kernels, FastMath
+// evaluation) applies each orientation with the variant's near kernel.
+func (ws *Workspace) pairTask(w, i, j int) {
+	if i != j && ws.kind == applyVec && ws.nearTwin(w, i, j) {
+		return
 	}
+	near := nearKernels[ws.kind]
+	near(ws, w, i, j)
+	if i != j {
+		near(ws, w, j, i)
+	}
+}
+
+// nearTwin applies both orientations of the off-diagonal pair (i, j) of a
+// vector apply with a single-visit twin and reports whether one applied.
+// Hybrid counts a hit or miss per directed block, as nearVec does.
+func (ws *Workspace) nearTwin(w, i, j int) bool {
+	m := ws.m
+	if m.Cfg.Mode != OnTheFly && m.near.directed {
+		return false
+	}
+	yi, yj := ws.leafY(i), ws.leafY(j)
+	bi, bj := ws.leafB(i), ws.leafB(j)
+	switch m.Cfg.Mode {
+	case Normal:
+		if blk := m.near.Get(i, j); blk != nil {
+			mat.MulVecAddTwin(yi, yj, blk, bj, bi)
+		}
+		return true
+	case Hybrid:
+		if blk := m.near.Get(i, j); blk != nil {
+			ws.scratch[w].Reshape(4, blk.Cols)
+			mat.MulVecAddTwinDot(yi, yj, blk, bj, bi, ws.scratch[w].Data)
+			ws.ctr[w*ctrStride+ctrHit] += 2
+			return true
+		}
+	}
+	rk, radial := m.Kern.(kernel.Kernel)
+	if !radial || m.Cfg.FastMath {
+		return false
+	}
+	if m.Cfg.Mode == Hybrid {
+		ws.ctr[w*ctrStride+ctrMiss] += 2
+	}
+	t := nowNS()
+	kernel.BlockVecAddTwin(yi, yj, rk, m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j), bj, bi, ws.scratch[w])
+	ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
+	return true
+}
+
+// nearVec adds one directed nearfield block: y_i += K(X_i, X_j) b_j.
+func (ws *Workspace) nearVec(w, i, j int) {
+	m := ws.m
+	yi, bj := ws.leafY(i), ws.leafB(j)
+	switch m.Cfg.Mode {
+	case Normal:
+		m.near.Apply(yi, i, j, bj)
+		return
+	case Hybrid:
+		if m.near.applyOTFOrder(yi, i, j, bj) {
+			ws.ctr[w*ctrStride+ctrHit]++
+			return
+		}
+		ws.ctr[w*ctrStride+ctrMiss]++
+	}
+	t := nowNS()
+	if m.Cfg.FastMath {
+		kernel.BlockVecAddFMA(yi, m.Kern, m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j), bj)
+	} else {
+		kernel.BlockVecAdd(yi, m.Kern, m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j), bj)
+	}
+	ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
 }
 
 // upNodeT is the transpose upward sweep through the ROW generators (U, R).
@@ -530,43 +612,44 @@ func (ws *Workspace) downNodeT(_, id int) {
 	}
 }
 
-// leafNodeT is the transpose leaf sweep: y_i = V_i g_i + Σ_j K(X_j, X_i)ᵀ b_j.
-func (ws *Workspace) leafNodeT(w, id int) {
+// leafNodeT is the transpose leaf sweep, farfield half: y_i = V_i g_i.
+func (ws *Workspace) leafNodeT(_, id int) {
 	m := ws.m
-	nd := &m.Tree.Nodes[id]
-	yi := ws.curY[nd.Start:nd.End]
+	yi := ws.leafY(id)
 	zero(yi)
 	if m.colRank(id) > 0 {
 		mat.MulVecAdd(yi, m.colBasis(id), seg(ws.g, ws.gOff, id))
 	}
-	for _, j := range nd.Near {
-		nj := &m.Tree.Nodes[j]
-		bj := ws.curB[nj.Start:nj.End]
-		switch m.Cfg.Mode {
-		case Normal:
-			if m.near.directed {
-				if blk := m.near.Get(j, id); blk != nil {
-					mat.MulTVecAdd(yi, blk, bj)
-				}
-			} else {
-				m.near.Apply(yi, id, j, bj)
+}
+
+// nearT adds one directed transpose nearfield block: y_i += K(X_j, X_i)ᵀ b_j.
+func (ws *Workspace) nearT(w, i, j int) {
+	m := ws.m
+	yi, bj := ws.leafY(i), ws.leafB(j)
+	switch m.Cfg.Mode {
+	case Normal:
+		if m.near.directed {
+			if blk := m.near.Get(j, i); blk != nil {
+				mat.MulTVecAdd(yi, blk, bj)
 			}
-			continue
-		case Hybrid:
-			if m.near.applyTransposeOTFOrder(yi, id, j, bj) {
-				ws.ctr[w*ctrStride+ctrHit]++
-				continue
-			}
-			ws.ctr[w*ctrStride+ctrMiss]++
-		}
-		t := nowNS()
-		if m.Cfg.FastMath {
-			kernel.BlockTVecAddFMA(yi, m.Kern, m.Tree.Points, m.leafRange(j), m.Tree.Points, m.leafRange(id), bj)
 		} else {
-			kernel.BlockTVecAdd(yi, m.Kern, m.Tree.Points, m.leafRange(j), m.Tree.Points, m.leafRange(id), bj)
+			m.near.Apply(yi, i, j, bj)
 		}
-		ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
+		return
+	case Hybrid:
+		if m.near.applyTransposeOTFOrder(yi, i, j, bj) {
+			ws.ctr[w*ctrStride+ctrHit]++
+			return
+		}
+		ws.ctr[w*ctrStride+ctrMiss]++
 	}
+	t := nowNS()
+	if m.Cfg.FastMath {
+		kernel.BlockTVecAddFMA(yi, m.Kern, m.Tree.Points, m.leafRange(j), m.Tree.Points, m.leafRange(i), bj)
+	} else {
+		kernel.BlockTVecAdd(yi, m.Kern, m.Tree.Points, m.leafRange(j), m.Tree.Points, m.leafRange(i), bj)
+	}
+	ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
 }
 
 // ---- batched multi-RHS path ----
@@ -729,7 +812,7 @@ func (ws *Workspace) downNodeB(_, id int) {
 	}
 }
 
-// leafNodeB is the batched leaf sweep.
+// leafNodeB is the batched leaf sweep, farfield half: Y_i = U_i G_i.
 func (ws *Workspace) leafNodeB(w, id int) {
 	m := ws.m
 	nd := &m.Tree.Nodes[id]
@@ -738,26 +821,30 @@ func (ws *Workspace) leafNodeB(w, id int) {
 	if m.ranks[id] > 0 {
 		mat.MulAddTo(yi, m.u[id], ws.gB[id])
 	}
-	for _, j := range nd.Near {
-		nj := &m.Tree.Nodes[j]
-		bj := rowsView(ws.viewIn[w], ws.bpB, nj.Start, nj.End)
-		switch m.Cfg.Mode {
-		case Normal:
-			m.near.ApplyBatch(yi, id, j, bj)
-			continue
-		case Hybrid:
-			if m.near.applyBatchOTFOrder(yi, id, j, bj) {
-				ws.ctr[w*ctrStride+ctrHit]++
-				continue
-			}
-			ws.ctr[w*ctrStride+ctrMiss]++
+}
+
+// nearB adds one directed batched nearfield block: Y_i += K(X_i, X_j) B_j.
+func (ws *Workspace) nearB(w, i, j int) {
+	m := ws.m
+	ni, nj := &m.Tree.Nodes[i], &m.Tree.Nodes[j]
+	yi := rowsView(ws.viewOut[w], ws.ypB, ni.Start, ni.End)
+	bj := rowsView(ws.viewIn[w], ws.bpB, nj.Start, nj.End)
+	switch m.Cfg.Mode {
+	case Normal:
+		m.near.ApplyBatch(yi, i, j, bj)
+		return
+	case Hybrid:
+		if m.near.applyBatchOTFOrder(yi, i, j, bj) {
+			ws.ctr[w*ctrStride+ctrHit]++
+			return
 		}
-		t := nowNS()
-		if m.Cfg.FastMath {
-			kernel.BlockMulAddFMA(yi, m.Kern, m.Tree.Points, m.leafRange(id), m.Tree.Points, m.leafRange(j), bj, ws.scratch[w])
-		} else {
-			kernel.BlockMulAdd(yi, m.Kern, m.Tree.Points, m.leafRange(id), m.Tree.Points, m.leafRange(j), bj, ws.scratch[w])
-		}
-		ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
+		ws.ctr[w*ctrStride+ctrMiss]++
 	}
+	t := nowNS()
+	if m.Cfg.FastMath {
+		kernel.BlockMulAddFMA(yi, m.Kern, m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j), bj, ws.scratch[w])
+	} else {
+		kernel.BlockMulAdd(yi, m.Kern, m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j), bj, ws.scratch[w])
+	}
+	ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
 }

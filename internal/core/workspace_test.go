@@ -223,8 +223,12 @@ func TestApplyToWithZeroAllocSteadyState(t *testing.T) {
 	b := randVec(1000, 261)
 	B := mat.NewDenseData(1000, 3, randVec(3000, 262))
 	for _, workers := range []int{1, 2} {
-		for _, mode := range []MemoryMode{Normal, OnTheFly} {
-			m, err := Build(pts, kernel.Coulomb{}, Config{Kind: DataDriven, Mode: mode, Tol: 1e-5, LeafSize: 60, Workers: workers})
+		for _, mode := range []MemoryMode{Normal, OnTheFly, Hybrid} {
+			cfg := Config{Kind: DataDriven, Mode: mode, Tol: 1e-5, LeafSize: 60, Workers: workers}
+			if mode == Hybrid {
+				cfg.StorageBudget = 256 << 10 // some blocks stored, the rest evaluated
+			}
+			m, err := Build(pts, kernel.Coulomb{}, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

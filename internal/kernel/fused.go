@@ -284,6 +284,38 @@ func blockVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *
 	}
 }
 
+// TwinBufRows is the row count BlockVecAddTwin reshapes its scratch buffer
+// to: one kernel-row panel plus the four transposed-dot lanes.
+const TwinBufRows = 5
+
+// BlockVecAddTwin applies one block of a radial kernel in both orientations
+// while evaluating each entry once: outR[a] += Σ_b K(x[rows[a]], y[cols[b]])
+// vc[b] and outC[b] += Σ_a K(y[cols[b]], x[rows[a]]) vr[a]. It is
+// bitwise-identical to BlockVecAdd(outR, k, x, rows, y, cols, vc) followed
+// by BlockVecAdd(outC, k, y, cols, x, rows, vr): a radial kernel sees the
+// same squared distance from either side ((a-b)² == (b-a)² exactly), the row
+// side reduces through dot's grouping, and the column side reproduces the
+// second call's 4-accumulator dot through mat.TwinRow's lanes. Each tile
+// row is evaluated into buf (reshaped to TwinBufRows x len(cols), so only a
+// one-row panel ever exists). outR and outC must not overlap.
+func BlockVecAddTwin(outR, outC []float64, k Kernel, x *pointset.Points, rows []int, y *pointset.Points, cols []int, vc, vr []float64, buf *mat.Dense) {
+	d := x.Dim
+	L := len(cols)
+	buf.Reshape(TwinBufRows, L)
+	row, lanes := buf.Data[:L], buf.Data[L:]
+	var r2buf [fusedChunk]float64
+	for a, i := range rows {
+		xi := x.Coords[i*d : i*d+d]
+		for b0 := 0; b0 < L; b0 += fusedChunk {
+			b1 := min(b0+fusedChunk, L)
+			distChunk(r2buf[:b1-b0], xi, y, cols[b0:b1], d)
+			evalChunk(k, row[b0:b1], r2buf[:b1-b0])
+		}
+		outR[a] += mat.TwinRow(row, vc, vr[a], a, len(rows), lanes)
+	}
+	mat.TwinFlush(outC, len(rows), lanes)
+}
+
 // BlockTVecAdd computes out[b] += Σ_a K(x[rows[a]], y[cols[b]]) * v[a] — the
 // fused form of Assemble + mat.MulTVecAdd, bitwise-identical to it,
 // including the per-row zero skips (rows whose multiplier is zero are not

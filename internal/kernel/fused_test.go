@@ -237,3 +237,48 @@ func TestRowApplyBitwiseFused(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockVecAddTwinBitwise pins the single-evaluation twin against its two
+// separate BlockVecAdd calls (one per orientation), bit for bit, for every
+// radial kernel, the 2-D, 3-D and generic distance loops, ragged shapes
+// around every unroll and chunk boundary, zero multipliers, coincident
+// points (the r == 0 branches), and the AVX path on and off.
+func TestBlockVecAddTwinBitwise(t *testing.T) {
+	defer mat.SetSIMD(mat.SetSIMD(true))
+	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 125, 200}
+	rng := rand.New(rand.NewSource(13))
+	rnd := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	buf := mat.NewDense(0, 0)
+	for _, simd := range []bool{true, false} {
+		mat.SetSIMD(simd)
+		for _, d := range []int{2, 3, 5} {
+			// One point set for both sides, as in a nearfield block, so
+			// repeated indices produce zero distances.
+			x := pointset.Cube(300, d, int64(d+90))
+			for _, k := range everyKernel() {
+				for _, r := range sizes {
+					for _, c := range sizes {
+						rows, cols := randIdx(rng, x.Len(), r), randIdx(rng, x.Len(), c)
+						vc, vr := rnd(c), rnd(r)
+						if (r+c)%2 == 1 {
+							vc, vr = withZeros(vc), withZeros(vr)
+						}
+						outR, outC := rnd(r), rnd(c)
+						wantR, wantC := append([]float64(nil), outR...), append([]float64(nil), outC...)
+						BlockVecAdd(wantR, k, x, rows, x, cols, vc)
+						BlockVecAdd(wantC, k, x, cols, x, rows, vr)
+						BlockVecAddTwin(outR, outC, k, x, rows, x, cols, vc, vr, buf)
+						bitsEqual(t, k.Name()+"/rows", outR, wantR)
+						bitsEqual(t, k.Name()+"/cols", outC, wantC)
+					}
+				}
+			}
+		}
+	}
+}

@@ -41,8 +41,9 @@ type Node struct {
 	// were not admissible with this node's ancestors (the farfield blocks
 	// represented at this node).
 	Interaction []int
-	// Near lists the inadmissible leaf partners (only populated on leaves);
-	// it always includes the leaf itself.
+	// Near lists the inadmissible leaf partners (only populated on leaves),
+	// ascending; it always includes the leaf itself, and j ∈ Near(i) exactly
+	// when i ∈ Near(j).
 	Near []int
 }
 
@@ -316,6 +317,12 @@ func (t *Tree) buildLists() {
 		}
 	}
 	visit(0, 0)
+	// The apply chains each leaf's nearfield pairs in list order and needs
+	// ascending lists to visit every pair in one global order; core.Read
+	// rejects unsorted lists. Sorting makes both hold for any point set.
+	for _, id := range t.Leaves {
+		sort.Ints(t.Nodes[id].Near)
+	}
 }
 
 // Root returns the root node id (always 0).

@@ -176,6 +176,57 @@ func TestInteractionSymmetry(t *testing.T) {
 	}
 }
 
+// TestNearListInvariants pins the nearfield list shape the apply's pair
+// tasks chain on: over every point generator and several leaf sizes, each
+// leaf's Near list is strictly ascending, contains the leaf, names only
+// leaves, and is mirrored (j ∈ Near(i) ⇔ i ∈ Near(j)); internal nodes have
+// no Near list.
+func TestNearListInvariants(t *testing.T) {
+	gens := []struct {
+		name string
+		pts  *pointset.Points
+	}{
+		{"cube3d", pointset.Cube(1200, 3, 31)},
+		{"sphere", pointset.Sphere(1000, 32)},
+		{"dino", pointset.Dino(1000, 33)},
+		{"annulus", pointset.Annulus(900, 0.3, 1, 34)},
+		{"circle", pointset.Circle(700)},
+		{"grid2d", pointset.Grid(30, 2)},
+		{"ball4d", pointset.Ball(800, 4, 35)},
+		{"mixture", pointset.GaussianMixture(1000, 3, 5, 0.05, 36)},
+	}
+	for _, g := range gens {
+		for _, leaf := range []int{8, 25, 64, 200} {
+			tr := New(g.pts, Config{LeafSize: leaf})
+			for id := range tr.Nodes {
+				nd := &tr.Nodes[id]
+				if !nd.IsLeaf {
+					if len(nd.Near) != 0 {
+						t.Fatalf("%s/leaf=%d: internal node %d has a Near list", g.name, leaf, id)
+					}
+					continue
+				}
+				self := false
+				for k, j := range nd.Near {
+					if k > 0 && j <= nd.Near[k-1] {
+						t.Fatalf("%s/leaf=%d: Near(%d) not strictly ascending: %v", g.name, leaf, id, nd.Near)
+					}
+					if !tr.Nodes[j].IsLeaf {
+						t.Fatalf("%s/leaf=%d: Near(%d) names internal node %d", g.name, leaf, id, j)
+					}
+					if k := sort.SearchInts(tr.Nodes[j].Near, id); k == len(tr.Nodes[j].Near) || tr.Nodes[j].Near[k] != id {
+						t.Fatalf("%s/leaf=%d: %d ∈ Near(%d) but not vice versa", g.name, leaf, j, id)
+					}
+					self = self || j == id
+				}
+				if !self {
+					t.Fatalf("%s/leaf=%d: leaf %d missing from its own Near list", g.name, leaf, id)
+				}
+			}
+		}
+	}
+}
+
 // TestBlockCoverageExact is the load-bearing structural invariant: every
 // ordered pair of points must be covered by exactly one block — either a
 // nearfield leaf pair or one interaction-list pair of ancestors.
