@@ -45,11 +45,15 @@ type ScalingRun struct {
 }
 
 // TileRun is one per-kernel fused-tile micro-benchmark row: BlockVecAdd on a
-// square tile with the AVX dispatch on versus forced off. Speedup is
+// square tile with the AVX dispatch on versus forced off. Cols names the
+// column shape: "leaf" is a consecutive leaf range (coordinate panel read in
+// place, as nearfield blocks), "gathered" a scattered index set (panel
+// gathered once per block, as coupling blocks over skeletons). Speedup is
 // scalar/simd, > 1 meaning the vector path wins.
 type TileRun struct {
 	Kernel   string  `json:"kernel"`
 	Tile     int     `json:"tile"`
+	Cols     string  `json:"cols"`
 	ScalarNS int64   `json:"scalar_ns"`
 	SIMDNS   int64   `json:"simd_ns"`
 	Speedup  float64 `json:"speedup"`
@@ -64,6 +68,13 @@ type MatvecReport struct {
 	Kernel     string      `json:"kernel"`
 	Workers    int         `json:"workers"`
 	Runs       []MatvecRun `json:"runs"`
+
+	// HostCPUs, GOMAXPROCS and SIMD record the host the rows were measured
+	// on: logical CPUs, the Go scheduler's processor limit, and whether the
+	// AVX dispatch was selected.
+	HostCPUs   int  `json:"host_cpus"`
+	GOMAXPROCS int  `json:"gomaxprocs"`
+	SIMD       bool `json:"simd"`
 
 	// Scaling is the multi-worker strong-scaling sweep over the scheduler
 	// (workers 1/2/4/8 on the largest case, per memory mode), and Tiles the
@@ -127,7 +138,8 @@ func MatvecJSON(opt Options) error {
 	tb := newTable(out, "median apply latency and allocs",
 		"n", "leaf", "depth", "mode", "apply_us", "allocs/op", "blockstore_KiB", "relerr")
 
-	rep := MatvecReport{Experiment: "matvec", Scale: opt.Scale, Kernel: k.Name(), Workers: workers}
+	rep := MatvecReport{Experiment: "matvec", Scale: opt.Scale, Kernel: k.Name(), Workers: workers,
+		HostCPUs: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), SIMD: mat.SIMDEnabled()}
 	for _, c := range matvecCases(opt.Scale) {
 		n, leaf := c[0], c[1]
 		pts := pointset.Cube(n, 3, opt.seed())
@@ -329,8 +341,9 @@ func matvecScaling(opt Options, k kernel.Kernel, rep *MatvecReport) error {
 }
 
 // matvecTiles micro-benchmarks the fused BlockVecAdd tile per registered
-// kernel with the AVX dispatch forced off versus on. Skipped (with a note)
-// when the host has no AVX — the speedup column would be noise.
+// kernel with the AVX dispatch forced off versus on, once over a leaf-range
+// column set and once over a gathered one. Skipped (with a note) when the
+// host has no AVX — the speedup column would be noise.
 func matvecTiles(opt Options, rep *MatvecReport) {
 	out := opt.out()
 	if !mat.SIMDAvailable() {
@@ -339,16 +352,19 @@ func matvecTiles(opt Options, rep *MatvecReport) {
 	}
 	const tile = 192
 	x := pointset.Cube(tile, 3, opt.seed()+101)
-	yp := pointset.Cube(tile, 3, opt.seed()+102)
+	yp := pointset.Cube(2*tile, 3, opt.seed()+102)
 	rows := make([]int, tile)
-	cols := make([]int, tile)
+	leaf := make([]int, tile)
+	gathered := make([]int, tile)
 	for i := range rows {
-		rows[i], cols[i] = i, i
+		rows[i], leaf[i] = i, tile/2+i
+		gathered[i] = (i * 97) % (2 * tile) // scattered, like a skeleton
 	}
 	v := randVec(tile, opt.seed()+103)
 	acc := make([]float64, tile)
+	buf := mat.NewDense(0, 0)
 
-	timeOne := func(k kernel.Kernel) int64 {
+	timeOne := func(k kernel.Kernel, cols []int) int64 {
 		const inner = 8
 		samples := opt.reps()
 		if samples < 5 {
@@ -358,7 +374,7 @@ func matvecTiles(opt Options, rep *MatvecReport) {
 		for s := range times {
 			t0 := time.Now()
 			for i := 0; i < inner; i++ {
-				kernel.BlockVecAdd(acc, k, x, rows, yp, cols, v)
+				kernel.BlockVecAdd(acc, k, x, rows, yp, cols, v, buf)
 			}
 			times[s] = time.Since(t0).Nanoseconds() / inner
 		}
@@ -367,23 +383,28 @@ func matvecTiles(opt Options, rep *MatvecReport) {
 	}
 
 	tb := newTable(out, fmt.Sprintf("fused tile micro-bench (BlockVecAdd %dx%d, median per call)", tile, tile),
-		"kernel", "scalar_us", "simd_us", "speedup")
+		"kernel", "cols", "scalar_us", "simd_us", "speedup")
 	defer mat.SetSIMD(true)
 	for _, name := range kernel.Names() {
 		k, err := kernel.ByName(name)
 		if err != nil {
 			continue
 		}
-		kernel.BlockVecAdd(acc, k, x, rows, yp, cols, v) // warm-up
-		mat.SetSIMD(false)
-		scalar := timeOne(k)
-		mat.SetSIMD(true)
-		simd := timeOne(k)
-		sp := float64(scalar) / float64(simd)
-		rep.Tiles = append(rep.Tiles, TileRun{
-			Kernel: name, Tile: tile, ScalarNS: scalar, SIMDNS: simd, Speedup: sp})
-		tb.row(name, fmt.Sprintf("%.2f", float64(scalar)/1000),
-			fmt.Sprintf("%.2f", float64(simd)/1000), fmt.Sprintf("%.2f", sp))
+		for _, shape := range []struct {
+			name string
+			cols []int
+		}{{"leaf", leaf}, {"gathered", gathered}} {
+			kernel.BlockVecAdd(acc, k, x, rows, yp, shape.cols, v, buf) // warm-up
+			mat.SetSIMD(false)
+			scalar := timeOne(k, shape.cols)
+			mat.SetSIMD(true)
+			simd := timeOne(k, shape.cols)
+			sp := float64(scalar) / float64(simd)
+			rep.Tiles = append(rep.Tiles, TileRun{
+				Kernel: name, Tile: tile, Cols: shape.name, ScalarNS: scalar, SIMDNS: simd, Speedup: sp})
+			tb.row(name, shape.name, fmt.Sprintf("%.2f", float64(scalar)/1000),
+				fmt.Sprintf("%.2f", float64(simd)/1000), fmt.Sprintf("%.2f", sp))
+		}
 	}
 	tb.flush()
 }

@@ -102,12 +102,17 @@ func (m *Matrix) Memory() MemoryStats {
 
 // maxTileBytes returns the size of the largest block the on-the-fly sweeps
 // will assemble, computed from ranks and leaf sizes without assembling
-// anything. A nearfield pair's twin needs kernel.TwinBufRows rows of its
-// block, which only exceeds the block itself for leaves that small.
+// anything. A coupling block's skeleton columns are scattered, so the fused
+// kernels gather their coordinate panel (d rows) into the tile, next to the
+// batch path's one kernel row; a nearfield pair's twin needs
+// kernel.TwinBufRows rows of its block (its leaf-range panel is read in
+// place). Either only exceeds the block itself for ranks or leaves that
+// small.
 func (m *Matrix) maxTileBytes() int64 {
 	var maxElems int64
+	panelRows := int64(m.Tree.Points.Dim) + 1
 	for i := range m.Tree.Nodes {
-		ri := int64(m.ranks[i])
+		ri := max(int64(m.ranks[i]), panelRows)
 		for _, j := range m.Tree.Nodes[i].Interaction {
 			if e := ri * int64(m.colRank(j)); e > maxElems {
 				maxElems = e

@@ -393,9 +393,9 @@ func (ws *Workspace) coupNode(w, id int) {
 		}
 		t := nowNS()
 		if m.Cfg.FastMath {
-			kernel.BlockVecAddFMA(gi, m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j), qj)
+			kernel.BlockVecAddFMA(gi, m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j), qj, ws.scratch[w])
 		} else {
-			kernel.BlockVecAdd(gi, m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j), qj)
+			kernel.BlockVecAdd(gi, m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j), qj, ws.scratch[w])
 		}
 		ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
 	}
@@ -518,9 +518,9 @@ func (ws *Workspace) nearVec(w, i, j int) {
 	}
 	t := nowNS()
 	if m.Cfg.FastMath {
-		kernel.BlockVecAddFMA(yi, m.Kern, m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j), bj)
+		kernel.BlockVecAddFMA(yi, m.Kern, m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j), bj, ws.scratch[w])
 	} else {
-		kernel.BlockVecAdd(yi, m.Kern, m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j), bj)
+		kernel.BlockVecAdd(yi, m.Kern, m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j), bj, ws.scratch[w])
 	}
 	ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
 }
@@ -586,9 +586,9 @@ func (ws *Workspace) coupNodeT(w, id int) {
 		}
 		t := nowNS()
 		if m.Cfg.FastMath {
-			kernel.BlockTVecAddFMA(gi, m.Kern, m.skelPts[j], m.skel[j], m.skelPts[id], m.colSkeleton(id), qj)
+			kernel.BlockTVecAddFMA(gi, m.Kern, m.skelPts[j], m.skel[j], m.skelPts[id], m.colSkeleton(id), qj, ws.scratch[w])
 		} else {
-			kernel.BlockTVecAdd(gi, m.Kern, m.skelPts[j], m.skel[j], m.skelPts[id], m.colSkeleton(id), qj)
+			kernel.BlockTVecAdd(gi, m.Kern, m.skelPts[j], m.skel[j], m.skelPts[id], m.colSkeleton(id), qj, ws.scratch[w])
 		}
 		ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
 	}
@@ -645,9 +645,9 @@ func (ws *Workspace) nearT(w, i, j int) {
 	}
 	t := nowNS()
 	if m.Cfg.FastMath {
-		kernel.BlockTVecAddFMA(yi, m.Kern, m.Tree.Points, m.leafRange(j), m.Tree.Points, m.leafRange(i), bj)
+		kernel.BlockTVecAddFMA(yi, m.Kern, m.Tree.Points, m.leafRange(j), m.Tree.Points, m.leafRange(i), bj, ws.scratch[w])
 	} else {
-		kernel.BlockTVecAdd(yi, m.Kern, m.Tree.Points, m.leafRange(j), m.Tree.Points, m.leafRange(i), bj)
+		kernel.BlockTVecAdd(yi, m.Kern, m.Tree.Points, m.leafRange(j), m.Tree.Points, m.leafRange(i), bj, ws.scratch[w])
 	}
 	ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
 }

@@ -323,3 +323,63 @@ func TestMemoryCountsWorkspace(t *testing.T) {
 		t.Fatalf("workspace accounting mismatch: live %d vs stats %d", ws.Bytes(), mem.Workspace)
 	}
 }
+
+// TestScratchWithinMemoryBound checks the on-the-fly scratch accounting:
+// after every vector, transpose and batch apply in OnTheFly and Hybrid mode,
+// at one and two workers, each worker's scratch tile — kernel rows, twin
+// lanes and gathered coordinate panels — fits MemoryStats.ScratchPerWorker.
+// The trees are the edge shapes where a panel or a twin's lanes outgrow the
+// block itself: a single leaf, and leaves of one to four points (ranks below
+// the panel's d+1 rows), for a symmetric and an unsymmetric kernel.
+func TestScratchWithinMemoryBound(t *testing.T) {
+	shapes := []struct {
+		name    string
+		n, leaf int
+	}{
+		{"single-leaf", 40, 50}, {"leaf1", 24, 1}, {"leaf2", 40, 2}, {"leaf3", 60, 3}, {"leaf4", 90, 4},
+	}
+	kernels := []kernel.Pairwise{kernel.Coulomb{}, drift3()}
+	for _, sh := range shapes {
+		for _, k := range kernels {
+			for _, mode := range []MemoryMode{OnTheFly, Hybrid} {
+				pts := pointset.Cube(sh.n, 3, 77)
+				cfg := Config{Kind: DataDriven, Mode: mode, Tol: 1e-6, LeafSize: sh.leaf}
+				if mode == Hybrid {
+					cfg.StorageBudget = 2 << 10 // a few blocks stored, the rest evaluated
+				}
+				m, err := Build(pts, k, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bound := m.Memory().ScratchPerWorker
+				b := randVec(m.N, 78)
+				B := mat.NewDense(m.N, 3)
+				for i := range B.Data {
+					B.Data[i] = b[i%m.N]
+				}
+				y, Y := make([]float64, m.N), mat.NewDense(0, 0)
+				for _, w := range []int{1, 2} {
+					m.Cfg.Workers = w
+					ws := m.NewWorkspace()
+					for _, apply := range []struct {
+						name string
+						run  func()
+					}{
+						{"vector", func() { m.ApplyToWith(ws, y, b) }},
+						{"transpose", func() { m.ApplyTransposeToWith(ws, y, b) }},
+						{"batch", func() { m.ApplyBatchToWith(ws, Y, B) }},
+					} {
+						apply.run()
+						for s, tile := range ws.scratch {
+							if got := int64(cap(tile.Data)) * 8; got > bound {
+								t.Fatalf("%s/%s/%v w=%d %s: worker %d scratch %d B > ScratchPerWorker %d B",
+									sh.name, k.Name(), mode, w, apply.name, s, got, bound)
+							}
+						}
+					}
+					ws.Close()
+				}
+			}
+		}
+	}
+}

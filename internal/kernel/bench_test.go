@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"math/rand"
 	"testing"
 
 	"h2ds/internal/mat"
@@ -39,21 +38,5 @@ func BenchmarkAssembleGaussian5D(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Assemble(dst, Gaussian{Scale: 0.1}, pts, rows, pts, cols)
-	}
-}
-
-func BenchmarkApplyBlockStreaming(b *testing.B) {
-	pts := pointset.Cube(400, 3, 3)
-	rows := benchIdx(200)
-	cols := benchIdx(400)[200:]
-	rng := rand.New(rand.NewSource(4))
-	v := make([]float64, 400)
-	for i := range v {
-		v[i] = rng.NormFloat64()
-	}
-	y := make([]float64, 400)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ApplyBlock(Coulomb{}, pts, rows, cols, v, y)
 	}
 }

@@ -9,7 +9,7 @@
 // passes and devirtualize the kernel: a type switch on the concrete kernel
 // (hoisted out of the inner loop to chunk granularity) selects a call-free
 // evaluation loop, and the kernel values for a chunk of at most fusedChunk
-// entries live in a stack buffer that never leaves L1. Only a panel of the
+// entries live in a stack buffer that never leaves L1. Only a slice of the
 // tile ever exists — for the vector paths a 64-entry chunk, for the batch
 // path one tile row — instead of the full rows x cols block.
 //
@@ -36,75 +36,96 @@ import (
 // splits dot's accumulator lanes.
 const fusedChunk = 64
 
-// distChunk fills r2[t] with the squared distance between the point at xi
-// and y's point cols[t], mirroring the per-dimension accumulation order of
-// assemble2/assemble3/assembleGeneric exactly.
-func distChunk(r2 []float64, xi []float64, y *pointset.Points, cols []int, d int) {
-	coords := y.Coords
-	switch d {
-	case 2:
-		x0, x1 := xi[0], xi[1]
-		for t, j := range cols {
-			yj := coords[j*2 : j*2+2]
-			d0 := x0 - yj[0]
-			d1 := x1 - yj[1]
-			r2[t] = d0*d0 + d1*d1
+// Coordinate panels. Every fused loop reads a block's column points from
+// one contiguous panel — d values per point, in column order — resolved once
+// per block, instead of looking each column up through the index set for
+// every row. A consecutive index run (a leaf range of the permuted tree
+// points) is a subslice of the point coordinates, read in place; any other
+// index set (a coupling block's skeleton) is gathered once per block into
+// the caller's scratch tile (Assemble, which has no caller scratch, gathers
+// per 64-column chunk into a stack buffer).
+
+// isRun reports whether cols is the consecutive run cols[0], cols[0]+1, ….
+func isRun(cols []int) bool {
+	for t, j := range cols {
+		if j != cols[0]+t {
+			return false
 		}
-	case 3:
-		x0, x1, x2 := xi[0], xi[1], xi[2]
-		for t, j := range cols {
-			yj := coords[j*3 : j*3+3]
-			d0 := x0 - yj[0]
-			d1 := x1 - yj[1]
-			d2 := x2 - yj[2]
-			r2[t] = d0*d0 + d1*d1 + d2*d2
+	}
+	return true
+}
+
+// colPanel returns the coordinate panel of y's points cols: in place for a
+// consecutive run, otherwise gathered into buf (at least d·len(cols) long).
+func colPanel(y *pointset.Points, cols []int, buf []float64) []float64 {
+	d := y.Dim
+	if len(cols) == 0 {
+		return nil
+	}
+	if isRun(cols) {
+		return y.Coords[cols[0]*d : (cols[0]+len(cols))*d]
+	}
+	p := buf[:d*len(cols)]
+	for t, j := range cols {
+		copy(p[t*d:t*d+d], y.Coords[j*d:j*d+d])
+	}
+	return p
+}
+
+// colScratch shapes buf for one block over the columns cols and resolves
+// their panel: buf holds work rows of len(cols) scratch and, when cols is
+// not a consecutive run, d more rows holding the gathered panel. It returns
+// the work rows and the panel.
+func colScratch(buf *mat.Dense, work int, y *pointset.Points, cols []int) (scratch, p []float64) {
+	L := len(cols)
+	rows := work
+	if !isRun(cols) {
+		rows += y.Dim
+	}
+	buf.Reshape(rows, L)
+	return buf.Data[:work*L], colPanel(y, cols, buf.Data[work*L:])
+}
+
+// panelDist fills r2[t] with the squared distance between xi and point t of
+// the panel p, accumulating the axes in order — the order of the per-entry
+// distance loops, so the values are bitwise theirs. d == 3 runs the AVX
+// transpose body (mat.Dist3Chunk).
+func panelDist(r2, xi, p []float64) {
+	d := len(xi)
+	if d == 3 {
+		mat.Dist3Chunk(r2, xi, p)
+		return
+	}
+	p = p[:d*len(r2)]
+	for t := range r2 {
+		q := p[t*d : t*d+d]
+		s := 0.0
+		for c, v := range xi {
+			dd := v - q[c]
+			s += dd * dd
 		}
-	default:
-		for t, j := range cols {
-			yj := coords[j*d : j*d+d]
-			s := 0.0
-			for c, v := range xi {
-				dd := v - yj[c]
-				s += dd * dd
-			}
-			r2[t] = s
-		}
+		r2[t] = s
 	}
 }
 
-// distChunkSeq is distChunk for the contiguous index range [j0, j0+len(r2)),
-// used by RowApply where the column set is every point.
-func distChunkSeq(r2 []float64, xi []float64, y *pointset.Points, j0, d int) {
-	coords := y.Coords
-	switch d {
-	case 2:
-		x0, x1 := xi[0], xi[1]
-		for t := range r2 {
-			yj := coords[(j0+t)*2 : (j0+t)*2+2]
-			d0 := x0 - yj[0]
-			d1 := x1 - yj[1]
-			r2[t] = d0*d0 + d1*d1
-		}
-	case 3:
-		x0, x1, x2 := xi[0], xi[1], xi[2]
-		for t := range r2 {
-			yj := coords[(j0+t)*3 : (j0+t)*3+3]
-			d0 := x0 - yj[0]
-			d1 := x1 - yj[1]
-			d2 := x2 - yj[2]
-			r2[t] = d0*d0 + d1*d1 + d2*d2
-		}
-	default:
-		for t := range r2 {
-			yj := coords[(j0+t)*d : (j0+t)*d+d]
-			s := 0.0
-			for c, v := range xi {
-				dd := v - yj[c]
-				s += dd * dd
-			}
-			r2[t] = s
+// panelEval fills dst[t] = K(xi, p_t) for the len(dst) points of the panel
+// p; r2 is distance scratch of at least len(dst) entries. In 3-D the Coulomb
+// kernels evaluate in the distance pass itself; every other case takes
+// panelDist then evalChunk.
+func panelEval(k Kernel, dst, r2, xi, p []float64) {
+	if len(xi) == 3 {
+		switch k.(type) {
+		case Coulomb:
+			mat.RecipSqrtDist3Chunk(dst, xi, p)
+			return
+		case CoulombCubed:
+			mat.RecipCubeDist3Chunk(dst, xi, p)
+			return
 		}
 	}
+	r2 = r2[:len(dst)]
+	panelDist(r2, xi, p)
+	evalChunk(k, dst, r2)
 }
 
 // evalChunk fills dst[t] = K(sqrt(r2[t])) with the per-entry interface call
@@ -190,102 +211,103 @@ func evalChunk(k Kernel, dst, r2 []float64) {
 	}
 }
 
-// pairChunk fills dst[t] = K(xi, y[cols[t]]) for general (non-radial)
-// Pairwise kernels — the fused counterpart of assemblePair's inner loop.
-func pairChunk(k Pairwise, dst []float64, xi []float64, y *pointset.Points, cols []int, d int) {
-	for t, j := range cols {
-		dst[t] = k.EvalPair(xi, y.Coords[j*d:j*d+d])
+// pairChunk fills dst[t] = K(xi, p_t) for general (non-radial) Pairwise
+// kernels: one EvalPair per panel point, as assemblePair does per entry.
+func pairChunk(k Pairwise, dst, xi, p []float64) {
+	d := len(xi)
+	for t := range dst {
+		dst[t] = k.EvalPair(xi, p[t*d:t*d+d])
 	}
 }
 
-// kernelChunk fills dst with kernel values between xi and y[cols], choosing
-// the radial fused path or the pairwise fallback. r2 is chunk scratch.
-func kernelChunk(rk Kernel, pk Pairwise, radial bool, dst, r2 []float64, xi []float64, y *pointset.Points, cols []int, d int) {
-	if radial {
-		distChunk(r2[:len(cols)], xi, y, cols, d)
-		evalChunk(rk, dst, r2[:len(cols)])
+// evaluator is a block's kernel with its radial form resolved once: radial
+// kernels take panelEval, other Pairwise kernels pairChunk.
+type evaluator struct {
+	pk Pairwise
+	rk Kernel // nil when pk is not radial
+}
+
+func newEvaluator(pk Pairwise) evaluator {
+	rk, _ := pk.(Kernel)
+	return evaluator{pk: pk, rk: rk}
+}
+
+// fill sets dst[t] = K(xi, p_t) for the len(dst) points of the panel p; r2
+// is distance scratch of at least len(dst) entries.
+func (e evaluator) fill(dst, r2, xi, p []float64) {
+	if e.rk != nil {
+		panelEval(e.rk, dst, r2, xi, p)
 		return
 	}
-	pairChunk(pk, dst[:len(cols)], xi, y, cols, d)
+	pairChunk(e.pk, dst, xi, p)
 }
 
-// evalOne returns the single kernel value K(xi, y[j]) with the same distance
-// accumulation as the chunk paths. Only the <=3 per-row tail entries of the
-// fused dot go through here, so the interface call is irrelevant.
-func evalOne(rk Kernel, pk Pairwise, radial bool, xi []float64, y *pointset.Points, j, d int) float64 {
-	yj := y.Coords[j*d : j*d+d]
-	if !radial {
-		return pk.EvalPair(xi, yj)
-	}
-	switch d {
-	case 2:
-		d0 := xi[0] - yj[0]
-		d1 := xi[1] - yj[1]
-		return rk.EvalDist(math.Sqrt(d0*d0 + d1*d1))
-	case 3:
-		d0 := xi[0] - yj[0]
-		d1 := xi[1] - yj[1]
-		d2 := xi[2] - yj[2]
-		return rk.EvalDist(math.Sqrt(d0*d0 + d1*d1 + d2*d2))
-	default:
-		s := 0.0
-		for c, v := range xi {
-			dd := v - yj[c]
-			s += dd * dd
+// rowDot returns Σ_t K(xi, p_t)·v[t] over the len(v) points of the panel p
+// in dot's grouping — four lane accumulators over the 4-aligned prefix
+// (chunk lengths there are multiples of 4, so the lane mapping never slips),
+// reduced as (s0+s1)+(s2+s3), then the sequential tail — or, with fma, the
+// FastMath forms of the same loops. r2 and kb are chunk scratch.
+func (e evaluator) rowDot(xi, p, v []float64, fma bool, r2, kb *[fusedChunk]float64) float64 {
+	d := len(xi)
+	L := len(v)
+	U := L &^ 3
+	var acc [4]float64
+	for b0 := 0; b0 < U; b0 += fusedChunk {
+		b1 := min(b0+fusedChunk, U)
+		kk := kb[:b1-b0]
+		e.fill(kk, r2[:], xi, p[b0*d:b1*d])
+		if fma {
+			mat.DotAcc4FMA(kk, v[b0:b1], &acc)
+		} else {
+			mat.DotAcc4(kk, v[b0:b1], &acc)
 		}
-		return rk.EvalDist(math.Sqrt(s))
 	}
+	s := (acc[0] + acc[1]) + (acc[2] + acc[3])
+	if U == L {
+		return s
+	}
+	kt := kb[:L-U]
+	e.fill(kt, r2[:], xi, p[U*d:L*d])
+	for t, kv := range kt {
+		if fma {
+			s = math.FMA(kv, v[U+t], s)
+		} else {
+			s += kv * v[U+t]
+		}
+	}
+	return s
 }
 
 // BlockVecAdd computes out[a] += Σ_b K(x[rows[a]], y[cols[b]]) * v[b] — the
 // fused form of Assemble + mat.MulVecAdd, bitwise-identical to it. out is
-// indexed by row position (len(rows)), v by column position (len(cols)).
-func BlockVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64) {
-	blockVecAdd(out, pk, x, rows, y, cols, v, false)
+// indexed by row position (len(rows)), v by column position (len(cols)). buf
+// is scratch that holds the gathered column panel when cols is not a
+// consecutive run (d rows of len(cols)).
+func BlockVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64, buf *mat.Dense) {
+	blockVecAdd(out, pk, x, rows, y, cols, v, buf, false)
 }
 
 // BlockVecAddFMA is BlockVecAdd with fused multiply-adds (one rounding per
 // multiply-add instead of two) — the Config.FastMath accumulation, NOT
 // bitwise-compatible with the default path.
-func BlockVecAddFMA(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64) {
-	blockVecAdd(out, pk, x, rows, y, cols, v, true)
+func BlockVecAddFMA(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64, buf *mat.Dense) {
+	blockVecAdd(out, pk, x, rows, y, cols, v, buf, true)
 }
 
-func blockVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64, fma bool) {
-	rk, radial := pk.(Kernel)
+func blockVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64, buf *mat.Dense, fma bool) {
+	e := newEvaluator(pk)
+	_, p := colScratch(buf, 0, y, cols)
+	v = v[:len(cols)]
 	d := x.Dim
-	L := len(cols)
-	U := L &^ 3 // end of dot's unrolled region; [U, L) is the sequential tail
-	var r2buf, kbuf [fusedChunk]float64
+	var r2, kb [fusedChunk]float64
 	for a, i := range rows {
-		xi := x.Coords[i*d : i*d+d]
-		// acc's four lanes are dot's accumulators s0..s3; chunk lengths
-		// inside [0, U) are multiples of 4, so the lane mapping never slips.
-		var acc [4]float64
-		for b0 := 0; b0 < U; b0 += fusedChunk {
-			b1 := min(b0+fusedChunk, U)
-			kernelChunk(rk, pk, radial, kbuf[:], r2buf[:], xi, y, cols[b0:b1], d)
-			vv := v[b0:b1]
-			if fma {
-				mat.DotAcc4FMA(kbuf[:len(vv)], vv, &acc)
-			} else {
-				mat.DotAcc4(kbuf[:len(vv)], vv, &acc)
-			}
-		}
-		s := (acc[0] + acc[1]) + (acc[2] + acc[3])
-		for b := U; b < L; b++ {
-			if fma {
-				s = math.FMA(evalOne(rk, pk, radial, xi, y, cols[b], d), v[b], s)
-			} else {
-				s += evalOne(rk, pk, radial, xi, y, cols[b], d) * v[b]
-			}
-		}
-		out[a] += s
+		out[a] += e.rowDot(x.Coords[i*d:i*d+d], p, v, fma, &r2, &kb)
 	}
 }
 
 // TwinBufRows is the row count BlockVecAddTwin reshapes its scratch buffer
-// to: one kernel-row panel plus the four transposed-dot lanes.
+// to for a consecutive column run: one kernel-row panel plus the four
+// transposed-dot lanes (a gathered column set adds d panel rows).
 const TwinBufRows = 5
 
 // BlockVecAddTwin applies one block of a radial kernel in both orientations
@@ -301,15 +323,14 @@ const TwinBufRows = 5
 func BlockVecAddTwin(outR, outC []float64, k Kernel, x *pointset.Points, rows []int, y *pointset.Points, cols []int, vc, vr []float64, buf *mat.Dense) {
 	d := x.Dim
 	L := len(cols)
-	buf.Reshape(TwinBufRows, L)
-	row, lanes := buf.Data[:L], buf.Data[L:]
-	var r2buf [fusedChunk]float64
+	work, p := colScratch(buf, TwinBufRows, y, cols)
+	row, lanes := work[:L], work[L:]
+	var r2 [fusedChunk]float64
 	for a, i := range rows {
 		xi := x.Coords[i*d : i*d+d]
 		for b0 := 0; b0 < L; b0 += fusedChunk {
 			b1 := min(b0+fusedChunk, L)
-			distChunk(r2buf[:b1-b0], xi, y, cols[b0:b1], d)
-			evalChunk(k, row[b0:b1], r2buf[:b1-b0])
+			panelEval(k, row[b0:b1], r2[:], xi, p[b0*d:b1*d])
 		}
 		outR[a] += mat.TwinRow(row, vc, vr[a], a, len(rows), lanes)
 	}
@@ -320,22 +341,25 @@ func BlockVecAddTwin(outR, outC []float64, k Kernel, x *pointset.Points, rows []
 // fused form of Assemble + mat.MulTVecAdd, bitwise-identical to it,
 // including the per-row zero skips (rows whose multiplier is zero are not
 // evaluated at all, exactly as MulTVecAdd never touches them). out is
-// indexed by column position, v by row position.
-func BlockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64) {
-	blockTVecAdd(out, pk, x, rows, y, cols, v, false)
+// indexed by column position, v by row position. buf holds the gathered
+// column panel as in BlockVecAdd.
+func BlockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64, buf *mat.Dense) {
+	blockTVecAdd(out, pk, x, rows, y, cols, v, buf, false)
 }
 
 // BlockTVecAddFMA is BlockTVecAdd with fused multiply-adds — the
 // Config.FastMath accumulation, NOT bitwise-compatible with the default path.
-func BlockTVecAddFMA(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64) {
-	blockTVecAdd(out, pk, x, rows, y, cols, v, true)
+func BlockTVecAddFMA(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64, buf *mat.Dense) {
+	blockTVecAdd(out, pk, x, rows, y, cols, v, buf, true)
 }
 
-func blockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64, fma bool) {
-	rk, radial := pk.(Kernel)
+func blockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64, buf *mat.Dense, fma bool) {
+	e := newEvaluator(pk)
+	_, p := colScratch(buf, 0, y, cols)
 	d := x.Dim
+	L := len(cols)
 	R := len(rows)
-	var r2buf, k0, k1, k2, k3 [fusedChunk]float64
+	var r2, k0, k1, k2, k3 [fusedChunk]float64
 	xrow := func(r int) []float64 {
 		i := rows[r]
 		return x.Coords[i*d : i*d+d]
@@ -345,10 +369,10 @@ func blockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y 
 	// loops dispatch through mat's chunk helpers (AVX when available).
 	single := func(r int, xv float64) {
 		xi := xrow(r)
-		for b0 := 0; b0 < len(cols); b0 += fusedChunk {
-			b1 := min(b0+fusedChunk, len(cols))
-			kernelChunk(rk, pk, radial, k0[:], r2buf[:], xi, y, cols[b0:b1], d)
-			oo := out[b0:b1]
+		for b0 := 0; b0 < L; b0 += fusedChunk {
+			b1 := min(b0+fusedChunk, L)
+			oo, pp := out[b0:b1], p[b0*d:b1*d]
+			e.fill(k0[:len(oo)], r2[:], xi, pp)
 			if fma {
 				mat.AxpyChunkFMA(oo, xv, k0[:len(oo)])
 			} else {
@@ -365,12 +389,11 @@ func blockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y 
 			single(r, x0)
 		default:
 			xi0, xi1 := xrow(r), xrow(r+1)
-			for b0 := 0; b0 < len(cols); b0 += fusedChunk {
-				b1 := min(b0+fusedChunk, len(cols))
-				cc := cols[b0:b1]
-				kernelChunk(rk, pk, radial, k0[:], r2buf[:], xi0, y, cc, d)
-				kernelChunk(rk, pk, radial, k1[:], r2buf[:], xi1, y, cc, d)
-				oo := out[b0:b1]
+			for b0 := 0; b0 < L; b0 += fusedChunk {
+				b1 := min(b0+fusedChunk, L)
+				oo, pp := out[b0:b1], p[b0*d:b1*d]
+				e.fill(k0[:len(oo)], r2[:], xi0, pp)
+				e.fill(k1[:len(oo)], r2[:], xi1, pp)
 				if fma {
 					mat.Axpy2ChunkFMA(oo, x0, k0[:len(oo)], x1, k1[:len(oo)])
 				} else {
@@ -384,14 +407,13 @@ func blockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y 
 		x0, x1, x2, x3 := v[r], v[r+1], v[r+2], v[r+3]
 		if x0 != 0 && x1 != 0 && x2 != 0 && x3 != 0 {
 			xi0, xi1, xi2, xi3 := xrow(r), xrow(r+1), xrow(r+2), xrow(r+3)
-			for b0 := 0; b0 < len(cols); b0 += fusedChunk {
-				b1 := min(b0+fusedChunk, len(cols))
-				cc := cols[b0:b1]
-				kernelChunk(rk, pk, radial, k0[:], r2buf[:], xi0, y, cc, d)
-				kernelChunk(rk, pk, radial, k1[:], r2buf[:], xi1, y, cc, d)
-				kernelChunk(rk, pk, radial, k2[:], r2buf[:], xi2, y, cc, d)
-				kernelChunk(rk, pk, radial, k3[:], r2buf[:], xi3, y, cc, d)
-				oo := out[b0:b1]
+			for b0 := 0; b0 < L; b0 += fusedChunk {
+				b1 := min(b0+fusedChunk, L)
+				oo, pp := out[b0:b1], p[b0*d:b1*d]
+				e.fill(k0[:len(oo)], r2[:], xi0, pp)
+				e.fill(k1[:len(oo)], r2[:], xi1, pp)
+				e.fill(k2[:len(oo)], r2[:], xi2, pp)
+				e.fill(k3[:len(oo)], r2[:], xi3, pp)
 				if fma {
 					mat.Axpy4ChunkFMA(oo, x0, k0[:len(oo)], x1, k1[:len(oo)], x2, k2[:len(oo)], x3, k3[:len(oo)])
 				} else {
@@ -414,32 +436,32 @@ func blockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y 
 // BlockMulAdd computes C += K(x[rows], y[cols]) * B for a block of
 // right-hand sides — the fused form of Assemble + mat.MulAddTo,
 // bitwise-identical to it. Instead of the full rows x cols tile, only one
-// tile row at a time is materialized into rowbuf (caller-owned scratch,
-// reshaped here) and reused across every column of B, so the working set is
-// one row panel regardless of tile size. C is len(rows) x B.Cols and B is
-// len(cols) x B.Cols.
-func BlockMulAdd(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, b *mat.Dense, rowbuf *mat.Dense) {
-	blockMulAdd(c, pk, x, rows, y, cols, b, rowbuf, false)
+// tile row at a time is materialized into buf (caller-owned scratch,
+// reshaped here, which also holds a gathered column panel) and reused across
+// every column of B, so the working set is one row panel regardless of tile
+// size. C is len(rows) x B.Cols and B is len(cols) x B.Cols.
+func BlockMulAdd(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, b *mat.Dense, buf *mat.Dense) {
+	blockMulAdd(c, pk, x, rows, y, cols, b, buf, false)
 }
 
 // BlockMulAddFMA is BlockMulAdd with fused multiply-adds — the
 // Config.FastMath accumulation, NOT bitwise-compatible with the default path.
-func BlockMulAddFMA(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, b *mat.Dense, rowbuf *mat.Dense) {
-	blockMulAdd(c, pk, x, rows, y, cols, b, rowbuf, true)
+func BlockMulAddFMA(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, b *mat.Dense, buf *mat.Dense) {
+	blockMulAdd(c, pk, x, rows, y, cols, b, buf, true)
 }
 
-func blockMulAdd(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, b *mat.Dense, rowbuf *mat.Dense, fma bool) {
-	rk, radial := pk.(Kernel)
+func blockMulAdd(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, b *mat.Dense, buf *mat.Dense, fma bool) {
+	e := newEvaluator(pk)
+	row, p := colScratch(buf, 1, y, cols)
 	d := x.Dim
 	n := b.Cols
-	rowbuf.Reshape(1, len(cols))
-	row := rowbuf.Data
-	var r2buf [fusedChunk]float64
+	L := len(cols)
+	var r2 [fusedChunk]float64
 	for a, i := range rows {
 		xi := x.Coords[i*d : i*d+d]
-		for b0 := 0; b0 < len(cols); b0 += fusedChunk {
-			b1 := min(b0+fusedChunk, len(cols))
-			kernelChunk(rk, pk, radial, row[b0:b1], r2buf[:], xi, y, cols[b0:b1], d)
+		for b0 := 0; b0 < L; b0 += fusedChunk {
+			b1 := min(b0+fusedChunk, L)
+			e.fill(row[b0:b1], r2[:], xi, p[b0*d:b1*d])
 		}
 		crow := c.Row(a)
 		if fma {

@@ -50,10 +50,11 @@ func BenchmarkFusedVec(b *testing.B) {
 	for _, k := range everyKernel() {
 		b.Run(fmt.Sprintf("%s/d3", k.Name()), func(b *testing.B) {
 			x, y, rows, cols, v, out := benchSetup(3)
+			buf := mat.NewDense(0, 0)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				BlockVecAdd(out, k, x, rows, y, cols, v)
+				BlockVecAdd(out, k, x, rows, y, cols, v, buf)
 			}
 		})
 	}
@@ -78,10 +79,11 @@ func BenchmarkFusedTVec(b *testing.B) {
 	for _, k := range everyKernel() {
 		b.Run(fmt.Sprintf("%s/d3", k.Name()), func(b *testing.B) {
 			x, y, rows, cols, v, out := benchSetup(3)
+			buf := mat.NewDense(0, 0)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				BlockTVecAdd(out, k, x, rows, y, cols, v)
+				BlockTVecAdd(out, k, x, rows, y, cols, v, buf)
 			}
 		})
 	}
@@ -113,15 +115,49 @@ func BenchmarkFusedBatch(b *testing.B) {
 			x, y, rows, cols, _, _ := benchSetup(3)
 			rhs := mat.NewDense(benchTile, 8)
 			out := mat.NewDense(benchTile, 8)
-			rowbuf := mat.NewDense(0, 0)
+			buf := mat.NewDense(0, 0)
 			for i := range rhs.Data {
 				rhs.Data[i] = float64(i%5) - 2
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				BlockMulAdd(out, k, x, rows, y, cols, rhs, rowbuf)
+				BlockMulAdd(out, k, x, rows, y, cols, rhs, buf)
 			}
 		})
+	}
+}
+
+// BenchmarkFusedPanel times one 200x200 3-D Coulomb BlockVecAdd with its
+// columns as a leaf range (panel read in place) and as a scattered index set
+// (panel gathered once per block), with the AVX panel distance on and off.
+func BenchmarkFusedPanel(b *testing.B) {
+	pts := pointset.Cube(400, 3, 3)
+	rows := benchIdx(200)
+	run := benchIdx(400)[200:]
+	gathered := make([]int, 200)
+	for i := range gathered {
+		gathered[i] = (i * 37) % 400
+	}
+	v := make([]float64, 200)
+	for i := range v {
+		v[i] = float64(i%7) - 3
+	}
+	out := make([]float64, 200)
+	defer mat.SetSIMD(mat.SetSIMD(true))
+	for _, simd := range []bool{true, false} {
+		for _, c := range []struct {
+			name string
+			cols []int
+		}{{"run", run}, {"gathered", gathered}} {
+			b.Run(fmt.Sprintf("%s/simd=%v", c.name, simd), func(b *testing.B) {
+				mat.SetSIMD(simd)
+				buf := mat.NewDense(0, 0)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					BlockVecAdd(out, Coulomb{}, pts, rows, pts, c.cols, v, buf)
+				}
+			})
+		}
 	}
 }

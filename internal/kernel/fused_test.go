@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -43,8 +44,19 @@ var fusedShapes = []struct{ rows, cols int }{
 	{30, 64}, {31, 65}, {64, 63}, {100, 100},
 }
 
+// randIdx draws count indices into [0, n): independent random indices
+// (duplicates included) or, every other draw on average, a consecutive run
+// at a random offset — the two column shapes of the fused primitives
+// (gathered skeleton panels and in-place leaf ranges).
 func randIdx(rng *rand.Rand, n, count int) []int {
 	idx := make([]int, count)
+	if count <= n && rng.Intn(2) == 0 {
+		lo := rng.Intn(n - count + 1)
+		for i := range idx {
+			idx[i] = lo + i
+		}
+		return idx
+	}
 	for i := range idx {
 		idx[i] = rng.Intn(n)
 	}
@@ -87,6 +99,7 @@ func bitsEqual(t *testing.T, tag string, got, want []float64) {
 // boundary.
 func TestBlockVecAddBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	buf := mat.NewDense(0, 0)
 	for _, d := range []int{2, 3, 5} {
 		x := pointset.Cube(150, d, int64(d))
 		y := pointset.Cube(130, d, int64(d+77))
@@ -104,9 +117,9 @@ func TestBlockVecAddBitwise(t *testing.T) {
 					out[i] = rng.NormFloat64()
 					want[i] = out[i]
 				}
-				tile := NewBlock(k, x, rows, y, cols)
+				tile := NewBlockSeed(k, x, rows, y, cols)
 				mat.MulVecAdd(want, tile, v)
-				BlockVecAdd(out, k, x, rows, y, cols, v)
+				BlockVecAdd(out, k, x, rows, y, cols, v, buf)
 				bitsEqual(t, k.Name(), out, want)
 			}
 		}
@@ -117,6 +130,7 @@ func TestBlockVecAddBitwise(t *testing.T) {
 // assemble-then-MulTVecAdd, including the zero-multiplier skip structure.
 func TestBlockTVecAddBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
+	buf := mat.NewDense(0, 0)
 	for _, d := range []int{2, 3, 5} {
 		x := pointset.Cube(150, d, int64(d))
 		y := pointset.Cube(130, d, int64(d+78))
@@ -135,9 +149,9 @@ func TestBlockTVecAddBitwise(t *testing.T) {
 						out[i] = rng.NormFloat64()
 						want[i] = out[i]
 					}
-					tile := NewBlock(k, x, rows, y, cols)
+					tile := NewBlockSeed(k, x, rows, y, cols)
 					mat.MulTVecAdd(want, tile, vv)
-					BlockTVecAdd(out, k, x, rows, y, cols, vv)
+					BlockTVecAdd(out, k, x, rows, y, cols, vv, buf)
 					bitsEqual(t, k.Name(), out, want)
 				}
 			}
@@ -149,7 +163,7 @@ func TestBlockTVecAddBitwise(t *testing.T) {
 // against assemble-then-MulAddTo for several right-hand-side widths.
 func TestBlockMulAddBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	rowbuf := mat.NewDense(0, 0)
+	buf := mat.NewDense(0, 0)
 	for _, d := range []int{2, 3, 5} {
 		x := pointset.Cube(150, d, int64(d))
 		y := pointset.Cube(130, d, int64(d+79))
@@ -168,9 +182,9 @@ func TestBlockMulAddBitwise(t *testing.T) {
 						out.Data[i] = rng.NormFloat64()
 						want.Data[i] = out.Data[i]
 					}
-					tile := NewBlock(k, x, rows, y, cols)
+					tile := NewBlockSeed(k, x, rows, y, cols)
 					mat.MulAddTo(want, tile, b)
-					BlockMulAdd(out, k, x, rows, y, cols, b, rowbuf)
+					BlockMulAdd(out, k, x, rows, y, cols, b, buf)
 					bitsEqual(t, k.Name(), out.Data, want.Data)
 				}
 			}
@@ -178,10 +192,12 @@ func TestBlockMulAddBitwise(t *testing.T) {
 	}
 }
 
-// TestApplyBlockBitwiseFused pins the consolidated ApplyBlock against the
-// same fused summation order (assemble, gather, MulVecAdd).
+// TestApplyBlockBitwiseFused pins the fused BlockVecAdd, fed a gathered
+// multiplier, against the seed streaming product ApplyBlock over the same
+// index sets.
 func TestApplyBlockBitwiseFused(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
+	buf := mat.NewDense(0, 0)
 	for _, d := range []int{2, 3, 5} {
 		x := pointset.Cube(140, d, int64(d+5))
 		for _, k := range fusedKernels() {
@@ -193,16 +209,15 @@ func TestApplyBlockBitwiseFused(t *testing.T) {
 			}
 			got := make([]float64, x.Len())
 			want := make([]float64, x.Len())
-			ApplyBlock(k, x, rows, cols, v, got)
-			tile := NewBlock(k, x, rows, x, cols)
+			ApplyBlock(k, x, rows, cols, v, want)
 			vc := make([]float64, len(cols))
 			for c, j := range cols {
 				vc[c] = v[j]
 			}
 			prod := make([]float64, len(rows))
-			mat.MulVecAdd(prod, tile, vc)
+			BlockVecAdd(prod, k, x, rows, x, cols, vc, buf)
 			for r, i := range rows {
-				want[i] += prod[r]
+				got[i] += prod[r]
 			}
 			bitsEqual(t, k.Name(), got, want)
 		}
@@ -227,7 +242,7 @@ func TestRowApplyBitwiseFused(t *testing.T) {
 			for _, k := range fusedKernels() {
 				for _, i := range []int{0, n / 2, n - 1} {
 					want := make([]float64, 1)
-					BlockVecAdd(want, k, x, []int{i}, x, all, v)
+					BlockVecAdd(want, k, x, []int{i}, x, all, v, mat.NewDense(0, 0))
 					got := RowApply(k, x, i, v)
 					if math.Float64bits(got) != math.Float64bits(want[0]) {
 						t.Fatalf("%s d=%d n=%d row %d: RowApply %v want %v", k.Name(), d, n, i, got, want[0])
@@ -271,11 +286,70 @@ func TestBlockVecAddTwinBitwise(t *testing.T) {
 						}
 						outR, outC := rnd(r), rnd(c)
 						wantR, wantC := append([]float64(nil), outR...), append([]float64(nil), outC...)
-						BlockVecAdd(wantR, k, x, rows, x, cols, vc)
-						BlockVecAdd(wantC, k, x, cols, x, rows, vr)
+						BlockVecAdd(wantR, k, x, rows, x, cols, vc, buf)
+						BlockVecAdd(wantC, k, x, cols, x, rows, vr, buf)
 						BlockVecAddTwin(outR, outC, k, x, rows, x, cols, vc, vr, buf)
 						bitsEqual(t, k.Name()+"/rows", outR, wantR)
 						bitsEqual(t, k.Name()+"/cols", outC, wantC)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPanelDistBitwise pins the panel distance (panelDist) and the fused
+// panel evaluation (panelEval, including the 3-D Coulomb reciprocals that
+// skip the r² pass) against the seed per-entry loops, for d = 2, 3 and 5,
+// lengths around the 4-point AVX step, the dispatch threshold and the
+// 64-entry chunk, and every column shape: leaf-range runs read in place,
+// gathered index sets with duplicates (r² = 0 against a row that is also a
+// column), and permuted runs whose endpoints look consecutive. With SIMD off
+// the scalar loops must cover every entry from the first.
+func TestPanelDistBitwise(t *testing.T) {
+	defer mat.SetSIMD(mat.SetSIMD(true))
+	lengths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 125, 200}
+	rng := rand.New(rand.NewSource(21))
+	for _, simd := range []bool{true, false} {
+		mat.SetSIMD(simd)
+		for _, d := range []int{2, 3, 5} {
+			x := pointset.Cube(260, d, int64(d+40))
+			for _, L := range lengths {
+				lo := rng.Intn(x.Len() - L + 1)
+				run := make([]int, L)
+				for t := range run {
+					run[t] = lo + t
+				}
+				// A permuted run: consecutive values, first and last in
+				// place, the middle swapped pairwise ([4,6,5,7] for L = 4).
+				perm := append([]int(nil), run...)
+				for t := 1; t+1 < L-1; t += 2 {
+					perm[t], perm[t+1] = perm[t+1], perm[t]
+				}
+				gathered := randIdx(rng, x.Len(), L)
+				if L > 1 {
+					gathered[L-1] = gathered[0] // duplicate index
+				}
+				for _, cols := range [][]int{run, perm, gathered} {
+					tag := fmt.Sprintf("simd=%v d=%d L=%d cols=%v", simd, d, L, cols[:min(L, 6)])
+					buf := make([]float64, d*L)
+					p := colPanel(x, cols, buf)
+					// Rows: a column point (r² = 0 somewhere) and a random one.
+					for _, i := range []int{cols[0], rng.Intn(x.Len())} {
+						xi := x.Coords[i*d : i*d+d]
+						want := make([]float64, L)
+						for t, j := range cols {
+							want[t] = seedDist2(x, i, x, j)
+						}
+						r2 := make([]float64, L)
+						panelDist(r2, xi, p)
+						bitsEqual(t, "dist "+tag, r2, want)
+						for _, k := range everyKernel() {
+							wantK := NewBlockSeed(k, x, []int{i}, x, cols).Data
+							got := make([]float64, L)
+							panelEval(k, got, make([]float64, L), xi, p)
+							bitsEqual(t, k.Name()+" "+tag, got, wantK)
+						}
 					}
 				}
 			}

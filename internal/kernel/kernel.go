@@ -3,9 +3,10 @@
 // and on-the-fly code paths share.
 //
 // The paper accelerates kernel evaluation with SIMD intrinsics (§III-C);
-// here the equivalent substrate is cache-blocked assembly with hoisted
-// bounds checks and fused distance/kernel inner loops, with specializations
-// for the common 2-D and 3-D cases.
+// here the equivalent substrate is cache-blocked assembly over contiguous
+// coordinate panels with fused distance/kernel inner loops, and an AVX
+// distance body (plus the Coulomb kernels' reciprocal) for the common 3-D
+// case.
 package kernel
 
 import (
@@ -311,76 +312,32 @@ func Assemble(dst *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *po
 	return dst
 }
 
-// AssembleSeed is Assemble forced onto the per-entry evaluation paths
-// (dimension-specialized EvalDist loops for radial kernels, EvalPair
-// otherwise) — the pre-fusion construction path, kept callable for the
-// fused-vs-seed equivalence suite and the build bench's seed baseline.
-func AssembleSeed(dst *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int) *mat.Dense {
-	m, n := len(rows), len(cols)
-	dst.Reshape(m, n)
-	if ba, ok := pk.(BlockAssembler); ok && ba.AssembleBlock(dst, x, rows, y, cols) {
-		return dst
-	}
-	k, radial := pk.(Kernel)
-	if !radial {
-		assemblePair(dst, pk, x, rows, y, cols)
-		return dst
-	}
-	switch x.Dim {
-	case 2:
-		assemble2(dst, k, x, rows, y, cols)
-	case 3:
-		assemble3(dst, k, x, rows, y, cols)
-	default:
-		assembleGeneric(dst, k, x, rows, y, cols)
-	}
-	return dst
-}
-
 // NewBlock allocates and assembles the kernel block K(X[rows], Y[cols]).
 func NewBlock(k Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int) *mat.Dense {
 	return Assemble(mat.NewDense(0, 0), k, x, rows, y, cols)
 }
 
-// NewBlockSeed is NewBlock on the per-entry AssembleSeed path.
-func NewBlockSeed(k Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int) *mat.Dense {
-	return AssembleSeed(mat.NewDense(0, 0), k, x, rows, y, cols)
-}
-
-// assembleFused fills the tile through the fused chunk machinery: one
-// distance pass (distChunk, mirroring the per-dimension accumulation of the
-// assemble2/assemble3/assembleGeneric loops) and one devirtualized
-// evaluation pass (evalChunk) per 64-entry panel of each row, writing
-// straight into the destination row. Per the bitwise contracts on those two
-// primitives, every entry is bit-identical to the per-entry seed path — only
-// the interface-call count and the cache behavior change.
+// assembleFused fills the tile through the fused chunk machinery, one
+// 64-column chunk at a time: the chunk's coordinate panel is resolved once
+// (in place for a consecutive run, otherwise gathered into a stack buffer)
+// and every row evaluates against it in one panelEval pass straight into
+// the destination row. Per the bitwise contracts of panelDist and
+// evalChunk, every entry is bit-identical to the per-entry EvalDist loops —
+// only the interface-call count and the cache behavior change.
 func assembleFused(dst *mat.Dense, k Kernel, x *pointset.Points, rows []int, y *pointset.Points, cols []int) {
 	d := x.Dim
 	n := len(cols)
-	// Nearfield tiles index whole leaf ranges, so cols is usually a
-	// consecutive run; the sequential distance pass drops the per-entry
-	// column gather and streams the coordinates in order (distChunkSeq is
-	// bitwise-identical to distChunk on the same points).
-	seq := n > 0
-	for t, j := range cols {
-		if j != cols[0]+t {
-			seq = false
-			break
-		}
-	}
 	var r2 [fusedChunk]float64
-	for a, i := range rows {
-		xi := x.Coords[i*d : i*d+d]
-		out := dst.Row(a)
-		for b0 := 0; b0 < n; b0 += fusedChunk {
-			b1 := min(b0+fusedChunk, n)
-			ck := b1 - b0
-			if seq {
-				distChunkSeq(r2[:ck], xi, y, cols[0]+b0, d)
-			} else {
-				distChunk(r2[:ck], xi, y, cols[b0:b1], d)
-			}
-			evalChunk(k, out[b0:b1], r2[:ck])
+	var stack [fusedChunk * 4]float64
+	buf := stack[:]
+	if d*fusedChunk > len(buf) {
+		buf = make([]float64, d*fusedChunk)
+	}
+	for b0 := 0; b0 < n; b0 += fusedChunk {
+		b1 := min(b0+fusedChunk, n)
+		p := colPanel(y, cols[b0:b1], buf)
+		for a, i := range rows {
+			panelEval(k, dst.Row(a)[b0:b1], r2[:], x.Coords[i*d:i*d+d], p)
 		}
 	}
 }
@@ -397,125 +354,13 @@ func assemblePair(dst *mat.Dense, k Pairwise, x *pointset.Points, rows []int, y 
 	}
 }
 
-func assemble3(dst *mat.Dense, k Kernel, x *pointset.Points, rows []int, y *pointset.Points, cols []int) {
-	for a, i := range rows {
-		xi := x.Coords[i*3 : i*3+3]
-		x0, x1, x2 := xi[0], xi[1], xi[2]
-		out := dst.Row(a)
-		for b, j := range cols {
-			yj := y.Coords[j*3 : j*3+3]
-			d0 := x0 - yj[0]
-			d1 := x1 - yj[1]
-			d2 := x2 - yj[2]
-			out[b] = k.EvalDist(math.Sqrt(d0*d0 + d1*d1 + d2*d2))
-		}
-	}
-}
-
-func assemble2(dst *mat.Dense, k Kernel, x *pointset.Points, rows []int, y *pointset.Points, cols []int) {
-	for a, i := range rows {
-		xi := x.Coords[i*2 : i*2+2]
-		x0, x1 := xi[0], xi[1]
-		out := dst.Row(a)
-		for b, j := range cols {
-			yj := y.Coords[j*2 : j*2+2]
-			d0 := x0 - yj[0]
-			d1 := x1 - yj[1]
-			out[b] = k.EvalDist(math.Sqrt(d0*d0 + d1*d1))
-		}
-	}
-}
-
-func assembleGeneric(dst *mat.Dense, k Kernel, x *pointset.Points, rows []int, y *pointset.Points, cols []int) {
-	d := x.Dim
-	for a, i := range rows {
-		xi := x.Coords[i*d : i*d+d]
-		out := dst.Row(a)
-		for b, j := range cols {
-			yj := y.Coords[j*d : j*d+d]
-			s := 0.0
-			for c, v := range xi {
-				dd := v - yj[c]
-				s += dd * dd
-			}
-			out[b] = k.EvalDist(math.Sqrt(s))
-		}
-	}
-}
-
-// ApplyBlock computes y[rows] += K(X[rows], X[cols]) * v[cols] directly,
-// without materializing the block. y and v are full-length vectors indexed
-// by the global point ordering; rows/cols index into x. This is the fully
-// streaming alternative to assemble-then-multiply used by the direct
-// (dense reference) product. It runs on the same fused chunk machinery as
-// BlockVecAdd (per-chunk devirtualized evaluation, dot's 4-accumulator
-// grouping per row), gathering v through the column index set.
-func ApplyBlock(k Pairwise, x *pointset.Points, rows, cols []int, v, y []float64) {
-	rk, radial := k.(Kernel)
-	d := x.Dim
-	L := len(cols)
-	U := L &^ 3
-	var r2buf, kbuf, vbuf [fusedChunk]float64
-	for _, i := range rows {
-		xi := x.Coords[i*d : i*d+d]
-		var s0, s1, s2, s3 float64
-		for b0 := 0; b0 < U; b0 += fusedChunk {
-			b1 := min(b0+fusedChunk, U)
-			cc := cols[b0:b1]
-			kernelChunk(rk, k, radial, kbuf[:], r2buf[:], xi, x, cc, d)
-			for t, j := range cc {
-				vbuf[t] = v[j]
-			}
-			for t := 0; t+4 <= len(cc); t += 4 {
-				s0 += kbuf[t] * vbuf[t]
-				s1 += kbuf[t+1] * vbuf[t+1]
-				s2 += kbuf[t+2] * vbuf[t+2]
-				s3 += kbuf[t+3] * vbuf[t+3]
-			}
-		}
-		s := (s0 + s1) + (s2 + s3)
-		for b := U; b < L; b++ {
-			s += evalOne(rk, k, radial, xi, x, cols[b], d) * v[cols[b]]
-		}
-		y[i] += s
-	}
-}
-
 // RowApply computes one exact row of the kernel matrix-vector product:
 // it returns Σ_j K(x_i, x_j) v[j] over all points j. Used by the 12-row
-// relative-error estimator (paper §IV) and by tests. Like ApplyBlock it
-// runs on the fused chunk machinery, with the column set being every point.
+// relative-error estimator (paper §IV) and by tests. It runs BlockVecAdd's
+// row dot with every point as the column set, whose panel is the whole
+// coordinate array read in place.
 func RowApply(k Pairwise, x *pointset.Points, i int, v []float64) float64 {
-	rk, radial := k.(Kernel)
 	d := x.Dim
-	n := x.Len()
-	xi := x.Coords[i*d : i*d+d]
-	U := n &^ 3
-	var r2buf, kbuf [fusedChunk]float64
-	var s0, s1, s2, s3 float64
-	for b0 := 0; b0 < U; b0 += fusedChunk {
-		b1 := min(b0+fusedChunk, U)
-		ck := b1 - b0
-		if radial {
-			distChunkSeq(r2buf[:ck], xi, x, b0, d)
-			evalChunk(rk, kbuf[:ck], r2buf[:ck])
-		} else {
-			for t := 0; t < ck; t++ {
-				j := b0 + t
-				kbuf[t] = k.EvalPair(xi, x.Coords[j*d:j*d+d])
-			}
-		}
-		vv := v[b0:b1]
-		for t := 0; t+4 <= ck; t += 4 {
-			s0 += kbuf[t] * vv[t]
-			s1 += kbuf[t+1] * vv[t+1]
-			s2 += kbuf[t+2] * vv[t+2]
-			s3 += kbuf[t+3] * vv[t+3]
-		}
-	}
-	s := (s0 + s1) + (s2 + s3)
-	for j := U; j < n; j++ {
-		s += evalOne(rk, k, radial, xi, x, j, d) * v[j]
-	}
-	return s
+	var r2, kb [fusedChunk]float64
+	return newEvaluator(k).rowDot(x.Coords[i*d:i*d+d], x.Coords, v[:x.Len()], false, &r2, &kb)
 }

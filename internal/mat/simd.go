@@ -21,6 +21,9 @@ import "math"
 //   - RecipSqrtChunk/RecipCubeChunk use VSQRTPD and VDIVPD, which IEEE-754
 //     requires to be correctly rounded exactly like math.Sqrt and scalar
 //     division.
+//   - the 3-D panel distance (Dist3Chunk and its fused Coulomb forms)
+//     transposes four points with AVX1 lane moves and then subtracts,
+//     squares and adds per axis in the scalar order, again without FMA.
 //
 // Scalar tails (length % 4) always run in Go, after the assembly body for
 // dots (matching the scalar tail order) and element-wise for axpys.
@@ -94,18 +97,10 @@ func RecipSqrtChunk(dst, r2 []float64) {
 	dst = dst[:len(r2)]
 	t := 0
 	if simdEnabled && len(r2) >= simdMinAxpy {
-		u := len(r2) &^ 3
-		recipSqrtBody(dst[:u], r2[:u])
-		t = u
+		t = len(r2) &^ 3
+		recipSqrtBody(dst[:t], r2[:t])
 	}
-	for ; t < len(r2); t++ {
-		r := math.Sqrt(r2[t])
-		if r == 0 {
-			dst[t] = 0
-			continue
-		}
-		dst[t] = 1 / r
-	}
+	recipSqrtGo(dst[t:], r2[t:])
 }
 
 // RecipCubeChunk fills dst[t] = 1/r³ with r = sqrt(r2[t]), 0 where r2[t] == 0
@@ -115,12 +110,85 @@ func RecipCubeChunk(dst, r2 []float64) {
 	dst = dst[:len(r2)]
 	t := 0
 	if simdEnabled && len(r2) >= simdMinAxpy {
-		u := len(r2) &^ 3
-		recipCubeBody(dst[:u], r2[:u])
-		t = u
+		t = len(r2) &^ 3
+		recipCubeBody(dst[:t], r2[:t])
 	}
-	for ; t < len(r2); t++ {
-		r := math.Sqrt(r2[t])
+	recipCubeGo(dst[t:], r2[t:])
+}
+
+// Dist3Chunk fills r2[t] with the squared distance between the 3-D point xi
+// and point t of the coordinate panel p (p[3t:3t+3], points stored one after
+// another), evaluated as (d0*d0 + d1*d1) + d2*d2 with dc = xi[c] - p[3t+c]:
+// the order of the scalar distance loops. The AVX body transposes four
+// points per step with AVX1 lane moves and keeps that order with separate
+// subtract, multiply and add (no FMA), so both paths agree bitwise.
+func Dist3Chunk(r2, xi, p []float64) {
+	t := 0
+	if simdEnabled && len(r2) >= simdMinAxpy {
+		t = len(r2) &^ 3
+		dist3Body(r2[:t], p[:3*t], xi[:3])
+	}
+	dist3Go(r2[t:], xi, p[3*t:])
+}
+
+// RecipSqrtDist3Chunk fills dst[t] = 1/r for the Dist3Chunk distance r of
+// panel point t, 0 where r == 0: the Coulomb kernel evaluated in the same
+// pass as the distance, bitwise-equal to Dist3Chunk then RecipSqrtChunk.
+func RecipSqrtDist3Chunk(dst, xi, p []float64) {
+	t := 0
+	if simdEnabled && len(dst) >= simdMinAxpy {
+		t = len(dst) &^ 3
+		recipSqrtDist3Body(dst[:t], p[:3*t], xi[:3])
+	}
+	tail := dst[t:]
+	dist3Go(tail, xi, p[3*t:])
+	recipSqrtGo(tail, tail)
+}
+
+// RecipCubeDist3Chunk is RecipSqrtDist3Chunk for the 1/r³ (CoulombCubed)
+// kernel, bitwise-equal to Dist3Chunk then RecipCubeChunk.
+func RecipCubeDist3Chunk(dst, xi, p []float64) {
+	t := 0
+	if simdEnabled && len(dst) >= simdMinAxpy {
+		t = len(dst) &^ 3
+		recipCubeDist3Body(dst[:t], p[:3*t], xi[:3])
+	}
+	tail := dst[t:]
+	dist3Go(tail, xi, p[3*t:])
+	recipCubeGo(tail, tail)
+}
+
+// dist3Go is the scalar Dist3Chunk loop (the AVX bodies' tail and fallback).
+func dist3Go(r2, xi, p []float64) {
+	x0, x1, x2 := xi[0], xi[1], xi[2]
+	p = p[:3*len(r2)]
+	for t := range r2 {
+		q := p[3*t : 3*t+3]
+		d0 := x0 - q[0]
+		d1 := x1 - q[1]
+		d2 := x2 - q[2]
+		r2[t] = d0*d0 + d1*d1 + d2*d2
+	}
+}
+
+// recipSqrtGo is the scalar RecipSqrtChunk loop; dst may alias r2.
+func recipSqrtGo(dst, r2 []float64) {
+	dst = dst[:len(r2)]
+	for t, v := range r2 {
+		r := math.Sqrt(v)
+		if r == 0 {
+			dst[t] = 0
+			continue
+		}
+		dst[t] = 1 / r
+	}
+}
+
+// recipCubeGo is the scalar RecipCubeChunk loop; dst may alias r2.
+func recipCubeGo(dst, r2 []float64) {
+	dst = dst[:len(r2)]
+	for t, v := range r2 {
+		r := math.Sqrt(v)
 		if r == 0 {
 			dst[t] = 0
 			continue

@@ -49,3 +49,15 @@ func recipSqrtBody(dst, r2 []float64)
 
 //go:noescape
 func recipCubeBody(dst, r2 []float64)
+
+// The dist3 bodies take a 3-D coordinate panel p (3·len(dst) values) and the
+// point xi (len 3); see Dist3Chunk.
+
+//go:noescape
+func dist3Body(dst, p, xi []float64)
+
+//go:noescape
+func recipSqrtDist3Body(dst, p, xi []float64)
+
+//go:noescape
+func recipCubeDist3Body(dst, p, xi []float64)

@@ -11,6 +11,32 @@
 DATA onef64<>+0(SB)/8, $0x3FF0000000000000 // 1.0
 GLOBL onef64<>(SB), RODATA|NOPTR, $8
 
+// The dist3 bodies read a 3-D coordinate panel — points stored one after
+// another as (x, y, z) — four points (three 32-byte loads) per iteration.
+// DIST3 transposes the loads into per-axis vectors with AVX1 lane moves
+// only, then forms (d0*d0 + d1*d1) + d2*d2 with dc = xi[c] - p[c] through
+// separate VSUBPD/VMULPD/VADDPD, the order of the scalar distance loops.
+// In: SI = panel, Y13/Y14/Y15 = broadcast xi[0]/xi[1]/xi[2].
+// Out: Y0 = the four squared distances. Clobbers Y1-Y5.
+#define DIST3 \
+	VMOVUPD    0(SI), Y0;          /* a = [p0x p0y p0z p1x] */ \
+	VMOVUPD    32(SI), Y1;         /* b = [p1y p1z p2x p2y] */ \
+	VMOVUPD    64(SI), Y2;         /* c = [p2z p3x p3y p3z] */ \
+	VBLENDPD   $0x0C, Y1, Y0, Y3;  /* [a0 a1 b2 b3] */ \
+	VPERM2F128 $0x21, Y2, Y0, Y4;  /* [a2 a3 c0 c1] */ \
+	VBLENDPD   $0x0C, Y2, Y1, Y5;  /* [b0 b1 c2 c3] */ \
+	VSHUFPD    $0x0A, Y4, Y3, Y0;  /* x = [a0 a3 b2 c1] */ \
+	VSHUFPD    $0x05, Y5, Y3, Y1;  /* y = [a1 b0 b3 c2] */ \
+	VSHUFPD    $0x0A, Y5, Y4, Y2;  /* z = [a2 b1 c0 c3] */ \
+	VSUBPD     Y0, Y13, Y0;        /* d0 = xi0 - x */ \
+	VSUBPD     Y1, Y14, Y1; \
+	VSUBPD     Y2, Y15, Y2; \
+	VMULPD     Y0, Y0, Y0; \
+	VMULPD     Y1, Y1, Y1; \
+	VADDPD     Y1, Y0, Y0;         /* d0*d0 + d1*d1 */ \
+	VMULPD     Y2, Y2, Y2; \
+	VADDPD     Y2, Y0, Y0          /* (d0*d0 + d1*d1) + d2*d2 */
+
 // func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxIn+0(FP), AX
@@ -256,5 +282,96 @@ rcloop:
 	JMP     rcloop
 
 rcdone:
+	VZEROUPPER
+	RET
+
+// func dist3Body(dst, p, xi []float64)
+// dst[t] = squared distance between xi and panel point t.
+TEXT ·dist3Body(SB), NOSPLIT, $0-72
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         p_base+24(FP), SI
+	MOVQ         xi_base+48(FP), DX
+	VBROADCASTSD 0(DX), Y13
+	VBROADCASTSD 8(DX), Y14
+	VBROADCASTSD 16(DX), Y15
+	XORQ         AX, AX
+
+d3loop:
+	CMPQ AX, CX
+	JGE  d3done
+	DIST3
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $96, SI
+	ADDQ    $4, AX
+	JMP     d3loop
+
+d3done:
+	VZEROUPPER
+	RET
+
+// func recipSqrtDist3Body(dst, p, xi []float64)
+// dst[t] = 1/sqrt(r2) of the panel distance, 0 where r2 == 0 — DIST3
+// followed by the recipSqrtBody evaluation without the r2 round trip.
+TEXT ·recipSqrtDist3Body(SB), NOSPLIT, $0-72
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         p_base+24(FP), SI
+	MOVQ         xi_base+48(FP), DX
+	VBROADCASTSD 0(DX), Y13
+	VBROADCASTSD 8(DX), Y14
+	VBROADCASTSD 16(DX), Y15
+	XORQ         AX, AX
+	VBROADCASTSD onef64<>(SB), Y11
+	VXORPD       Y12, Y12, Y12
+
+rsd3loop:
+	CMPQ AX, CX
+	JGE  rsd3done
+	DIST3
+	VSQRTPD Y0, Y1
+	VDIVPD  Y1, Y11, Y2     // 1.0 / sqrt(r2)
+	VCMPPD  $4, Y12, Y0, Y3 // NEQ_UQ: lanes with r2 != 0
+	VANDPD  Y3, Y2, Y2
+	VMOVUPD Y2, (DI)(AX*8)
+	ADDQ    $96, SI
+	ADDQ    $4, AX
+	JMP     rsd3loop
+
+rsd3done:
+	VZEROUPPER
+	RET
+
+// func recipCubeDist3Body(dst, p, xi []float64)
+// dst[t] = 1/(r*r*r) with r = sqrt(r2) of the panel distance, 0 where
+// r2 == 0 — DIST3 followed by the recipCubeBody evaluation.
+TEXT ·recipCubeDist3Body(SB), NOSPLIT, $0-72
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         p_base+24(FP), SI
+	MOVQ         xi_base+48(FP), DX
+	VBROADCASTSD 0(DX), Y13
+	VBROADCASTSD 8(DX), Y14
+	VBROADCASTSD 16(DX), Y15
+	XORQ         AX, AX
+	VBROADCASTSD onef64<>(SB), Y11
+	VXORPD       Y12, Y12, Y12
+
+rcd3loop:
+	CMPQ AX, CX
+	JGE  rcd3done
+	DIST3
+	VSQRTPD Y0, Y1
+	VMULPD  Y1, Y1, Y2      // r*r
+	VMULPD  Y1, Y2, Y2      // (r*r)*r
+	VDIVPD  Y2, Y11, Y2     // 1.0 / r^3
+	VCMPPD  $4, Y12, Y0, Y3 // NEQ_UQ: lanes with r2 != 0
+	VANDPD  Y3, Y2, Y2
+	VMOVUPD Y2, (DI)(AX*8)
+	ADDQ    $96, SI
+	ADDQ    $4, AX
+	JMP     rcd3loop
+
+rcd3done:
 	VZEROUPPER
 	RET

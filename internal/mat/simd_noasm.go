@@ -2,8 +2,6 @@
 
 package mat
 
-import "math"
-
 // Non-amd64 (or noasm-tagged) fallbacks: the dispatch layer never selects
 // these because hasAVX reports false, but they keep the package compiling
 // with identical semantics everywhere.
@@ -76,26 +74,18 @@ func axpy4Body(y, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64) {
 	}
 }
 
-func recipSqrtBody(dst, r2 []float64) {
-	dst = dst[:len(r2)]
-	for t, v := range r2 {
-		r := math.Sqrt(v)
-		if r == 0 {
-			dst[t] = 0
-			continue
-		}
-		dst[t] = 1 / r
-	}
+func recipSqrtBody(dst, r2 []float64) { recipSqrtGo(dst, r2) }
+
+func recipCubeBody(dst, r2 []float64) { recipCubeGo(dst, r2) }
+
+func dist3Body(dst, p, xi []float64) { dist3Go(dst, xi, p) }
+
+func recipSqrtDist3Body(dst, p, xi []float64) {
+	dist3Go(dst, xi, p)
+	recipSqrtGo(dst, dst)
 }
 
-func recipCubeBody(dst, r2 []float64) {
-	dst = dst[:len(r2)]
-	for t, v := range r2 {
-		r := math.Sqrt(v)
-		if r == 0 {
-			dst[t] = 0
-			continue
-		}
-		dst[t] = 1 / (r * r * r)
-	}
+func recipCubeDist3Body(dst, p, xi []float64) {
+	dist3Go(dst, xi, p)
+	recipCubeGo(dst, dst)
 }

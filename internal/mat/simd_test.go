@@ -133,6 +133,44 @@ func TestSIMDChunkHelpersBitwise(t *testing.T) {
 	}
 }
 
+// TestSIMDDist3Bitwise pins the 3-D panel distance and its fused Coulomb
+// forms: the AVX transpose body against the scalar loop and against the
+// plain per-point formula, with coincident points for the zero masks and
+// lengths around the 4-point step and the dispatch threshold.
+func TestSIMDDist3Bitwise(t *testing.T) {
+	defer SetSIMD(SetSIMD(true))
+	for _, n := range []int{1, 3, 4, 5, 7, 8, 9, 12, 13, 63, 64, 65} {
+		p := simdVec(3*n, int64(9500+n))
+		xi := []float64{0.25, -0.5, 0.75}
+		if n > 2 {
+			copy(p[3*(n/2):], xi) // r2 == 0
+		}
+		want := make([]float64, n)
+		for i := range want {
+			d0, d1, d2 := xi[0]-p[3*i], xi[1]-p[3*i+1], xi[2]-p[3*i+2]
+			want[i] = d0*d0 + d1*d1 + d2*d2
+		}
+		wantRS, wantRC := make([]float64, n), make([]float64, n)
+		RecipSqrtChunk(wantRS, want)
+		RecipCubeChunk(wantRC, want)
+		for _, simd := range []bool{true, false} {
+			SetSIMD(simd)
+			r2, rs, rc := make([]float64, n), make([]float64, n), make([]float64, n)
+			Dist3Chunk(r2, xi, p)
+			RecipSqrtDist3Chunk(rs, xi, p)
+			RecipCubeDist3Chunk(rc, xi, p)
+			for i := range want {
+				if math.Float64bits(r2[i]) != math.Float64bits(want[i]) ||
+					math.Float64bits(rs[i]) != math.Float64bits(wantRS[i]) ||
+					math.Float64bits(rc[i]) != math.Float64bits(wantRC[i]) {
+					t.Fatalf("simd=%v n=%d point %d: got (%v %v %v) want (%v %v %v)",
+						simd, n, i, r2[i], rs[i], rc[i], want[i], wantRS[i], wantRC[i])
+				}
+			}
+		}
+	}
+}
+
 // TestFMAVariantsClose checks the FastMath forms agree with the default path
 // to rounding accuracy (they contract each multiply-add to one rounding, so
 // exact equality is not expected, closeness is).
