@@ -322,7 +322,7 @@ func TestClusterCorruptTransfer(t *testing.T) {
 		return resp
 	}
 
-	// A mid-payload bit flip — silent under every pre-v4 format — is caught.
+	// A mid-payload bit flip is caught by the CRC footer.
 	corrupt := append([]byte(nil), stream...)
 	corrupt[len(corrupt)/2] ^= 0x01
 	if resp := put(corrupt); resp.StatusCode != http.StatusBadRequest {
@@ -331,6 +331,14 @@ func TestClusterCorruptTransfer(t *testing.T) {
 	// A truncated transfer (lost tail, no footer) is caught.
 	if resp := put(stream[:len(stream)-20]); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("truncated stream accepted")
+	}
+	// A relabelled version word (byte 12, after the magic string) is
+	// refused rather than read under an older layout without the footer.
+	relabel := append([]byte(nil), stream...)
+	relabel[8+4] = 3
+	relabel[len(relabel)/2] ^= 0x01
+	if resp := put(relabel); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("version-3 relabel: status %d, want 400", resp.StatusCode)
 	}
 	if _, ok := nd.reg.Get("corrupt"); ok {
 		t.Fatal("corrupt transfer left an instance behind")

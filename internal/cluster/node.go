@@ -37,7 +37,7 @@ func NewNode(reg *registry.Registry, timeout time.Duration, lim api.Limits) *Nod
 
 // Mount registers the peer endpoints on mux:
 //
-//	GET    /cluster/export/{name}   stream the serialized matrix (v4, CRC-tailed)
+//	GET    /cluster/export/{name}   stream the serialized matrix (v5, CRC-tailed)
 //	PUT    /cluster/replicas/{name} install a replica from a serialized stream
 //	DELETE /cluster/replicas/{name} drop a replica (idempotent)
 //	POST   /cluster/shards/apply    one shard's upward+coupling partial
@@ -80,8 +80,9 @@ func (n *Node) exportHandler(w http.ResponseWriter, r *http.Request) {
 }
 
 // installHandler rehydrates a serialized stream into a Ready read-only
-// instance. The v4 CRC footer is verified during the read, so a corrupted or
-// torn transfer is rejected before any instance state changes.
+// instance. The read accepts only the current stream version and verifies its
+// CRC footer, so a corrupted, torn or relabelled transfer is rejected before
+// any instance state changes.
 func (n *Node) installHandler(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	m, err := core.ReadAny(http.MaxBytesReader(w, r.Body, n.lim.Upload))

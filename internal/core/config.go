@@ -153,15 +153,6 @@ type Config struct {
 	// across tenants so geometries repeated under different kernels or
 	// tolerances skip Algorithm 1 entirely.
 	Cache *BuildCache
-
-	// FastMath relaxes the on-the-fly fused kernels to fused multiply-add
-	// accumulation (one rounding per multiply-add instead of two). Results
-	// stay within rounding distance of the default path — the FastMath
-	// equivalence test pins a 1e-12 relative tolerance — but are NOT bitwise
-	// identical, so the hybrid ≡ on-the-fly bitwise guarantee only holds with
-	// FastMath off. Stored-block (Normal/Hybrid-resident) arithmetic is
-	// unaffected. Off by default.
-	FastMath bool
 }
 
 // withDefaults returns cfg with zero fields resolved.

@@ -86,8 +86,9 @@ func TestRelTolSampleBudgetMonotone(t *testing.T) {
 }
 
 // TestRelTolSerializeV3RoundTrip checks that a reltol-built matrix
-// round-trips bitwise through the v3 stream: write -> read -> write yields
-// identical bytes, and the error-controlled metadata survives.
+// round-trips bitwise through the stream (RelTol and EstRelErr joined the
+// format in version 3): write -> read -> write yields identical bytes, and
+// the error-controlled metadata survives.
 func TestRelTolSerializeV3RoundTrip(t *testing.T) {
 	pts := pointset.Cube(1200, 3, 31)
 	m, err := Build(pts, kernel.Coulomb{}, Config{Kind: DataDriven, Mode: Normal, RelTol: 1e-5, LeafSize: 60})
@@ -107,7 +108,7 @@ func TestRelTolSerializeV3RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
-		t.Fatalf("v3 round trip not bitwise: %d vs %d bytes", buf1.Len(), buf2.Len())
+		t.Fatalf("round trip not bitwise: %d vs %d bytes", buf1.Len(), buf2.Len())
 	}
 	st, st2 := m.Stats(), m2.Stats()
 	if st2.RelTol != st.RelTol || st2.EstRelErr != st.EstRelErr {
@@ -126,47 +127,6 @@ func TestRelTolSerializeV3RoundTrip(t *testing.T) {
 	for i := range y1 {
 		if y1[i] != y2[i] {
 			t.Fatalf("loaded reltol matrix differs at %d", i)
-		}
-	}
-}
-
-// TestReadV2StreamCompat hand-writes a version-2 stream (the v3 layout minus
-// the RelTol/EstRelErr fields) and checks it still loads, with the
-// error-controlled metadata zeroed.
-func TestReadV2StreamCompat(t *testing.T) {
-	pts := pointset.Cube(600, 3, 41)
-	m, err := Build(pts, kernel.Coulomb{}, Config{Kind: DataDriven, Mode: OnTheFly, Tol: 1e-4, LeafSize: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v3 bytes.Buffer
-	if _, err := m.WriteTo(&v3); err != nil {
-		t.Fatal(err)
-	}
-	// Surgically downgrade the stream: patch the version word and excise the
-	// two float64s v3 inserted after StorageBudget. Layout up to there:
-	// magic (8-byte length + 4 bytes), version (4), kernel name (8 + len),
-	// kind (1), mode (1), Tol (8), LeafSize (8), Eta (8), SampleBudget (8),
-	// P (8), StorageBudget (8).
-	raw := v3.Bytes()
-	nameLen := len(m.Kern.Name())
-	verOff := 8 + 4
-	raw[verOff] = 2 // little-endian uint32 version 3 -> 2
-	cut := verOff + 4 + 8 + nameLen + 1 + 1 + 8 + 8 + 8 + 8 + 8 + 8
-	v2 := append(append([]byte(nil), raw[:cut]...), raw[cut+16:]...)
-
-	m2, err := Read(bytes.NewReader(v2), kernel.Coulomb{})
-	if err != nil {
-		t.Fatalf("v2 stream rejected: %v", err)
-	}
-	if st := m2.Stats(); st.RelTol != 0 || st.EstRelErr != 0 {
-		t.Fatalf("v2 stream produced reltol metadata: %+v", st)
-	}
-	b := randVec(600, 42)
-	y1, y2 := m.Apply(b), m2.Apply(b)
-	for i := range y1 {
-		if y1[i] != y2[i] {
-			t.Fatalf("v2-loaded matrix differs at %d", i)
 		}
 	}
 }

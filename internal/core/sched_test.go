@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -188,56 +187,6 @@ func TestScheduledMatchesSeedUnsymmetric(t *testing.T) {
 			if Y.Data[i] != YRef.Data[i] {
 				t.Fatalf("w=%d unsymmetric batch differs at flat %d", w, i)
 			}
-		}
-	}
-}
-
-// TestFastMathWithinTolerance checks the opt-in FMA accumulation: an
-// on-the-fly apply under Config.FastMath must agree with the default
-// (bitwise-pinned) path to rounding accuracy across all three apply variants.
-func TestFastMathWithinTolerance(t *testing.T) {
-	pts := pointset.Cube(1200, 3, 408)
-	m, err := Build(pts, kernel.Coulomb{},
-		Config{Kind: DataDriven, Mode: OnTheFly, Tol: 1e-5, LeafSize: 40, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := randVec(m.N, 409)
-	B := mat.NewDense(m.N, 2)
-	copy(B.Data[:m.N], b)
-	copy(B.Data[m.N:], b)
-	y, yt := make([]float64, m.N), make([]float64, m.N)
-	Y := mat.NewDense(0, 0)
-	m.ApplyTo(y, b)
-	m.ApplyTransposeTo(yt, b)
-	m.ApplyBatchTo(Y, B)
-
-	m.Cfg.FastMath = true
-	yF, ytF := make([]float64, m.N), make([]float64, m.N)
-	YF := mat.NewDense(0, 0)
-	m.ApplyTo(yF, b)
-	m.ApplyTransposeTo(ytF, b)
-	m.ApplyBatchTo(YF, B)
-	m.Cfg.FastMath = false
-
-	scale := 0.0
-	for _, v := range y {
-		if a := math.Abs(v); a > scale {
-			scale = a
-		}
-	}
-	const tol = 1e-12
-	for i := range y {
-		if math.Abs(y[i]-yF[i]) > tol*scale {
-			t.Fatalf("FastMath apply diverged at %d: %g vs %g", i, y[i], yF[i])
-		}
-		if math.Abs(yt[i]-ytF[i]) > tol*scale {
-			t.Fatalf("FastMath transpose diverged at %d: %g vs %g", i, yt[i], ytF[i])
-		}
-	}
-	for i := range Y.Data {
-		if math.Abs(Y.Data[i]-YF.Data[i]) > tol*scale {
-			t.Fatalf("FastMath batch diverged at flat %d: %g vs %g", i, Y.Data[i], YF.Data[i])
 		}
 	}
 }

@@ -27,22 +27,20 @@ import (
 // submatrices.
 
 // serialMagic identifies the file format; serialVersion is bumped on any
-// incompatible change. Version 2 added Config.StorageBudget (hybrid mode);
-// version 3 added Config.RelTol and the a-posteriori error estimate of
-// error-controlled builds (per-level ranks are recomputed from the per-node
-// ranks at load); version 4 appended an integrity footer (magic + CRC32-IEEE
-// of every preceding byte) so spill rehydration and cluster replication
-// transfers detect torn or corrupted payloads instead of mis-deserializing;
-// version 5 added a stored-block section for kernel-less matrices (entry
-// oracles, internal/oracle): their coupling/nearfield blocks are data the
-// load side cannot re-derive, so they travel in the stream verbatim.
-// Versions 1–4 are still readable; they imply zero budget / fixed-parameter
-// build / no checksum verification / no stored-block section respectively.
+// incompatible change, and only the current version is readable: a stream
+// carrying any other version word is rejected with an error naming it. The
+// body holds the build configuration (StorageBudget, RelTol and the
+// a-posteriori error estimate included), the tree, the generators, the
+// sampling hierarchy and a stored-block section for kernel-less matrices
+// (entry oracles, internal/oracle: their coupling/nearfield blocks are data
+// the load side cannot re-derive, so they travel verbatim). An integrity
+// footer (magic + CRC32-IEEE of every preceding byte) closes every stream,
+// and every read verifies it, so spill rehydration and cluster replication
+// transfers detect torn or corrupted payloads instead of mis-deserializing.
 const (
 	serialMagic       = "H2DS"
 	serialFooterMagic = "H2CK"
 	serialVersion     = uint32(5)
-	serialVersionMin  = uint32(1)
 )
 
 // crcWriter tees everything written through it into a running CRC32-IEEE.
@@ -141,8 +139,8 @@ func newSerialReader(r io.Reader) *serialReader {
 	return &serialReader{r: cr, br: br, crc: cr}
 }
 
-// verifyFooter consumes the version-4 integrity footer and compares it with
-// the checksum accumulated over every body byte read so far.
+// verifyFooter consumes the integrity footer and compares it with the
+// checksum accumulated over every body byte read so far.
 func (s *serialReader) verifyFooter() error {
 	if s.err != nil {
 		return s.err
@@ -406,10 +404,10 @@ func (m *Matrix) WriteTo(w io.Writer) (int64, error) {
 		s.write(false)
 	}
 
-	// Version 5: kernel-less matrices ship their frozen block stores
-	// verbatim — the payload is oracle data the reader cannot recompute, and
-	// shipping the exact slabs makes a save/load round trip (and therefore
-	// every cluster replica) bitwise-identical in apply.
+	// Kernel-less matrices ship their frozen block stores verbatim — the
+	// payload is oracle data the reader cannot recompute, and shipping the
+	// exact slabs makes a save/load round trip (and therefore every cluster
+	// replica) bitwise-identical in apply.
 	if kernelLess {
 		s.write(uint8(1))
 		s.write(m.Kern.Symmetric())
@@ -436,18 +434,18 @@ func (m *Matrix) WriteTo(w io.Writer) (int64, error) {
 }
 
 // readHeader consumes the magic, version, and recorded kernel name and
-// returns the kernel name and stream version.
-func readHeader(s *serialReader) (string, uint32, error) {
+// returns the kernel name. Any version other than serialVersion is an error.
+func readHeader(s *serialReader) (string, error) {
 	if magic := s.readString(); s.err == nil && magic != serialMagic {
-		return "", 0, fmt.Errorf("core: not an h2ds stream (magic %q)", magic)
+		return "", fmt.Errorf("core: not an h2ds stream (magic %q)", magic)
 	}
 	var version uint32
 	s.read(&version)
-	if s.err == nil && (version < serialVersionMin || version > serialVersion) {
-		return "", 0, fmt.Errorf("core: unsupported stream version %d (want %d..%d)", version, serialVersionMin, serialVersion)
+	if s.err == nil && version != serialVersion {
+		return "", fmt.Errorf("core: unsupported stream version %d (only version %d is readable; re-create the matrix)", version, serialVersion)
 	}
 	kname := s.readString()
-	return kname, version, s.err
+	return kname, s.err
 }
 
 // Read deserializes a matrix written by WriteTo. The kernel function is not
@@ -457,14 +455,14 @@ func readHeader(s *serialReader) (string, uint32, error) {
 // submatrices, so this is exact).
 func Read(r io.Reader, k kernel.Pairwise) (*Matrix, error) {
 	s := newSerialReader(r)
-	kname, version, err := readHeader(s)
+	kname, err := readHeader(s)
 	if err != nil {
 		return nil, err
 	}
 	if kname != k.Name() {
 		return nil, fmt.Errorf("core: stream was built with kernel %q, got %q", kname, k.Name())
 	}
-	return readBody(s, k, version)
+	return readBody(s, k)
 }
 
 // ReadAny deserializes a matrix written by WriteTo, resolving the kernel
@@ -477,7 +475,7 @@ func Read(r io.Reader, k kernel.Pairwise) (*Matrix, error) {
 // kernel for those.
 func ReadAny(r io.Reader) (*Matrix, error) {
 	s := newSerialReader(r)
-	kname, version, err := readHeader(s)
+	kname, err := readHeader(s)
 	if err != nil {
 		return nil, err
 	}
@@ -488,11 +486,12 @@ func ReadAny(r io.Reader) (*Matrix, error) {
 			return nil, fmt.Errorf("core: cannot resolve stream kernel: %w", err)
 		}
 	}
-	return readBody(s, k, version)
+	return readBody(s, k)
 }
 
-// readBody deserializes everything after the header under the given kernel.
-func readBody(s *serialReader, k kernel.Pairwise, version uint32) (*Matrix, error) {
+// readBody deserializes everything after the header under the given kernel
+// and verifies the integrity footer.
+func readBody(s *serialReader, k kernel.Pairwise) (*Matrix, error) {
 	m := &Matrix{Kern: k}
 	var kind, mode uint8
 	s.read(&kind)
@@ -504,14 +503,10 @@ func readBody(s *serialReader, k kernel.Pairwise, version uint32) (*Matrix, erro
 	s.read(&m.Cfg.Eta)
 	m.Cfg.SampleBudget = s.readI64()
 	m.Cfg.P = s.readI64()
-	if version >= 2 {
-		s.read(&m.Cfg.StorageBudget)
-	}
-	if version >= 3 {
-		s.read(&m.Cfg.RelTol)
-		s.read(&m.stats.EstRelErr)
-		m.stats.RelTol = m.Cfg.RelTol
-	}
+	s.read(&m.Cfg.StorageBudget)
+	s.read(&m.Cfg.RelTol)
+	s.read(&m.stats.EstRelErr)
+	m.stats.RelTol = m.Cfg.RelTol
 	s.read(&m.sharedBasis)
 	m.N = s.readI64()
 	m.Dim = s.readI64()
@@ -612,40 +607,36 @@ func readBody(s *serialReader, k kernel.Pairwise, version uint32) (*Matrix, erro
 		return nil, s.err
 	}
 
-	// Version 5: stored-block section (kernel-less streams only). The blocks
-	// arrive verbatim, so no kernel is needed to serve the matrix; a loaded
+	// Stored-block section (kernel-less streams only). The blocks arrive
+	// verbatim, so no kernel is needed to serve the matrix; a loaded
 	// kernel-less matrix gets a placeholder kernel that refuses fresh
 	// evaluations but answers Symmetric for the apply's triangular logic.
 	blocksFromStream := false
-	if version >= 5 {
-		var hasBlocks uint8
-		s.read(&hasBlocks)
-		if hasBlocks == 1 {
-			var sym bool
-			s.read(&sym)
-			coup := readBlockStore(s)
-			near := readBlockStore(s)
-			if s.err != nil {
-				return nil, s.err
-			}
-			if coup == nil || near == nil {
-				return nil, fmt.Errorf("core: kernel-less stream missing stored blocks")
-			}
-			m.coup, m.near = coup, near
-			blocksFromStream = true
-			if m.Kern == nil {
-				m.Kern = storedOnlyKernel{sym: sym}
-			}
+	var hasBlocks uint8
+	s.read(&hasBlocks)
+	if hasBlocks == 1 {
+		var sym bool
+		s.read(&sym)
+		coup := readBlockStore(s)
+		near := readBlockStore(s)
+		if s.err != nil {
+			return nil, s.err
+		}
+		if coup == nil || near == nil {
+			return nil, fmt.Errorf("core: kernel-less stream missing stored blocks")
+		}
+		m.coup, m.near = coup, near
+		blocksFromStream = true
+		if m.Kern == nil {
+			m.Kern = storedOnlyKernel{sym: sym}
 		}
 	}
 	if m.Kern == nil {
 		return nil, fmt.Errorf("core: stream names no kernel and carries no stored blocks")
 	}
 
-	if version >= 4 {
-		if err := s.verifyFooter(); err != nil {
-			return nil, err
-		}
+	if err := s.verifyFooter(); err != nil {
+		return nil, err
 	}
 
 	// Rebuild derived state: identity index, skeleton point sets, grids.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -209,12 +210,14 @@ func TestSerializeDetectsFlippedBytes(t *testing.T) {
 	}
 }
 
-// TestReadV3StreamCompat strips the v4 footer and patches the version word
-// down to 3: pre-checksum streams (existing spill files) must keep loading,
-// just without integrity verification.
-func TestReadV3StreamCompat(t *testing.T) {
+// TestReadRejectsOtherVersions checks that Read and ReadAny accept only the
+// current stream version and name any other in the error. Besides the bare
+// version-word patches it covers the two pre-v4 shapes that used to load
+// without a checksum check: a footer-less stream relabelled version 3, and
+// a version-3 relabel of a valid stream with one coordinate byte flipped —
+// the silently wrong matrix a downgrade could smuggle past the footer.
+func TestReadRejectsOtherVersions(t *testing.T) {
 	pts := pointset.Cube(400, 3, 100)
-	b := randVec(400, 101)
 	m, err := Build(pts, kernel.Coulomb{}, Config{Kind: DataDriven, Mode: OnTheFly, Tol: 1e-4, LeafSize: 50})
 	if err != nil {
 		t.Fatal(err)
@@ -223,18 +226,45 @@ func TestReadV3StreamCompat(t *testing.T) {
 	if _, err := m.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	v3 := append([]byte(nil), raw[:len(raw)-8]...)
-	v3[8+4] = 3 // little-endian uint32 version 4 -> 3 (after 8+4 byte magic string)
-	m2, err := Read(bytes.NewReader(v3), kernel.Coulomb{})
-	if err != nil {
-		t.Fatalf("v3 stream rejected: %v", err)
+	full := buf.Bytes()
+	// The version word follows the magic string (8-byte length + 4 bytes).
+	const verOff = 8 + 4
+	relabel := func(stream []byte, v byte) []byte {
+		out := append([]byte(nil), stream...)
+		out[verOff] = v
+		return out
 	}
-	y1, y2 := m.Apply(b), m2.Apply(b)
-	for i := range y1 {
-		if y1[i] != y2[i] {
-			t.Fatalf("v3-compat matrix differs at %d", i)
+	type bad struct {
+		name   string
+		ver    int
+		stream []byte
+	}
+	var cases []bad
+	for _, v := range []byte{1, 2, 3, 4, 6} {
+		cases = append(cases, bad{fmt.Sprintf("relabelled v%d", v), int(v), relabel(full, v)})
+	}
+	cases = append(cases, bad{"footer-less v3", 3, relabel(full[:len(full)-8], 3)})
+	// Offset 200 lies inside the 9600-byte coordinate payload, which starts
+	// at byte 122 of a Coulomb stream.
+	flipped := relabel(full, 3)
+	flipped[200] ^= 0x01
+	cases = append(cases, bad{"v3 with flipped coordinate", 3, flipped})
+
+	for _, c := range cases {
+		want := fmt.Sprintf("version %d", c.ver)
+		_, errRead := Read(bytes.NewReader(c.stream), kernel.Coulomb{})
+		_, errAny := ReadAny(bytes.NewReader(c.stream))
+		for _, err := range []error{errRead, errAny} {
+			if err == nil {
+				t.Fatalf("%s: stream accepted", c.name)
+			}
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error %q does not name %q", c.name, err, want)
+			}
 		}
+	}
+	if _, err := ReadAny(bytes.NewReader(full)); err != nil {
+		t.Fatalf("current-version stream rejected: %v", err)
 	}
 }
 

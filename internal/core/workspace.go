@@ -392,11 +392,7 @@ func (ws *Workspace) coupNode(w, id int) {
 			ws.ctr[w*ctrStride+ctrMiss]++
 		}
 		t := nowNS()
-		if m.Cfg.FastMath {
-			kernel.BlockVecAddFMA(gi, m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j), qj, ws.scratch[w])
-		} else {
-			kernel.BlockVecAdd(gi, m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j), qj, ws.scratch[w])
-		}
+		kernel.BlockVecAdd(gi, m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j), qj, ws.scratch[w])
 		ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
 	}
 }
@@ -451,8 +447,8 @@ func (ws *Workspace) leafB(id int) []float64 {
 // mat.MulVecAddTwinDot, an on-the-fly radial block through
 // kernel.BlockVecAddTwin — each bitwise-identical to the two directed
 // blocks it replaces. Everything else (the diagonal block, the transpose
-// and batch applies, directed stores, non-radial kernels, FastMath
-// evaluation) applies each orientation with the variant's near kernel.
+// and batch applies, directed stores, non-radial kernels) applies each
+// orientation with the variant's near kernel.
 func (ws *Workspace) pairTask(w, i, j int) {
 	if i != j && ws.kind == applyVec && ws.nearTwin(w, i, j) {
 		return
@@ -489,7 +485,7 @@ func (ws *Workspace) nearTwin(w, i, j int) bool {
 		}
 	}
 	rk, radial := m.Kern.(kernel.Kernel)
-	if !radial || m.Cfg.FastMath {
+	if !radial {
 		return false
 	}
 	if m.Cfg.Mode == Hybrid {
@@ -517,11 +513,7 @@ func (ws *Workspace) nearVec(w, i, j int) {
 		ws.ctr[w*ctrStride+ctrMiss]++
 	}
 	t := nowNS()
-	if m.Cfg.FastMath {
-		kernel.BlockVecAddFMA(yi, m.Kern, m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j), bj, ws.scratch[w])
-	} else {
-		kernel.BlockVecAdd(yi, m.Kern, m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j), bj, ws.scratch[w])
-	}
+	kernel.BlockVecAdd(yi, m.Kern, m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j), bj, ws.scratch[w])
 	ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
 }
 
@@ -585,11 +577,7 @@ func (ws *Workspace) coupNodeT(w, id int) {
 			ws.ctr[w*ctrStride+ctrMiss]++
 		}
 		t := nowNS()
-		if m.Cfg.FastMath {
-			kernel.BlockTVecAddFMA(gi, m.Kern, m.skelPts[j], m.skel[j], m.skelPts[id], m.colSkeleton(id), qj, ws.scratch[w])
-		} else {
-			kernel.BlockTVecAdd(gi, m.Kern, m.skelPts[j], m.skel[j], m.skelPts[id], m.colSkeleton(id), qj, ws.scratch[w])
-		}
+		kernel.BlockTVecAdd(gi, m.Kern, m.skelPts[j], m.skel[j], m.skelPts[id], m.colSkeleton(id), qj, ws.scratch[w])
 		ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
 	}
 }
@@ -644,11 +632,7 @@ func (ws *Workspace) nearT(w, i, j int) {
 		ws.ctr[w*ctrStride+ctrMiss]++
 	}
 	t := nowNS()
-	if m.Cfg.FastMath {
-		kernel.BlockTVecAddFMA(yi, m.Kern, m.Tree.Points, m.leafRange(j), m.Tree.Points, m.leafRange(i), bj, ws.scratch[w])
-	} else {
-		kernel.BlockTVecAdd(yi, m.Kern, m.Tree.Points, m.leafRange(j), m.Tree.Points, m.leafRange(i), bj, ws.scratch[w])
-	}
+	kernel.BlockTVecAdd(yi, m.Kern, m.Tree.Points, m.leafRange(j), m.Tree.Points, m.leafRange(i), bj, ws.scratch[w])
 	ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
 }
 
@@ -785,11 +769,7 @@ func (ws *Workspace) coupNodeB(w, id int) {
 			ws.ctr[w*ctrStride+ctrMiss]++
 		}
 		t := nowNS()
-		if m.Cfg.FastMath {
-			kernel.BlockMulAddFMA(gi, m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j), ws.qB[j], ws.scratch[w])
-		} else {
-			kernel.BlockMulAdd(gi, m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j), ws.qB[j], ws.scratch[w])
-		}
+		kernel.BlockMulAdd(gi, m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j), ws.qB[j], ws.scratch[w])
 		ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
 	}
 }
@@ -841,10 +821,6 @@ func (ws *Workspace) nearB(w, i, j int) {
 		ws.ctr[w*ctrStride+ctrMiss]++
 	}
 	t := nowNS()
-	if m.Cfg.FastMath {
-		kernel.BlockMulAddFMA(yi, m.Kern, m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j), bj, ws.scratch[w])
-	} else {
-		kernel.BlockMulAdd(yi, m.Kern, m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j), bj, ws.scratch[w])
-	}
+	kernel.BlockMulAdd(yi, m.Kern, m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j), bj, ws.scratch[w])
 	ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
 }

@@ -245,9 +245,9 @@ func (e evaluator) fill(dst, r2, xi, p []float64) {
 // rowDot returns Σ_t K(xi, p_t)·v[t] over the len(v) points of the panel p
 // in dot's grouping — four lane accumulators over the 4-aligned prefix
 // (chunk lengths there are multiples of 4, so the lane mapping never slips),
-// reduced as (s0+s1)+(s2+s3), then the sequential tail — or, with fma, the
-// FastMath forms of the same loops. r2 and kb are chunk scratch.
-func (e evaluator) rowDot(xi, p, v []float64, fma bool, r2, kb *[fusedChunk]float64) float64 {
+// reduced as (s0+s1)+(s2+s3), then the sequential tail. r2 and kb are chunk
+// scratch.
+func (e evaluator) rowDot(xi, p, v []float64, r2, kb *[fusedChunk]float64) float64 {
 	d := len(xi)
 	L := len(v)
 	U := L &^ 3
@@ -256,11 +256,7 @@ func (e evaluator) rowDot(xi, p, v []float64, fma bool, r2, kb *[fusedChunk]floa
 		b1 := min(b0+fusedChunk, U)
 		kk := kb[:b1-b0]
 		e.fill(kk, r2[:], xi, p[b0*d:b1*d])
-		if fma {
-			mat.DotAcc4FMA(kk, v[b0:b1], &acc)
-		} else {
-			mat.DotAcc4(kk, v[b0:b1], &acc)
-		}
+		mat.DotAcc4(kk, v[b0:b1], &acc)
 	}
 	s := (acc[0] + acc[1]) + (acc[2] + acc[3])
 	if U == L {
@@ -269,11 +265,7 @@ func (e evaluator) rowDot(xi, p, v []float64, fma bool, r2, kb *[fusedChunk]floa
 	kt := kb[:L-U]
 	e.fill(kt, r2[:], xi, p[U*d:L*d])
 	for t, kv := range kt {
-		if fma {
-			s = math.FMA(kv, v[U+t], s)
-		} else {
-			s += kv * v[U+t]
-		}
+		s += kv * v[U+t]
 	}
 	return s
 }
@@ -284,24 +276,13 @@ func (e evaluator) rowDot(xi, p, v []float64, fma bool, r2, kb *[fusedChunk]floa
 // is scratch that holds the gathered column panel when cols is not a
 // consecutive run (d rows of len(cols)).
 func BlockVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64, buf *mat.Dense) {
-	blockVecAdd(out, pk, x, rows, y, cols, v, buf, false)
-}
-
-// BlockVecAddFMA is BlockVecAdd with fused multiply-adds (one rounding per
-// multiply-add instead of two) — the Config.FastMath accumulation, NOT
-// bitwise-compatible with the default path.
-func BlockVecAddFMA(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64, buf *mat.Dense) {
-	blockVecAdd(out, pk, x, rows, y, cols, v, buf, true)
-}
-
-func blockVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64, buf *mat.Dense, fma bool) {
 	e := newEvaluator(pk)
 	_, p := colScratch(buf, 0, y, cols)
 	v = v[:len(cols)]
 	d := x.Dim
 	var r2, kb [fusedChunk]float64
 	for a, i := range rows {
-		out[a] += e.rowDot(x.Coords[i*d:i*d+d], p, v, fma, &r2, &kb)
+		out[a] += e.rowDot(x.Coords[i*d:i*d+d], p, v, &r2, &kb)
 	}
 }
 
@@ -344,16 +325,6 @@ func BlockVecAddTwin(outR, outC []float64, k Kernel, x *pointset.Points, rows []
 // indexed by column position, v by row position. buf holds the gathered
 // column panel as in BlockVecAdd.
 func BlockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64, buf *mat.Dense) {
-	blockTVecAdd(out, pk, x, rows, y, cols, v, buf, false)
-}
-
-// BlockTVecAddFMA is BlockTVecAdd with fused multiply-adds — the
-// Config.FastMath accumulation, NOT bitwise-compatible with the default path.
-func BlockTVecAddFMA(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64, buf *mat.Dense) {
-	blockTVecAdd(out, pk, x, rows, y, cols, v, buf, true)
-}
-
-func blockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64, buf *mat.Dense, fma bool) {
 	e := newEvaluator(pk)
 	_, p := colScratch(buf, 0, y, cols)
 	d := x.Dim
@@ -373,11 +344,7 @@ func blockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y 
 			b1 := min(b0+fusedChunk, L)
 			oo, pp := out[b0:b1], p[b0*d:b1*d]
 			e.fill(k0[:len(oo)], r2[:], xi, pp)
-			if fma {
-				mat.AxpyChunkFMA(oo, xv, k0[:len(oo)])
-			} else {
-				mat.AxpyChunk(oo, xv, k0[:len(oo)])
-			}
+			mat.AxpyChunk(oo, xv, k0[:len(oo)])
 		}
 	}
 	pair := func(r int, x0, x1 float64) {
@@ -394,11 +361,7 @@ func blockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y 
 				oo, pp := out[b0:b1], p[b0*d:b1*d]
 				e.fill(k0[:len(oo)], r2[:], xi0, pp)
 				e.fill(k1[:len(oo)], r2[:], xi1, pp)
-				if fma {
-					mat.Axpy2ChunkFMA(oo, x0, k0[:len(oo)], x1, k1[:len(oo)])
-				} else {
-					mat.Axpy2Chunk(oo, x0, k0[:len(oo)], x1, k1[:len(oo)])
-				}
+				mat.Axpy2Chunk(oo, x0, k0[:len(oo)], x1, k1[:len(oo)])
 			}
 		}
 	}
@@ -414,11 +377,7 @@ func blockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y 
 				e.fill(k1[:len(oo)], r2[:], xi1, pp)
 				e.fill(k2[:len(oo)], r2[:], xi2, pp)
 				e.fill(k3[:len(oo)], r2[:], xi3, pp)
-				if fma {
-					mat.Axpy4ChunkFMA(oo, x0, k0[:len(oo)], x1, k1[:len(oo)], x2, k2[:len(oo)], x3, k3[:len(oo)])
-				} else {
-					mat.Axpy4Chunk(oo, x0, k0[:len(oo)], x1, k1[:len(oo)], x2, k2[:len(oo)], x3, k3[:len(oo)])
-				}
+				mat.Axpy4Chunk(oo, x0, k0[:len(oo)], x1, k1[:len(oo)], x2, k2[:len(oo)], x3, k3[:len(oo)])
 			}
 			continue
 		}
@@ -441,16 +400,6 @@ func blockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y 
 // every column of B, so the working set is one row panel regardless of tile
 // size. C is len(rows) x B.Cols and B is len(cols) x B.Cols.
 func BlockMulAdd(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, b *mat.Dense, buf *mat.Dense) {
-	blockMulAdd(c, pk, x, rows, y, cols, b, buf, false)
-}
-
-// BlockMulAddFMA is BlockMulAdd with fused multiply-adds — the
-// Config.FastMath accumulation, NOT bitwise-compatible with the default path.
-func BlockMulAddFMA(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, b *mat.Dense, buf *mat.Dense) {
-	blockMulAdd(c, pk, x, rows, y, cols, b, buf, true)
-}
-
-func blockMulAdd(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, b *mat.Dense, buf *mat.Dense, fma bool) {
 	e := newEvaluator(pk)
 	row, p := colScratch(buf, 1, y, cols)
 	d := x.Dim
@@ -464,14 +413,8 @@ func blockMulAdd(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *p
 			e.fill(row[b0:b1], r2[:], xi, p[b0*d:b1*d])
 		}
 		crow := c.Row(a)
-		if fma {
-			for j := 0; j < n; j++ {
-				crow[j] += mat.DotStrideFMA(row, b.Data, j, n)
-			}
-		} else {
-			for j := 0; j < n; j++ {
-				crow[j] += mat.DotStride(row, b.Data, j, n)
-			}
+		for j := 0; j < n; j++ {
+			crow[j] += mat.DotStride(row, b.Data, j, n)
 		}
 	}
 }

@@ -362,5 +362,5 @@ func assemblePair(dst *mat.Dense, k Pairwise, x *pointset.Points, rows []int, y 
 func RowApply(k Pairwise, x *pointset.Points, i int, v []float64) float64 {
 	d := x.Dim
 	var r2, kb [fusedChunk]float64
-	return newEvaluator(k).rowDot(x.Coords[i*d:i*d+d], x.Coords, v[:x.Len()], false, &r2, &kb)
+	return newEvaluator(k).rowDot(x.Coords[i*d:i*d+d], x.Coords, v[:x.Len()], &r2, &kb)
 }

@@ -196,59 +196,3 @@ func recipCubeGo(dst, r2 []float64) {
 		dst[t] = 1 / (r * r * r)
 	}
 }
-
-// ---- FastMath (FMA) variants ----
-//
-// The FMA forms contract each multiply-add to one rounding via math.FMA
-// (hardware-fused on amd64). They are NOT bitwise-compatible with the
-// default path — core.Config.FastMath opts into them explicitly, and the
-// equivalence guarantees between storage modes only hold with FastMath off.
-
-// DotAcc4FMA is DotAcc4 with fused multiply-adds.
-func DotAcc4FMA(k, v []float64, acc *[4]float64) {
-	k = k[:len(v)]
-	for t := 0; t+4 <= len(v); t += 4 {
-		acc[0] = math.FMA(k[t], v[t], acc[0])
-		acc[1] = math.FMA(k[t+1], v[t+1], acc[1])
-		acc[2] = math.FMA(k[t+2], v[t+2], acc[2])
-		acc[3] = math.FMA(k[t+3], v[t+3], acc[3])
-	}
-}
-
-// AxpyChunkFMA is AxpyChunk with fused multiply-adds.
-func AxpyChunkFMA(y []float64, a float64, x []float64) {
-	y = y[:len(x)]
-	for i, xv := range x {
-		y[i] = math.FMA(a, xv, y[i])
-	}
-}
-
-// Axpy2ChunkFMA fuses two axpy passes with one rounding per pass.
-func Axpy2ChunkFMA(y []float64, a0 float64, x0 []float64, a1 float64, x1 []float64) {
-	y = y[:len(x0)]
-	x1 = x1[:len(x0)]
-	for i := range x0 {
-		y[i] = math.FMA(a1, x1[i], math.FMA(a0, x0[i], y[i]))
-	}
-}
-
-// Axpy4ChunkFMA fuses four axpy passes with one rounding per pass.
-func Axpy4ChunkFMA(y []float64, a0 float64, x0 []float64, a1 float64, x1 []float64, a2 float64, x2 []float64, a3 float64, x3 []float64) {
-	y = y[:len(x0)]
-	x1 = x1[:len(x0)]
-	x2 = x2[:len(x0)]
-	x3 = x3[:len(x0)]
-	for i := range x0 {
-		y[i] = math.FMA(a3, x3[i], math.FMA(a2, x2[i], math.FMA(a1, x1[i], math.FMA(a0, x0[i], y[i]))))
-	}
-}
-
-// DotStrideFMA is DotStride with fused multiply-adds (one accumulator: the
-// FMA path trades the 4-lane grouping for maximal contraction).
-func DotStrideFMA(row, b []float64, j, n int) float64 {
-	var s float64
-	for k, rk := range row {
-		s = math.FMA(rk, b[k*n+j], s)
-	}
-	return s
-}

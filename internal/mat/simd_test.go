@@ -170,29 +170,3 @@ func TestSIMDDist3Bitwise(t *testing.T) {
 		}
 	}
 }
-
-// TestFMAVariantsClose checks the FastMath forms agree with the default path
-// to rounding accuracy (they contract each multiply-add to one rounding, so
-// exact equality is not expected, closeness is).
-func TestFMAVariantsClose(t *testing.T) {
-	n := 64
-	k := simdVec(n, 1)
-	v := simdVec(n, 2)
-	var acc, accF [4]float64
-	DotAcc4(k, v, &acc)
-	DotAcc4FMA(k, v, &accF)
-	for l := 0; l < 4; l++ {
-		if math.Abs(acc[l]-accF[l]) > 1e-12*(1+math.Abs(acc[l])) {
-			t.Fatalf("DotAcc4FMA lane %d diverged: %v vs %v", l, acc[l], accF[l])
-		}
-	}
-	y := simdVec(n, 3)
-	yF := append([]float64(nil), y...)
-	AxpyChunk(y, 1.3, k)
-	AxpyChunkFMA(yF, 1.3, k)
-	for i := range y {
-		if math.Abs(y[i]-yF[i]) > 1e-12*(1+math.Abs(y[i])) {
-			t.Fatalf("AxpyChunkFMA diverged at %d", i)
-		}
-	}
-}

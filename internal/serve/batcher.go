@@ -268,7 +268,9 @@ func (s *Batcher) drain(batch []*request) {
 }
 
 // answer delivers one result and retires the request from the pending
-// gauge. Every admitted request is answered exactly once, here.
+// gauge. Every admitted request is answered exactly once, here, after its
+// flush is counted, so a caller that has its answer — or a Stats snapshot
+// that reads Pending 0 — already sees it in Served and Batches.
 func (s *Batcher) answer(r *request, res result) {
 	s.st.pending.Add(-1)
 	r.done <- res
@@ -309,7 +311,7 @@ func (s *Batcher) flushWorker() {
 		if k == 1 {
 			y := make([]float64, n)
 			s.m.ApplyToWith(ws, y, live[0].b)
-			s.st.flushLat.observeDur(time.Since(t0))
+			s.st.flushed(k, time.Since(t0))
 			s.answer(live[0], result{y: y})
 		} else {
 			B.Reshape(n, k)
@@ -319,7 +321,7 @@ func (s *Batcher) flushWorker() {
 				}
 			}
 			s.m.ApplyBatchToWith(ws, Y, B)
-			s.st.flushLat.observeDur(time.Since(t0))
+			s.st.flushed(k, time.Since(t0))
 			for j, r := range live {
 				y := make([]float64, n)
 				for i := range y {
@@ -328,8 +330,5 @@ func (s *Batcher) flushWorker() {
 				s.answer(r, result{y: y})
 			}
 		}
-		s.st.batches.Add(1)
-		s.st.served.Add(int64(k))
-		s.st.occupancy.observe(int64(k))
 	}
 }

@@ -465,3 +465,49 @@ func TestDeadlineExpiresBetweenPackAndFlush(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestStatsCountBeforeAnswer checks that a request's flush is already
+// counted when its caller sees the answer: a Stats snapshot taken right
+// after Apply returns must include it in Served and Batches, on both the
+// single-request vector branch and the batched branch. Answering first and
+// counting after lets a snapshot read Pending 0 with Served still 0.
+func TestStatsCountBeforeAnswer(t *testing.T) {
+	m := testMatrix(t)
+	b := randVec(m.N, 7)
+	const rounds = 20
+
+	single := NewBatcher(m, Config{MaxBatch: 8, FlushWindow: 50 * time.Microsecond})
+	defer single.Close()
+	for r := int64(1); r <= rounds; r++ {
+		if _, err := single.Apply(context.Background(), b); err != nil {
+			t.Fatal(err)
+		}
+		if st := single.Stats(); st.Served < r || st.Batches < r {
+			t.Fatalf("single: answer %d not yet counted: %+v", r, st)
+		}
+	}
+
+	// MaxBatch 2 with an hour-long window: every flush packs both requests
+	// of a round into one batched apply.
+	batched := NewBatcher(m, Config{MaxBatch: 2, FlushWindow: time.Hour})
+	defer batched.Close()
+	for r := int64(1); r <= rounds; r++ {
+		snaps := make(chan Stats, 2)
+		errs := make(chan error, 2)
+		for range 2 {
+			go func() {
+				_, err := batched.Apply(context.Background(), b)
+				errs <- err
+				snaps <- batched.Stats()
+			}()
+		}
+		for range 2 {
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+			if st := <-snaps; st.Served < 2*r || st.Batches < r {
+				t.Fatalf("batched: round %d not yet counted: %+v", r, st)
+			}
+		}
+	}
+}

@@ -131,6 +131,14 @@ func (st *stats) drop(err error) {
 	st.dropCanceled.Add(1)
 }
 
+// flushed counts one executed flush of k requests that took d.
+func (st *stats) flushed(k int, d time.Duration) {
+	st.flushLat.observeDur(d)
+	st.batches.Add(1)
+	st.served.Add(int64(k))
+	st.occupancy.observe(int64(k))
+}
+
 // Stats is a point-in-time snapshot of the Batcher's counters. Drops by
 // cause: QueueFull (fast-fail backpressure), Deadline and Canceled (request
 // context expired before its slot was packed into a batch, or while
@@ -158,8 +166,11 @@ type Stats struct {
 
 // Stats returns a snapshot of the batcher's counters and histograms. It is
 // safe to call concurrently with traffic; the snapshot is approximate under
-// load (counters are read individually, not atomically as a set).
+// load (counters are read individually, not atomically as a set). Pending is
+// read first: flushes are counted before their requests are answered, so
+// every request already retired from Pending is in the snapshot's Served.
 func (s *Batcher) Stats() Stats {
+	pending := s.st.pending.Load()
 	return Stats{
 		Submitted:        s.st.submitted.Load(),
 		Served:           s.st.served.Load(),
@@ -169,7 +180,7 @@ func (s *Batcher) Stats() Stats {
 		DroppedCanceled:  s.st.dropCanceled.Load(),
 		DroppedClosed:    s.st.dropClosed.Load(),
 		QueueDepth:       len(s.submit),
-		Pending:          s.st.pending.Load(),
+		Pending:          pending,
 		ShardPartials:    s.st.shardPartials.Load(),
 		Gathers:          s.st.gathers.Load(),
 		BatchOccupancy:   s.st.occupancy.snapshot(),
