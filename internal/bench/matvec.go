@@ -69,12 +69,14 @@ type MatvecReport struct {
 	Workers    int         `json:"workers"`
 	Runs       []MatvecRun `json:"runs"`
 
-	// HostCPUs, GOMAXPROCS and SIMD record the host the rows were measured
-	// on: logical CPUs, the Go scheduler's processor limit, and whether the
-	// AVX dispatch was selected.
-	HostCPUs   int  `json:"host_cpus"`
-	GOMAXPROCS int  `json:"gomaxprocs"`
-	SIMD       bool `json:"simd"`
+	// HostCPUs, GOMAXPROCS, SIMD and ExpBody record the host the rows were
+	// measured on: logical CPUs, the Go scheduler's processor limit, whether
+	// the AVX dispatch was selected, and which arithmetic mat.ExpChunk ran
+	// for the exp-family kernels ("fma", "plain" or "scalar").
+	HostCPUs   int    `json:"host_cpus"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	SIMD       bool   `json:"simd"`
+	ExpBody    string `json:"exp_body"`
 
 	// Scaling is the multi-worker strong-scaling sweep over the scheduler
 	// (workers 1/2/4/8 on the largest case, per memory mode), and Tiles the
@@ -139,7 +141,8 @@ func MatvecJSON(opt Options) error {
 		"n", "leaf", "depth", "mode", "apply_us", "allocs/op", "blockstore_KiB", "relerr")
 
 	rep := MatvecReport{Experiment: "matvec", Scale: opt.Scale, Kernel: k.Name(), Workers: workers,
-		HostCPUs: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), SIMD: mat.SIMDEnabled()}
+		HostCPUs: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), SIMD: mat.SIMDEnabled(),
+		ExpBody: mat.ExpBody()}
 	for _, c := range matvecCases(opt.Scale) {
 		n, leaf := c[0], c[1]
 		pts := pointset.Cube(n, 3, opt.seed())

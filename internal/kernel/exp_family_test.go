@@ -1,0 +1,100 @@
+package kernel
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"h2ds/internal/mat"
+	"h2ds/internal/pointset"
+)
+
+// expFamily lists the exp-family kernels (the mat.ExpChunk users) with
+// parameters that reach every branch: the registry settings, zero values
+// that resolve through withDefaults, a Gaussian narrow enough that most
+// exponents fall below the ExpChunk fast range (scalar fallback lanes), and
+// a Matérn length short enough that far entries hit the a > 700 guard.
+func expFamily() []Kernel {
+	return []Kernel{
+		Exponential{}, Gaussian{Scale: 0.1}, Gaussian{}, Gaussian{Scale: 2e-4},
+		Matern32{Length: 1}, Matern32{}, Matern32{Length: 1e-3},
+		Matern52{Length: 1}, Matern52{}, Matern52{Length: 1e-3},
+	}
+}
+
+// spreadCube is a cube point set stretched by scale, so exponents span
+// from 0 to far outside [-708, 709].
+func spreadCube(n, d int, seed int64, scale float64) *pointset.Points {
+	p := pointset.Cube(n, d, seed)
+	for i := range p.Coords {
+		p.Coords[i] *= scale
+	}
+	return p
+}
+
+// TestExpFamilyTilesBitwise pins every exp-family tile of the fused paths —
+// Assemble, BlockVecAdd, BlockTVecAdd, BlockMulAdd and BlockVecAddTwin —
+// against the per-entry seed oracle (NewBlockSeed, then the matching mat
+// product), with the AVX path on and off, for d = 2, 3 and 5, unit and
+// stretched point sets, and shapes around the 4-lane step and the 64-entry
+// chunk.
+func TestExpFamilyTilesBitwise(t *testing.T) {
+	defer mat.SetSIMD(mat.SetSIMD(true))
+	t.Logf("ExpChunk body: %s", mat.ExpBody())
+	rng := rand.New(rand.NewSource(31))
+	rnd := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	shapes := []struct{ rows, cols int }{{1, 1}, {3, 5}, {4, 8}, {7, 9}, {17, 63}, {9, 64}, {10, 65}, {33, 130}}
+	buf := mat.NewDense(0, 0)
+	for _, simd := range []bool{true, false} {
+		mat.SetSIMD(simd)
+		for _, d := range []int{2, 3, 5} {
+			for _, scale := range []float64{1, 600} {
+				x := spreadCube(200, d, int64(d), scale)
+				for _, k := range expFamily() {
+					for _, sh := range shapes {
+						tag := fmt.Sprintf("%s%+v simd=%v d=%d scale=%v %dx%d", k.Name(), k, simd, d, scale, sh.rows, sh.cols)
+						rows, cols := randIdx(rng, x.Len(), sh.rows), randIdx(rng, x.Len(), sh.cols)
+						tile := NewBlockSeed(k, x, rows, x, cols)
+						bitsEqual(t, tag+" Assemble", NewBlock(k, x, rows, x, cols).Data, tile.Data)
+
+						vc, vr := rnd(sh.cols), withZeros(rnd(sh.rows))
+						outR := rnd(sh.rows)
+						want := append([]float64(nil), outR...)
+						mat.MulVecAdd(want, tile, vc)
+						BlockVecAdd(outR, k, x, rows, x, cols, vc, buf)
+						bitsEqual(t, tag+" BlockVecAdd", outR, want)
+
+						outC := rnd(sh.cols)
+						want = append([]float64(nil), outC...)
+						mat.MulTVecAdd(want, tile, vr)
+						BlockTVecAdd(outC, k, x, rows, x, cols, vr, buf)
+						bitsEqual(t, tag+" BlockTVecAdd", outC, want)
+
+						b, c := mat.NewDense(sh.cols, 3), mat.NewDense(sh.rows, 3)
+						copy(b.Data, rnd(len(b.Data)))
+						copy(c.Data, rnd(len(c.Data)))
+						wantC := mat.NewDense(sh.rows, 3)
+						copy(wantC.Data, c.Data)
+						mat.MulAddTo(wantC, tile, b)
+						BlockMulAdd(c, k, x, rows, x, cols, b, buf)
+						bitsEqual(t, tag+" BlockMulAdd", c.Data, wantC.Data)
+
+						tR, tC := rnd(sh.rows), rnd(sh.cols)
+						wantR, wantT := append([]float64(nil), tR...), append([]float64(nil), tC...)
+						mat.MulVecAdd(wantR, tile, vc)
+						mat.MulVecAdd(wantT, NewBlockSeed(k, x, cols, x, rows), vr)
+						BlockVecAddTwin(tR, tC, k, x, rows, x, cols, vc, vr, buf)
+						bitsEqual(t, tag+" twin rows", tR, wantR)
+						bitsEqual(t, tag+" twin cols", tC, wantT)
+					}
+				}
+			}
+		}
+	}
+}

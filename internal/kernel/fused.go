@@ -130,10 +130,12 @@ func panelEval(k Kernel, dst, r2, xi, p []float64) {
 
 // evalChunk fills dst[t] = K(sqrt(r2[t])) with the per-entry interface call
 // devirtualized: the type switch runs once per chunk and each case is a
-// call-free loop whose body is the concrete EvalDist inlined by hand (same
-// operations in the same order, so the values are bitwise-identical to the
-// interface path). Kernels outside the switch fall back to the interface
-// call per entry, which is the seed behavior.
+// call-free loop over the concrete kernel's formula (same operations in the
+// same order, so the values are bitwise-identical to the interface path).
+// The exp-family cases form their exponents into dst and exponentiate the
+// chunk in place with mat.ExpChunk; the Matérn cases keep the scaled
+// distances in r2, which evalChunk may overwrite. Kernels outside the switch
+// fall back to the interface call per entry, which is the seed behavior.
 func evalChunk(k Kernel, dst, r2 []float64) {
 	dst = dst[:len(r2)]
 	switch kk := k.(type) {
@@ -147,44 +149,34 @@ func evalChunk(k Kernel, dst, r2 []float64) {
 		mat.RecipCubeChunk(dst, r2)
 	case Exponential:
 		for t, v := range r2 {
-			dst[t] = math.Exp(-math.Sqrt(v))
+			dst[t] = kk.arg(math.Sqrt(v))
 		}
+		mat.ExpChunk(dst, dst)
 	case Gaussian:
-		s := kk.Scale
-		if s == 0 {
-			s = 0.1
-		}
+		kk = kk.withDefaults()
 		for t, v := range r2 {
-			r := math.Sqrt(v)
-			dst[t] = math.Exp(-r * r / s)
+			dst[t] = kk.arg(math.Sqrt(v))
 		}
+		mat.ExpChunk(dst, dst)
 	case Matern32:
-		l := kk.Length
-		if l == 0 {
-			l = 1
-		}
-		sq3 := math.Sqrt(3)
+		kk = kk.withDefaults()
 		for t, v := range r2 {
-			a := sq3 * math.Sqrt(v) / l
-			if a > 700 {
-				dst[t] = 0
-				continue
-			}
-			dst[t] = (1 + a) * math.Exp(-a)
+			r2[t] = kk.a(math.Sqrt(v))
+			dst[t] = -r2[t]
+		}
+		mat.ExpChunk(dst, dst)
+		for t, a := range r2 {
+			dst[t] = matern32(a, dst[t])
 		}
 	case Matern52:
-		l := kk.Length
-		if l == 0 {
-			l = 1
-		}
-		sq5 := math.Sqrt(5)
+		kk = kk.withDefaults()
 		for t, v := range r2 {
-			a := sq5 * math.Sqrt(v) / l
-			if a > 700 {
-				dst[t] = 0
-				continue
-			}
-			dst[t] = (1 + a + a*a/3) * math.Exp(-a)
+			r2[t] = kk.a(math.Sqrt(v))
+			dst[t] = -r2[t]
+		}
+		mat.ExpChunk(dst, dst)
+		for t, a := range r2 {
+			dst[t] = matern52(a, dst[t])
 		}
 	case InverseMultiquadric:
 		c := kk.C

@@ -4,9 +4,9 @@
 //
 // The paper accelerates kernel evaluation with SIMD intrinsics (§III-C);
 // here the equivalent substrate is cache-blocked assembly over contiguous
-// coordinate panels with fused distance/kernel inner loops, and an AVX
+// coordinate panels with fused distance/kernel inner loops, an AVX
 // distance body (plus the Coulomb kernels' reciprocal) for the common 3-D
-// case.
+// case, and a 4-lane exp (mat.ExpChunk) for the exp-family kernels.
 package kernel
 
 import (
@@ -104,11 +104,22 @@ func (CoulombCubed) Symmetric() bool { return true }
 // Name implements Kernel.
 func (CoulombCubed) Name() string { return "coulomb3" }
 
+// The exp-family kernels (Exponential, Gaussian, Matern32, Matern52) each
+// keep their formula in one place, shared by EvalDist and the chunk loops of
+// evalChunk: the exponent (arg, or the Matérn scaled distance a) and, for
+// Matérn, the prefactor with its a > 700 guard. Parameter defaults resolve
+// through withDefaults, once per chunk on the chunk path. The chunk loops
+// write the exponents into the chunk and exponentiate it with mat.ExpChunk,
+// which is math.Exp bit for bit, so both paths give the same values.
+
 // Exponential is the kernel exp(-r).
 type Exponential struct{}
 
+// arg is the exponent: K(r) = exp(arg(r)).
+func (Exponential) arg(r float64) float64 { return -r }
+
 // EvalDist implements Kernel.
-func (Exponential) EvalDist(r float64) float64 { return math.Exp(-r) }
+func (k Exponential) EvalDist(r float64) float64 { return math.Exp(k.arg(r)) }
 
 // EvalPair implements Pairwise.
 func (k Exponential) EvalPair(x, y []float64) float64 { return k.EvalDist(pointset.Dist(x, y)) }
@@ -119,19 +130,25 @@ func (Exponential) Symmetric() bool { return true }
 // Name implements Kernel.
 func (Exponential) Name() string { return "exp" }
 
-// Gaussian is the kernel exp(-r²/Scale). The paper's Fig 9 uses Scale = 0.1.
+// Gaussian is the kernel exp(-r²/Scale), with Scale 0 meaning 0.1, the
+// paper's Fig 9 setting.
 type Gaussian struct {
 	Scale float64
 }
 
-// EvalDist implements Kernel.
-func (g Gaussian) EvalDist(r float64) float64 {
-	s := g.Scale
-	if s == 0 {
-		s = 0.1
+// withDefaults returns g with a zero Scale replaced by 0.1.
+func (g Gaussian) withDefaults() Gaussian {
+	if g.Scale == 0 {
+		g.Scale = 0.1
 	}
-	return math.Exp(-r * r / s)
+	return g
 }
+
+// arg is the exponent -r²/Scale of g with its defaults resolved.
+func (g Gaussian) arg(r float64) float64 { return -r * r / g.Scale }
+
+// EvalDist implements Kernel.
+func (g Gaussian) EvalDist(r float64) float64 { return math.Exp(g.withDefaults().arg(r)) }
 
 // EvalPair implements Pairwise.
 func (g Gaussian) EvalPair(x, y []float64) float64 { return g.EvalDist(pointset.Dist(x, y)) }
@@ -142,25 +159,41 @@ func (Gaussian) Symmetric() bool { return true }
 // Name implements Kernel.
 func (Gaussian) Name() string { return "gaussian" }
 
-// Matern32 is the Matérn-3/2 kernel (1 + √3 r/ℓ) exp(-√3 r/ℓ), a common
-// Gaussian-process covariance; included as an extension beyond the paper's
-// four kernels to exercise kernel generality further.
+// maternExp returns pre·e for e = exp(-a), or 0 where a > 700: there exp(-a)
+// underflows, and an infinite a would make Inf·0 = NaN.
+func maternExp(a, pre, e float64) float64 {
+	if a > 700 {
+		return 0
+	}
+	return pre * e
+}
+
+// Matern32 is the Matérn-3/2 kernel (1 + a)·exp(-a) with a = √3·r/ℓ, a
+// common Gaussian-process covariance; Length 0 means 1. Included as an
+// extension beyond the paper's four kernels to exercise kernel generality
+// further.
 type Matern32 struct {
 	Length float64
 }
 
+// withDefaults returns m with a zero Length replaced by 1.
+func (m Matern32) withDefaults() Matern32 {
+	if m.Length == 0 {
+		m.Length = 1
+	}
+	return m
+}
+
+// a is the scaled distance √3·r/ℓ of m with its defaults resolved.
+func (m Matern32) a(r float64) float64 { return math.Sqrt(3) * r / m.Length }
+
+// matern32 is the kernel value at scaled distance a, given e = exp(-a).
+func matern32(a, e float64) float64 { return maternExp(a, 1+a, e) }
+
 // EvalDist implements Kernel.
 func (m Matern32) EvalDist(r float64) float64 {
-	l := m.Length
-	if l == 0 {
-		l = 1
-	}
-	a := math.Sqrt(3) * r / l
-	if a > 700 {
-		// exp(-a) underflows; avoid Inf * 0 = NaN for extreme distances.
-		return 0
-	}
-	return (1 + a) * math.Exp(-a)
+	a := m.withDefaults().a(r)
+	return matern32(a, math.Exp(-a))
 }
 
 // EvalPair implements Pairwise.
@@ -173,22 +206,29 @@ func (Matern32) Symmetric() bool { return true }
 func (Matern32) Name() string { return "matern32" }
 
 // Matern52 is the Matérn-5/2 kernel (1 + a + a²/3)·exp(-a) with
-// a = √5·r/ℓ, the twice-differentiable sibling of Matern32.
+// a = √5·r/ℓ, the twice-differentiable sibling of Matern32; Length 0 means 1.
 type Matern52 struct {
 	Length float64
 }
 
+// withDefaults returns m with a zero Length replaced by 1.
+func (m Matern52) withDefaults() Matern52 {
+	if m.Length == 0 {
+		m.Length = 1
+	}
+	return m
+}
+
+// a is the scaled distance √5·r/ℓ of m with its defaults resolved.
+func (m Matern52) a(r float64) float64 { return math.Sqrt(5) * r / m.Length }
+
+// matern52 is the kernel value at scaled distance a, given e = exp(-a).
+func matern52(a, e float64) float64 { return maternExp(a, 1+a+a*a/3, e) }
+
 // EvalDist implements Kernel.
 func (m Matern52) EvalDist(r float64) float64 {
-	l := m.Length
-	if l == 0 {
-		l = 1
-	}
-	a := math.Sqrt(5) * r / l
-	if a > 700 {
-		return 0
-	}
-	return (1 + a + a*a/3) * math.Exp(-a)
+	a := m.withDefaults().a(r)
+	return matern52(a, math.Exp(-a))
 }
 
 // EvalPair implements Pairwise.

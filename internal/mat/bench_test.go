@@ -70,3 +70,22 @@ func BenchmarkACA(b *testing.B) {
 		ACA(200, 200, entry, 1e-8, 0)
 	}
 }
+
+// BenchmarkExpChunk times one 64-entry chunk of exp-family kernel
+// arguments, AVX body against the math.Exp loop.
+func BenchmarkExpChunk(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	x := make([]float64, 64)
+	for i := range x {
+		x[i] = -3 * rng.Float64()
+	}
+	dst := make([]float64, len(x))
+	for _, simd := range []bool{true, false} {
+		b.Run(map[bool]string{true: "simd", false: "scalar"}[simd], func(b *testing.B) {
+			defer SetSIMD(SetSIMD(simd))
+			for range b.N {
+				ExpChunk(dst, x)
+			}
+		})
+	}
+}

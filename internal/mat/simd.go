@@ -24,6 +24,10 @@ import "math"
 //   - the 3-D panel distance (Dist3Chunk and its fused Coulomb forms)
 //     transposes four points with AVX1 lane moves and then subtracts,
 //     squares and adds per axis in the scalar order, again without FMA.
+//   - ExpChunk transcribes the Go runtime's amd64 math.Exp four lanes at a
+//     time. math.Exp itself has two bodies, FMA and mul/add, chosen per CPU,
+//     so ExpChunk has both and enables one only after an init self-check
+//     against math.Exp (see pickExpBody).
 //
 // Scalar tails (length % 4) always run in Go, after the assembly body for
 // dots (matching the scalar tail order) and element-wise for axpys.
@@ -156,6 +160,108 @@ func RecipCubeDist3Chunk(dst, xi, p []float64) {
 	tail := dst[t:]
 	dist3Go(tail, xi, p[3*t:])
 	recipCubeGo(tail, tail)
+}
+
+// ExpChunk fills dst[t] = math.Exp(x[t]), bit for bit; dst may be x itself.
+// With AVX on, whole quads run through the AVX transcription of math.Exp's
+// body that passed the init self-check (ExpBody), as long as every lane lies
+// in [-708, 709], where math.Exp takes neither its non-finite, overflow nor
+// denormal-result branch; a quad with a lane outside that range, and the
+// length % 4 tail, go through math.Exp itself.
+func ExpChunk(dst, x []float64) {
+	dst = dst[:len(x)]
+	t := 0
+	if simdEnabled && expKind != expScalar {
+		u := len(x) &^ 3
+		for t < u {
+			if expKind == expFMA {
+				t += expFMABody(dst[t:u], x[t:u])
+			} else {
+				t += expPlainBody(dst[t:u], x[t:u])
+			}
+			if t < u {
+				expGo(dst[t:t+4], x[t:t+4])
+				t += 4
+			}
+		}
+	}
+	expGo(dst[t:], x[t:])
+}
+
+// ExpBody names the arithmetic ExpChunk runs: "fma" or "plain" for the AVX
+// transcription of math.Exp's FMA or mul/add body, "scalar" for the
+// math.Exp loop (no AVX, no body passed the self-check, -tags noasm, or
+// SetSIMD(false)).
+func ExpBody() string {
+	if !simdEnabled {
+		return "scalar"
+	}
+	return [...]string{"scalar", "plain", "fma"}[expKind]
+}
+
+// ExpChunk bodies, in ExpBody's naming order.
+const (
+	expScalar = iota
+	expPlain
+	expFMA
+)
+
+// expKind is the ExpChunk body picked once at init.
+var expKind = pickExpBody()
+
+// pickExpBody selects the body that reproduces this process's math.Exp. The
+// runtime runs math.Exp's FMA body when the CPU has FMA (and GODEBUG does
+// not turn it off), so the FMA body is tried first, on FMA CPUs only, and
+// each candidate must match math.Exp bit for bit on expProbes, which hold
+// arguments where the two bodies round differently. If neither matches,
+// ExpChunk stays on the scalar loop.
+func pickExpBody() int {
+	switch {
+	case !hasAVX():
+		return expScalar
+	case hasFMA() && expSelfCheck(expFMABody):
+		return expFMA
+	case expSelfCheck(expPlainBody):
+		return expPlain
+	}
+	return expScalar
+}
+
+// expSelfCheck reports whether body evaluates every probe exactly as
+// math.Exp does.
+func expSelfCheck(body func(dst, x []float64) int) bool {
+	x := expProbes()
+	got := make([]float64, len(x))
+	if body(got, x) != len(x) {
+		return false
+	}
+	for i, v := range x {
+		if math.Float64bits(got[i]) != math.Float64bits(math.Exp(v)) {
+			return false
+		}
+	}
+	return true
+}
+
+// expProbes returns the self-check arguments, a multiple of four inside the
+// fast range: its ends, ±0, an argument on which math.Exp's two bodies are
+// known to differ, and a 256-point sweep of [-708, 709], about a tenth of
+// whose points also tell the bodies apart.
+func expProbes() []float64 {
+	x := []float64{-708, 709, math.Copysign(0, -1), 0, -0.7248376983202387, -1, 1, 0.5}
+	for i := range 256 {
+		x = append(x, -708+1417*float64(i)/255)
+	}
+	return x
+}
+
+// expGo is the scalar ExpChunk loop (the tail and the out-of-range quads);
+// dst may alias x.
+func expGo(dst, x []float64) {
+	dst = dst[:len(x)]
+	for t, v := range x {
+		dst[t] = math.Exp(v)
+	}
 }
 
 // dist3Go is the scalar Dist3Chunk loop (the AVX bodies' tail and fallback).

@@ -19,6 +19,14 @@ func hasAVX() bool {
 	return xcr0&0x6 == 0x6 // SSE and AVX state enabled
 }
 
+// hasFMA reports whether the CPU advertises FMA3 (CPUID.1:ECX bit 12). Only
+// ExpChunk's body selection asks, after hasAVX, and it pairs the answer with
+// a self-check.
+func hasFMA() bool {
+	_, _, ecx, _ := cpuid(1, 0)
+	return ecx&(1<<12) != 0
+}
+
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
@@ -61,3 +69,13 @@ func recipSqrtDist3Body(dst, p, xi []float64)
 
 //go:noescape
 func recipCubeDist3Body(dst, p, xi []float64)
+
+// The exp bodies evaluate whole quads of x and return how many elements
+// they wrote, stopping at the first quad with a lane outside [-708, 709];
+// see ExpChunk.
+
+//go:noescape
+func expFMABody(dst, x []float64) int
+
+//go:noescape
+func expPlainBody(dst, x []float64) int

@@ -375,3 +375,169 @@ rcd3loop:
 rcd3done:
 	VZEROUPPER
 	RET
+
+// ExpChunk bodies: 4-lane transcriptions of the Go runtime's amd64 math.Exp
+// (archExp in $GOROOT/src/math/exp_amd64.s), one per arithmetic body of
+// archExp, operation for operation in its order, so each lane rounds exactly
+// as math.Exp does on a CPU that runs that body. The constants are archExp's,
+// written with the same literals and replicated over the four lanes.
+
+// EXPCONST fills the 32 bytes at expdata<>+off with four copies of v.
+#define EXPCONST(off, v) \
+	DATA expdata<>+(off)(SB)/8, v; \
+	DATA expdata<>+(off+8)(SB)/8, v; \
+	DATA expdata<>+(off+16)(SB)/8, v; \
+	DATA expdata<>+(off+24)(SB)/8, v
+
+EXPCONST(0, $1.4426950408889634073599246810018920) // log2(e)
+EXPCONST(32, $0.69314718055966295651160180568695068359375) // ln2 upper half
+EXPCONST(64, $0.28235290563031577122588448175013436025525412068e-12) // ln2 lower half
+EXPCONST(96, $0.0625)
+EXPCONST(128, $2.4801587301587301587e-5) // 1/8!
+EXPCONST(160, $1.9841269841269841270e-4) // 1/7!
+EXPCONST(192, $1.3888888888888888889e-3) // 1/6!
+EXPCONST(224, $8.3333333333333333333e-3) // 1/5!
+EXPCONST(256, $4.1666666666666666667e-2) // 1/4!
+EXPCONST(288, $1.6666666666666666667e-1) // 1/3!
+EXPCONST(320, $0.5)
+EXPCONST(352, $1.0)
+EXPCONST(384, $2.0)
+EXPCONST(416, $-708.0) // fast range low end
+EXPCONST(448, $709.0) // fast range high end
+DATA expdata<>+480(SB)/8, $0x000003FF000003FF // exponent bias, four int32 lanes
+DATA expdata<>+488(SB)/8, $0x000003FF000003FF
+GLOBL expdata<>(SB), RODATA|NOPTR, $496
+
+// EXPRANGE sets the flags for JNE to leave the loop unless every lane of
+// Y0 lies in [-708, 709], where archExp takes neither its non-finite,
+// overflow nor denormal branch (ordered compares: NaN lanes fail).
+// Clobbers Y1, Y2, BX.
+#define EXPRANGE \
+	VCMPPD    $0x1D, expdata<>+416(SB), Y0, Y1; /* GE_OQ */ \
+	VCMPPD    $0x12, expdata<>+448(SB), Y0, Y2; /* LE_OQ */ \
+	VANDPD    Y2, Y1, Y1; \
+	VMOVMSKPD Y1, BX; \
+	CMPQ      BX, $15
+
+// EXPK is archExp's range reduction k = round(x·log2e): X3 = k as four
+// int32 lanes (CVTSD2SL under the default rounding mode), Y1 = float64(k).
+#define EXPK \
+	VMULPD     expdata<>+0(SB), Y0, Y1; \
+	VCVTPD2DQY Y1, X3; \
+	VCVTDQ2PD  X3, Y1
+
+// EXPSCALE multiplies Y0 by 2^k, building the factor from exponent bits as
+// archExp's ldexp does (k + 0x3FF shifted into the exponent field), with
+// 128-bit integer ops so AVX1 suffices. Clobbers X3-X5.
+#define EXPSCALE \
+	VPADDD      expdata<>+480(SB), X3, X3; \
+	VPMOVZXDQ   X3, X4; \
+	VPSHUFD     $0xEE, X3, X5; \
+	VPMOVZXDQ   X5, X5; \
+	VPSLLQ      $52, X4, X4; \
+	VPSLLQ      $52, X5, X5; \
+	VINSERTF128 $1, X5, Y4, Y4; \
+	VMULPD      Y4, Y0, Y0
+
+// func expFMABody(dst, x []float64) int
+// archExp's FMA body (taken when math's useFMA is set). Processes whole
+// quads of x and returns how many elements it wrote: it stops at the first
+// quad holding a lane outside the fast range, which the caller evaluates
+// with math.Exp.
+TEXT ·expFMABody(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	XORQ AX, AX
+
+efloop:
+	CMPQ AX, CX
+	JGE  efdone
+	VMOVUPD (SI)(AX*8), Y0
+	EXPRANGE
+	JNE  efdone
+	EXPK
+	VFNMADD231PD expdata<>+32(SB), Y1, Y0 // x = x - k·ln2U, one rounding
+	VFNMADD231PD expdata<>+64(SB), Y1, Y0 // x = x - k·ln2L
+	VMULPD       expdata<>+96(SB), Y0, Y0 // x *= 1/16
+	VMOVUPD      expdata<>+128(SB), Y1
+	VFMADD213PD  expdata<>+160(SB), Y0, Y1 // p = p·x + 1/7!
+	VFMADD213PD  expdata<>+192(SB), Y0, Y1
+	VFMADD213PD  expdata<>+224(SB), Y0, Y1
+	VFMADD213PD  expdata<>+256(SB), Y0, Y1
+	VFMADD213PD  expdata<>+288(SB), Y0, Y1
+	VFMADD213PD  expdata<>+320(SB), Y0, Y1
+	VFMADD213PD  expdata<>+352(SB), Y0, Y1
+	VMULPD       Y1, Y0, Y0 // x *= p
+	VADDPD       expdata<>+384(SB), Y0, Y1 // three squarings x *= x+2
+	VMULPD       Y1, Y0, Y0
+	VADDPD       expdata<>+384(SB), Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       expdata<>+384(SB), Y0, Y1
+	VMULPD       Y1, Y0, Y0
+	VADDPD       expdata<>+384(SB), Y0, Y1
+	VFMADD213PD  expdata<>+352(SB), Y1, Y0 // x = x·(x+2) + 1, one rounding
+	EXPSCALE
+	VMOVUPD      Y0, (DI)(AX*8)
+	ADDQ         $4, AX
+	JMP          efloop
+
+efdone:
+	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func expPlainBody(dst, x []float64) int
+// archExp's mul/add body (taken without FMA): expFMABody with every fused
+// step split into a rounded multiply and a rounded add or subtract.
+TEXT ·expPlainBody(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	XORQ AX, AX
+
+eploop:
+	CMPQ AX, CX
+	JGE  epdone
+	VMOVUPD (SI)(AX*8), Y0
+	EXPRANGE
+	JNE  epdone
+	EXPK
+	VMULPD expdata<>+32(SB), Y1, Y2 // x = x - k·ln2U
+	VSUBPD Y2, Y0, Y0
+	VMULPD expdata<>+64(SB), Y1, Y2 // x = x - k·ln2L
+	VSUBPD Y2, Y0, Y0
+	VMULPD expdata<>+96(SB), Y0, Y0 // x *= 1/16
+	VMULPD expdata<>+128(SB), Y0, Y1
+	VADDPD expdata<>+160(SB), Y1, Y1 // p = p·x + 1/7!
+	VMULPD Y0, Y1, Y1
+	VADDPD expdata<>+192(SB), Y1, Y1
+	VMULPD Y0, Y1, Y1
+	VADDPD expdata<>+224(SB), Y1, Y1
+	VMULPD Y0, Y1, Y1
+	VADDPD expdata<>+256(SB), Y1, Y1
+	VMULPD Y0, Y1, Y1
+	VADDPD expdata<>+288(SB), Y1, Y1
+	VMULPD Y0, Y1, Y1
+	VADDPD expdata<>+320(SB), Y1, Y1
+	VMULPD Y0, Y1, Y1
+	VADDPD expdata<>+352(SB), Y1, Y1
+	VMULPD Y1, Y0, Y0 // x *= p
+	VADDPD expdata<>+384(SB), Y0, Y1 // four squarings x *= x+2
+	VMULPD Y1, Y0, Y0
+	VADDPD expdata<>+384(SB), Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD expdata<>+384(SB), Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD expdata<>+384(SB), Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD expdata<>+352(SB), Y0, Y0 // x += 1
+	EXPSCALE
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	JMP     eploop
+
+epdone:
+	MOVQ AX, ret+48(FP)
+	VZEROUPPER
+	RET

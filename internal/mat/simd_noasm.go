@@ -8,6 +8,8 @@ package mat
 
 func hasAVX() bool { return false }
 
+func hasFMA() bool { return false }
+
 func dotBody(row, x []float64) float64 {
 	x = x[:len(row)]
 	var s0, s1, s2, s3 float64
@@ -89,3 +91,10 @@ func recipCubeDist3Body(dst, p, xi []float64) {
 	dist3Go(dst, xi, p)
 	recipCubeGo(dst, dst)
 }
+
+// The exp bodies write nothing, which ExpChunk reads as "evaluate this quad
+// with math.Exp".
+
+func expFMABody(dst, x []float64) int { return 0 }
+
+func expPlainBody(dst, x []float64) int { return 0 }

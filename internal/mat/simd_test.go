@@ -75,8 +75,8 @@ func TestSIMDBitwiseScalar(t *testing.T) {
 }
 
 // TestSIMDChunkHelpersBitwise covers the exported fused-kernel helpers:
-// DotAcc4 lane accumulation and the reciprocal chunk evaluations, including
-// the zero-distance masking.
+// DotAcc4 lane accumulation, the reciprocal chunk evaluations, including
+// the zero-distance masking, and ExpChunk, including out-of-range lanes.
 func TestSIMDChunkHelpersBitwise(t *testing.T) {
 	if !SIMDAvailable() {
 		t.Skip("no AVX on this machine")
@@ -128,6 +128,25 @@ func TestSIMDChunkHelpersBitwise(t *testing.T) {
 			}
 			if dstS[i] != want {
 				t.Fatalf("n=%d: scalar RecipSqrtChunk wrong at %d", n, i)
+			}
+		}
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = -30 * r2[i]
+		}
+		if n > 5 {
+			x[5] = -800 // a fallback lane in the second quad
+		}
+		expA := make([]float64, n)
+		SetSIMD(true)
+		ExpChunk(expA, x)
+		SetSIMD(false)
+		expS := append([]float64(nil), x...)
+		ExpChunk(expS, expS)
+		SetSIMD(true)
+		for i, v := range x {
+			if math.Float64bits(expA[i]) != math.Float64bits(expS[i]) || expS[i] != math.Exp(v) {
+				t.Fatalf("n=%d: ExpChunk differs at %d: AVX %v scalar %v math.Exp %v", n, i, expA[i], expS[i], math.Exp(v))
 			}
 		}
 	}

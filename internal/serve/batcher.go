@@ -167,10 +167,14 @@ func (s *Batcher) Apply(ctx context.Context, b []float64) ([]float64, error) {
 		s.st.dropClosed.Add(1)
 		return nil, ErrClosed
 	}
+	// Count the admission before the enqueue: once req is in submit a
+	// flush worker may answer it, and the answer retires it from Pending.
+	s.st.admit(1)
 	if s.cfg.Block {
 		select {
 		case s.submit <- req:
 		case <-ctx.Done():
+			s.st.admit(-1)
 			s.mu.RUnlock()
 			s.st.drop(ctx.Err())
 			return nil, ctx.Err()
@@ -179,13 +183,12 @@ func (s *Batcher) Apply(ctx context.Context, b []float64) ([]float64, error) {
 		select {
 		case s.submit <- req:
 		default:
+			s.st.admit(-1)
 			s.mu.RUnlock()
 			s.st.dropQueueFull.Add(1)
 			return nil, ErrQueueFull
 		}
 	}
-	s.st.submitted.Add(1)
-	s.st.pending.Add(1)
 	s.mu.RUnlock()
 
 	select {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -509,5 +510,56 @@ func TestStatsCountBeforeAnswer(t *testing.T) {
 				t.Fatalf("batched: round %d not yet counted: %+v", r, st)
 			}
 		}
+	}
+}
+
+// TestStatsPendingNeverNegative checks that Pending counts a request from
+// before it can be answered: callers block on a one-slot queue (so each
+// admission hands a parked caller's request straight to the dispatcher)
+// over a matrix small enough that a flush answers within microseconds,
+// while a poller reads Stats throughout. Counting admission after the
+// enqueue lets a flush worker answer first, and a snapshot then reads
+// Pending -1.
+func TestStatsPendingNeverNegative(t *testing.T) {
+	m, err := core.Build(pointset.Cube(8, 3, 3), kernel.Coulomb{},
+		core.Config{Kind: core.DataDriven, Mode: core.OnTheFly, Tol: 1e-6, LeafSize: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewBatcher(m, Config{MaxBatch: 1, QueueLimit: 1, Block: true, Flushers: 4})
+	defer s.Close()
+	b := randVec(m.N, 5)
+	var stop atomic.Bool
+	var minPending atomic.Int64
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for !stop.Load() {
+			if p := s.Stats().Pending; p < minPending.Load() {
+				minPending.Store(p)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 10000 {
+				if minPending.Load() < 0 {
+					return
+				}
+				if _, err := s.Apply(context.Background(), b); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	stop.Store(true)
+	<-polled
+	if p := minPending.Load(); p < 0 {
+		t.Fatalf("a Stats snapshot read Pending %d", p)
 	}
 }

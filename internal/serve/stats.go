@@ -122,6 +122,14 @@ type stats struct {
 	flushLat  hist // µs for one ApplyBatchTo flush
 }
 
+// admit counts d admissions (d = -1 rolls back one whose enqueue failed).
+// Apply counts a request before it enters the queue, so its answer can
+// never retire it from pending first.
+func (st *stats) admit(d int64) {
+	st.submitted.Add(d)
+	st.pending.Add(d)
+}
+
 // drop classifies a context error into the deadline/cancel counters.
 func (st *stats) drop(err error) {
 	if errors.Is(err, context.DeadlineExceeded) {
