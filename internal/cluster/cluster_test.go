@@ -3,8 +3,10 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"net/http"
@@ -14,7 +16,9 @@ import (
 	"time"
 
 	"h2ds/internal/api"
+	"h2ds/internal/core"
 	"h2ds/internal/kernel"
+	"h2ds/internal/oracle"
 	"h2ds/internal/pointset"
 	"h2ds/internal/registry"
 )
@@ -340,6 +344,12 @@ func TestClusterCorruptTransfer(t *testing.T) {
 	if resp := put(relabel); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("version-3 relabel: status %d, want 400", resp.StatusCode)
 	}
+	// A kernel-less stream relabelled to on-the-fly mode, with its checksum
+	// recomputed, is refused: its apply would need entries the oracle-less
+	// replica cannot evaluate.
+	if resp := put(kernelLessOTFStream(t)); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("kernel-less on-the-fly stream: status %d, want 400", resp.StatusCode)
+	}
 	if _, ok := nd.reg.Get("corrupt"); ok {
 		t.Fatal("corrupt transfer left an instance behind")
 	}
@@ -351,6 +361,40 @@ func TestClusterCorruptTransfer(t *testing.T) {
 	if !ok || inf.State != registry.StateReady {
 		t.Fatalf("pristine install state: %+v", inf)
 	}
+}
+
+// kernelLessOTFStream serializes a small oracle-built (kernel-less) matrix,
+// sets its memory-mode byte to on-the-fly, and recomputes the checksum
+// footer over the patched body.
+func kernelLessOTFStream(t *testing.T) []byte {
+	t.Helper()
+	const n = 200
+	pts := pointset.Cube(n, 3, 17)
+	data := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			data[i*n+j] = kernel.Gaussian{}.EvalPair(pts.At(i), pts.At(j))
+		}
+	}
+	src, err := oracle.NewDense(n, data, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.BuildOracle(src, core.Config{Tol: 1e-4, LeafSize: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := m.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	stream := buf.Bytes()
+	// Magic string (8+4 bytes), version (4), empty kernel name (8), kind
+	// (1), then the mode byte.
+	stream[8+4+4+8+1] = byte(core.OnTheFly)
+	body := stream[:len(stream)-8]
+	binary.LittleEndian.PutUint32(stream[len(body)+4:], crc32.ChecksumIEEE(body))
+	return stream
 }
 
 // TestClusterDeleteEverywhere: a routed delete removes the instance from the

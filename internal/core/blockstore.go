@@ -1,106 +1,64 @@
 package core
 
 import (
+	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"h2ds/internal/mat"
 )
 
-// blockKey identifies a stored coupling or nearfield block by its node-id
-// pair. Only keys with I <= J are stored (symmetric kernel); the transposed
-// block is applied on the fly.
-type blockKey struct{ I, J int }
-
 // BlockStore is the paper's coupling-block container (§III-A): a sparse
 // integer index ("the value of the element at (i,j) providing the linear
-// index into a vector of dense matrices") plus the dense block slab. The
-// matrix-free Apply interface means callers are oblivious to whether blocks
-// were stored at construction (normal mode) or are absent (on-the-fly mode
-// bypasses the store entirely).
+// index into a vector of dense matrices") plus the dense block slab.
 //
-// The store has two representations. During the build phase it is a
-// map[blockKey] index over individually-allocated blocks — cheap to insert
-// concurrently. Freeze compacts it into a frozen CSR layout: a per-node
-// offset array (rowPtr) over sorted column ids (colIdx) resolving each
-// (i, j) to a block header in one contiguous header array, with every block
-// payload copied into a single []float64 slab in traversal (row-major
-// (i, j)) order. The frozen read path therefore does no map lookups and no
-// per-block pointer-chases, and the coupling sweep streams the slab in apply
-// order; the map and the scattered build-phase blocks are released.
+// The index is a CSR layout: a per-node offset array (rowPtr) over sorted
+// column ids (colIdx) resolving each (i, j) to a block header in one
+// contiguous header array, with every block payload in a single []float64
+// slab in row-major (i, j) order. Reads do no map lookups and no per-block
+// pointer-chases, and the coupling sweep streams the slab in apply order.
 //
-// Concurrency: Put is safe for concurrent use during parallel construction,
-// and all read methods (Get, Apply, ApplyBatch, Len, Bytes, MaxBlockBytes)
-// take a read lock, so concurrent Put+Get during the build phase is safe.
-// Once the store is complete, Freeze switches reads to the lock-free compact
-// fast path; Put after Freeze panics.
+// A triangular store (symmetric kernels) keeps only keys with i <= j: block
+// (j, i) is the transpose of block (i, j), and every apply multiplies the
+// stored (i, j) payload, forward or transposed (see key). A directed store
+// (unsymmetric kernels) keeps every pair it is given. A store may hold any
+// subset of the blocks — all of them (Normal), none (OnTheFly) or a budgeted
+// selection (Hybrid); the sweeps evaluate a missing block on the fly in the
+// same orientation, so the subset never changes a result.
+//
+// Preallocate lays the store out once; the views it returns are filled
+// during construction, after which the store is read-only and safe for
+// concurrent use without locks.
 type BlockStore struct {
-	mu       sync.RWMutex
-	frozen   atomic.Bool
-	index    map[blockKey]int32
-	blocks   []*mat.Dense
 	directed bool
 
-	// Frozen CSR form (nil until Freeze). hdr[k]'s Data aliases slab; the
+	// CSR form (empty until Preallocate). hdr[k]'s Data aliases slab; the
 	// block for (i, j) is hdr[blockAt(i, j)].
 	rowPtr []int32
 	colIdx []int32
 	hdr    []mat.Dense
 	slab   []float64
 
-	// Byte accounting memoized at Freeze time: Bytes and MaxBlockBytes are
-	// O(blocks) walks before Freeze and O(1) after (MemoryStats reads them
+	// Byte accounting memoized at layout time (MemoryStats reads it
 	// repeatedly).
-	frozenBytes  int64
-	frozenMaxBlk int64
+	bytes  int64
+	maxBlk int64
 }
 
-// NewBlockStore returns an empty triangular store for symmetric kernels:
-// only pairs with i <= j may be stored and the (j, i) block is applied as
-// the transpose.
-func NewBlockStore() *BlockStore {
-	return &BlockStore{index: make(map[blockKey]int32)}
+// newBlockStores returns an empty coupling and nearfield store pair for a
+// kernel of the given symmetry: triangular stores for a symmetric kernel,
+// directed ones otherwise.
+func newBlockStores(sym bool) (coup, near *BlockStore) {
+	return &BlockStore{directed: !sym}, &BlockStore{directed: !sym}
 }
 
-// NewDirectedBlockStore returns an empty store for unsymmetric kernels:
-// every directed pair is stored and applied verbatim.
-func NewDirectedBlockStore() *BlockStore {
-	return &BlockStore{index: make(map[blockKey]int32), directed: true}
-}
-
-// Put stores block b for the node pair (i, j); in triangular mode i <= j is
-// required. It is safe for concurrent use during parallel construction and
-// panics after Freeze.
-func (s *BlockStore) Put(i, j int, b *mat.Dense) {
-	if !s.directed && i > j {
-		panic("core: BlockStore.Put requires i <= j (symmetric storage)")
+// key returns the stored key (a, b) of block (i, j) and whether block (i, j)
+// is the transpose of the stored block: a triangular store keeps
+// (min(i, j), max(i, j)), a directed store (i, j) itself.
+func (s *BlockStore) key(i, j int) (a, b int, trans bool) {
+	if s.directed || i <= j {
+		return i, j, false
 	}
-	if s.frozen.Load() {
-		panic("core: BlockStore.Put after Freeze")
-	}
-	s.mu.Lock()
-	s.index[blockKey{i, j}] = int32(len(s.blocks))
-	s.blocks = append(s.blocks, b)
-	s.mu.Unlock()
-}
-
-// Freeze marks construction as complete and compacts the store into its
-// frozen CSR form: subsequent reads are lock-free, map-free, and stream one
-// contiguous payload slab; further Puts panic. All Puts must happen-before
-// Freeze (the builder's parallel-for barrier guarantees this). Stores laid
-// out by Preallocate are already in CSR form — Freeze then only flips the
-// frozen bit. Freeze is idempotent.
-func (s *BlockStore) Freeze() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.frozen.Load() {
-		return
-	}
-	if s.rowPtr == nil {
-		s.compact()
-	}
-	s.frozen.Store(true)
+	return j, i, true
 }
 
 // PutSpec describes one block of a Preallocate layout: its store key and
@@ -110,20 +68,14 @@ type PutSpec struct {
 	Rows, Cols int
 }
 
-// Preallocate lays out the frozen CSR form for exactly the given blocks and
-// returns one slab-backed view per spec, parallel to specs: callers
-// assemble each payload directly into its view (the views are
-// write-disjoint, so parallel assembly is safe) and then call Freeze, which
-// only flips the frozen bit. This skips the build-phase map and the
-// Freeze-time compact copy entirely — the accelerated normal-mode build
-// path. The resulting layout is identical to Put+Freeze: blocks sorted by
-// (i, j) in one contiguous slab.
+// Preallocate lays out the CSR form for exactly the given blocks and returns
+// one slab-backed view per spec, parallel to specs: callers assemble each
+// payload directly into its view (the views are write-disjoint, so parallel
+// assembly is safe). Blocks are sorted by (i, j) in one contiguous slab.
 //
-// Must be called once, on an empty store; Put may not be mixed with it.
+// Must be called once, on an empty store.
 func (s *BlockStore) Preallocate(specs []PutSpec) []*mat.Dense {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.rowPtr != nil || len(s.blocks) > 0 {
+	if s.rowPtr != nil {
 		panic("core: BlockStore.Preallocate on a non-empty store")
 	}
 	ord := make([]int, len(specs))
@@ -138,7 +90,7 @@ func (s *BlockStore) Preallocate(specs []PutSpec) []*mat.Dense {
 		return sa.J < sb.J
 	})
 	maxI := -1
-	var slabLen, maxBlk int64
+	var slabLen int64
 	for _, sp := range specs {
 		if !s.directed && sp.I > sp.J {
 			panic("core: BlockStore.Preallocate requires i <= j (symmetric storage)")
@@ -146,11 +98,7 @@ func (s *BlockStore) Preallocate(specs []PutSpec) []*mat.Dense {
 		if sp.I > maxI {
 			maxI = sp.I
 		}
-		sz := int64(sp.Rows) * int64(sp.Cols)
-		slabLen += sz
-		if bb := sz * 8; bb > maxBlk {
-			maxBlk = bb
-		}
+		slabLen += int64(sp.Rows) * int64(sp.Cols)
 	}
 
 	s.rowPtr = make([]int32, maxI+2)
@@ -171,72 +119,24 @@ func (s *BlockStore) Preallocate(specs []PutSpec) []*mat.Dense {
 	for i := 1; i < len(s.rowPtr); i++ {
 		s.rowPtr[i] += s.rowPtr[i-1]
 	}
-	s.frozenBytes = slabLen*8 + int64(len(s.hdr))*40 + int64(len(s.rowPtr)+len(s.colIdx))*4
-	s.frozenMaxBlk = maxBlk
-	s.index = nil
-	s.blocks = nil
+	s.account()
 	return out
 }
 
-// compact builds the CSR index and payload slab from the build-phase map and
-// releases the map-backed representation. Caller holds mu.
-func (s *BlockStore) compact() {
-	nBlocks := len(s.blocks)
-	keys := make([]blockKey, 0, nBlocks)
-	maxI := -1
-	var slabLen int64
-	var maxBlk int64
-	for k := range s.index {
-		keys = append(keys, k)
-		if k.I > maxI {
-			maxI = k.I
+// account memoizes the footprint: slab payload, header array, and index
+// arrays.
+func (s *BlockStore) account() {
+	s.bytes = int64(len(s.slab))*8 + int64(len(s.hdr))*40 + int64(len(s.rowPtr)+len(s.colIdx))*4
+	s.maxBlk = 0
+	for k := range s.hdr {
+		if bb := int64(len(s.hdr[k].Data)) * 8; bb > s.maxBlk {
+			s.maxBlk = bb
 		}
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].I != keys[b].I {
-			return keys[a].I < keys[b].I
-		}
-		return keys[a].J < keys[b].J
-	})
-	for _, k := range keys {
-		b := s.blocks[s.index[k]]
-		sz := int64(len(b.Data))
-		slabLen += sz
-		if bb := sz * 8; bb > maxBlk {
-			maxBlk = bb
-		}
-	}
-
-	s.rowPtr = make([]int32, maxI+2)
-	s.colIdx = make([]int32, len(keys))
-	s.hdr = make([]mat.Dense, len(keys))
-	s.slab = make([]float64, slabLen)
-	var off int64
-	for k, key := range keys {
-		b := s.blocks[s.index[key]]
-		seg := s.slab[off : off+int64(len(b.Data))]
-		copy(seg, b.Data)
-		s.hdr[k] = mat.Dense{Rows: b.Rows, Cols: b.Cols, Data: seg}
-		s.colIdx[k] = int32(key.J)
-		s.rowPtr[key.I+1]++
-		off += int64(len(b.Data))
-	}
-	for i := 1; i < len(s.rowPtr); i++ {
-		s.rowPtr[i] += s.rowPtr[i-1]
-	}
-
-	// Memoized accounting: slab payload, header array, and index arrays.
-	s.frozenBytes = slabLen*8 + int64(len(s.hdr))*40 + int64(len(s.rowPtr)+len(s.colIdx))*4
-	s.frozenMaxBlk = maxBlk
-
-	// Release the build-phase representation (the scattered blocks and the
-	// map are the last references to the original payload allocations).
-	s.index = nil
-	s.blocks = nil
 }
 
-// blockAt resolves (i, j) in the frozen CSR index to a header position, or
-// -1. Rows are interaction/nearfield lists — a few dozen entries — so a
+// blockAt resolves (i, j) in the CSR index to a header position, or -1.
+// Rows are interaction/nearfield lists — a few dozen entries — so a
 // branch-light binary search beats hashing without any pointer-chasing.
 func (s *BlockStore) blockAt(i, j int) int {
 	if i < 0 || i+1 >= len(s.rowPtr) {
@@ -258,210 +158,45 @@ func (s *BlockStore) blockAt(i, j int) int {
 	return -1
 }
 
-// Get returns the block stored for exactly (i, j), or nil. After Freeze the
-// returned header aliases the compact slab.
+// checkIndex validates a deserialized CSR index over nNodes nodes: rowPtr
+// starts at 0, never decreases and ends at the block count, and every row's
+// column ids are strictly ascending node ids.
+func (s *BlockStore) checkIndex(nNodes int) error {
+	n := len(s.rowPtr)
+	if n == 0 || n > nNodes+1 || s.rowPtr[0] != 0 || int(s.rowPtr[n-1]) != len(s.colIdx) {
+		return fmt.Errorf("rowPtr of %d entries does not index %d blocks over %d nodes", n, len(s.colIdx), nNodes)
+	}
+	for i := 0; i+1 < n; i++ {
+		lo, hi := s.rowPtr[i], s.rowPtr[i+1]
+		if hi < lo || int(hi) > len(s.colIdx) {
+			return fmt.Errorf("non-monotone rowPtr at row %d", i)
+		}
+		for k := lo; k < hi; k++ {
+			if c := s.colIdx[k]; c < 0 || int(c) >= nNodes {
+				return fmt.Errorf("colIdx %d out of range in row %d", c, i)
+			} else if k > lo && c <= s.colIdx[k-1] {
+				return fmt.Errorf("colIdx unsorted in row %d", i)
+			}
+		}
+	}
+	return nil
+}
+
+// Get returns the block stored for exactly (i, j), or nil. The returned
+// header aliases the slab.
 func (s *BlockStore) Get(i, j int) *mat.Dense {
-	if s.frozen.Load() {
-		if k := s.blockAt(i, j); k >= 0 {
-			return &s.hdr[k]
-		}
-		// Frozen without a CSR index only happens for stores frozen through
-		// the test-only freezeNoCompact path; fall through to the map.
-		if s.index == nil {
-			return nil
-		}
-		k, ok := s.index[blockKey{i, j}]
-		if !ok {
-			return nil
-		}
-		return s.blocks[k]
+	if k := s.blockAt(i, j); k >= 0 {
+		return &s.hdr[k]
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	k, ok := s.index[blockKey{i, j}]
-	if !ok {
-		return nil
-	}
-	return s.blocks[k]
-}
-
-// Apply accumulates g += B_{i,j} q. In triangular mode the (j, i) block is
-// applied transposed when i > j; in directed mode only exact keys hit. It
-// reports whether a block was found.
-func (s *BlockStore) Apply(g []float64, i, j int, q []float64) bool {
-	if s.directed || i <= j {
-		b := s.Get(i, j)
-		if b == nil {
-			return false
-		}
-		mat.MulVecAdd(g, b, q)
-		return true
-	}
-	b := s.Get(j, i)
-	if b == nil {
-		return false
-	}
-	mat.MulTVecAdd(g, b, q)
-	return true
-}
-
-// ApplyBatch accumulates g += B_{i,j} q for a block of right-hand sides
-// (q is rank_j x k, g is rank_i x k), with the same triangular-transpose
-// convention as Apply. It reports whether a block was found.
-func (s *BlockStore) ApplyBatch(g *mat.Dense, i, j int, q *mat.Dense) bool {
-	if s.directed || i <= j {
-		b := s.Get(i, j)
-		if b == nil {
-			return false
-		}
-		mat.MulAddTo(g, b, q)
-		return true
-	}
-	b := s.Get(j, i)
-	if b == nil {
-		return false
-	}
-	mat.MulTAddTo(g, b, q)
-	return true
-}
-
-// applyOTFOrder accumulates g += B_{i,j} q using the summation order of the
-// on-the-fly path, which always evaluates the (i, j) orientation and applies
-// it forward with dot-grouped row products. For a stored (i, j) block that is
-// plain MulVecAdd; for a triangular-transpose hit the stored (j, i) block is
-// B_{i,j}ᵀ element-for-element (symmetric kernel), so MulTVecAddDot — a
-// column walk with the same dot grouping — reproduces the on-the-fly result
-// bitwise. It reports whether a block was found.
-func (s *BlockStore) applyOTFOrder(g []float64, i, j int, q []float64) bool {
-	if s.directed || i <= j {
-		b := s.Get(i, j)
-		if b == nil {
-			return false
-		}
-		mat.MulVecAdd(g, b, q)
-		return true
-	}
-	b := s.Get(j, i)
-	if b == nil {
-		return false
-	}
-	mat.MulTVecAddDot(g, b, q)
-	return true
-}
-
-// applyTransposeOTFOrder accumulates g += B_{j,i}ᵀ q in the on-the-fly
-// transpose order, which evaluates the (j, i) orientation and applies it with
-// MulTVecAdd's sequential, zero-skipping accumulation. A stored (j, i) block
-// gets exactly that; a triangular hit on (i, j) (= B_{j,i}ᵀ for symmetric
-// kernels) is applied forward with the matching sequential order
-// (MulVecAddSeq). It reports whether a block was found.
-func (s *BlockStore) applyTransposeOTFOrder(g []float64, i, j int, q []float64) bool {
-	if s.directed || j <= i {
-		b := s.Get(j, i)
-		if b == nil {
-			return false
-		}
-		mat.MulTVecAdd(g, b, q)
-		return true
-	}
-	b := s.Get(i, j)
-	if b == nil {
-		return false
-	}
-	mat.MulVecAddSeq(g, b, q)
-	return true
-}
-
-// applyBatchOTFOrder is the multi-RHS analogue of applyOTFOrder: the
-// on-the-fly batch path evaluates the (i, j) orientation and runs MulAddTo
-// (per-element dot-grouped column strides), so triangular-transpose hits use
-// MulTAddToDot to preserve that order over the stored (j, i) payload. It
-// reports whether a block was found.
-func (s *BlockStore) applyBatchOTFOrder(g *mat.Dense, i, j int, q *mat.Dense) bool {
-	if s.directed || i <= j {
-		b := s.Get(i, j)
-		if b == nil {
-			return false
-		}
-		mat.MulAddTo(g, b, q)
-		return true
-	}
-	b := s.Get(j, i)
-	if b == nil {
-		return false
-	}
-	mat.MulTAddToDot(g, b, q)
-	return true
+	return nil
 }
 
 // Len returns the number of stored blocks.
-func (s *BlockStore) Len() int {
-	if s.frozen.Load() {
-		if s.rowPtr != nil {
-			return len(s.hdr)
-		}
-		return len(s.blocks)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.blocks)
-}
+func (s *BlockStore) Len() int { return len(s.hdr) }
 
-// Bytes returns the memory footprint. Frozen stores answer from the value
-// memoized at Freeze time (slab payload + header array + CSR index);
-// build-phase stores walk the blocks and charge dense payloads plus index
-// entries (key, value, and map bucket overhead estimated at 8 bytes per
-// entry).
-func (s *BlockStore) Bytes() int64 {
-	if s.frozen.Load() && s.rowPtr != nil {
-		return s.frozenBytes
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var b int64
-	for _, blk := range s.blocks {
-		b += int64(len(blk.Data))*8 + 24
-	}
-	b += int64(len(s.index)) * (16 + 4 + 8)
-	return b
-}
+// Bytes returns the memory footprint: slab payload, header array, and CSR
+// index.
+func (s *BlockStore) Bytes() int64 { return s.bytes }
 
-// MaxBlockBytes returns the size of the largest stored block, the quantity
-// that bounds per-worker scratch in on-the-fly mode. Frozen stores answer
-// from the memoized Freeze-time value.
-func (s *BlockStore) MaxBlockBytes() int64 {
-	if s.frozen.Load() && s.rowPtr != nil {
-		return s.frozenMaxBlk
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var m int64
-	for _, blk := range s.blocks {
-		if b := int64(len(blk.Data)) * 8; b > m {
-			m = b
-		}
-	}
-	return m
-}
-
-// freezeNoCompact freezes the store while keeping the build-phase map
-// representation — the seed read path. It exists for the equivalence tests
-// that check the compacted layout is bit-identical to the map-backed one.
-func (s *BlockStore) freezeNoCompact() { s.frozen.Store(true) }
-
-// uncompacted returns a map-backed clone of a frozen compacted store, frozen
-// without compaction — the seed (fork-join era) read path over identical
-// payload values. Test helper for bitwise-equivalence checks.
-func (s *BlockStore) uncompacted() *BlockStore {
-	if s.rowPtr == nil {
-		panic("core: uncompacted needs a compacted store")
-	}
-	c := &BlockStore{index: make(map[blockKey]int32), directed: s.directed}
-	for i := 0; i+1 < len(s.rowPtr); i++ {
-		for k := s.rowPtr[i]; k < s.rowPtr[i+1]; k++ {
-			c.Put(i, int(s.colIdx[k]), s.hdr[k].Clone())
-		}
-	}
-	c.freezeNoCompact()
-	return c
-}
+// MaxBlockBytes returns the size of the largest stored block.
+func (s *BlockStore) MaxBlockBytes() int64 { return s.maxBlk }

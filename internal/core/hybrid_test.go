@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -57,34 +58,55 @@ func TestFusedOTFMatchesSeedBitwise(t *testing.T) {
 	}
 }
 
-// TestHybridMatchesOTFBitwise pins hybrid mode at 0%, 50%, and 100% of the
-// full block footprint against the pure on-the-fly path: the order-preserving
-// store appliers must make stored and fused results indistinguishable.
-func TestHybridMatchesOTFBitwise(t *testing.T) {
+// TestStorageModesBitwise pins the one-arithmetic contract of the memory
+// modes: every block is summed in its stored orientation whether its
+// numbers come from a store or a fused evaluation, so OnTheFly, Hybrid at
+// 0%, 50% and 100% of the full block footprint, and a Normal matrix's
+// WithStorageBudget downgrades all reproduce the Normal build bit for bit —
+// apply, transpose and batch, for a symmetric and an unsymmetric kernel.
+// For the symmetric kernel the transpose equals the apply too. It also
+// checks each budget's hit/miss counters and stored footprint.
+func TestStorageModesBitwise(t *testing.T) {
 	pts := pointset.Cube(3000, 3, 95)
 	b := randVec(3000, 96)
 	B := mat.NewDenseData(3000, 3, randVec(9000, 97))
 	kernels := []kernel.Pairwise{kernel.Coulomb{}, drift3()}
 	for _, k := range kernels {
-		otf, err := Build(pts, k, Config{Kind: DataDriven, Mode: OnTheFly, Tol: 1e-6, LeafSize: 60})
+		cfg := Config{Kind: DataDriven, Mode: Normal, Tol: 1e-6, LeafSize: 60}
+		norm, err := Build(pts, k, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantY := otf.Apply(b)
-		wantT := otf.ApplyTranspose(b)
-		wantB := otf.ApplyBatch(B)
-		full := otf.storedBytesForTest()
+		wantY := norm.Apply(b)
+		wantT := norm.ApplyTranspose(b)
+		wantB := norm.ApplyBatch(B)
+		if k.Symmetric() {
+			bitsEqualVec(t, k.Name()+"/normal transpose vs apply", wantT, wantY)
+		}
+		check := func(tag string, m *Matrix) {
+			t.Helper()
+			bitsEqualVec(t, tag+"/apply", m.Apply(b), wantY)
+			bitsEqualVec(t, tag+"/transpose", m.ApplyTranspose(b), wantT)
+			bitsEqualVec(t, tag+"/batch", m.ApplyBatch(B).Data, wantB.Data)
+		}
+		cfg.Mode = OnTheFly
+		otf, err := Build(pts, k, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(k.Name()+"/on-the-fly", otf)
+
+		full := norm.storedBytesForTest()
 		for _, frac := range []float64{0, 0.5, 1} {
 			budget := int64(frac * float64(full))
-			cfg := Config{Kind: DataDriven, Mode: Hybrid, StorageBudget: budget, Tol: 1e-6, LeafSize: 60}
+			cfg.Mode, cfg.StorageBudget = Hybrid, budget
 			h, err := Build(pts, k, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tag := k.Name() + "/" + cfg.Mode.String()
-			bitsEqualVec(t, tag+"/apply", h.Apply(b), wantY)
-			bitsEqualVec(t, tag+"/transpose", h.ApplyTranspose(b), wantT)
-			bitsEqualVec(t, tag+"/batch", h.ApplyBatch(B).Data, wantB.Data)
+			tag := fmt.Sprintf("%s/hybrid-%v", k.Name(), frac)
+			check(tag, h)
+			check(tag+"/downgrade", norm.WithStorageBudget(budget))
 
 			ss := h.SweepStats()
 			switch frac {
@@ -109,7 +131,7 @@ func TestHybridMatchesOTFBitwise(t *testing.T) {
 				t.Fatalf("%s: hybrid MemoryStats reports no stored blocks", tag)
 			}
 			// Bytes() carries a few bytes of fixed CSR-index overhead per
-			// store even when empty; allow that floor over the budget.
+			// store; allow that floor over the budget.
 			if got := mem.Coupling + mem.Nearfield; frac < 1 && got > budget+128 {
 				t.Fatalf("%s: stored %d bytes exceeds budget %d", tag, got, budget)
 			}
@@ -119,8 +141,8 @@ func TestHybridMatchesOTFBitwise(t *testing.T) {
 
 // TestWithStorageBudgetMatchesHybridBuild checks the registry downgrade path:
 // deriving a hybrid view from a Normal build must behave exactly like a
-// from-scratch hybrid build at the same budget, and must not disturb the
-// parent.
+// from-scratch hybrid build at the same budget (and like its parent, as
+// every storage mode does), and must not disturb the parent.
 func TestWithStorageBudgetMatchesHybridBuild(t *testing.T) {
 	pts := pointset.Cube(2500, 3, 101)
 	b := randVec(2500, 102)
@@ -140,6 +162,7 @@ func TestWithStorageBudgetMatchesHybridBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	bitsEqualVec(t, "downgrade/apply", down.Apply(b), ref.Apply(b))
+	bitsEqualVec(t, "downgrade/parent-apply", down.Apply(b), parentWant)
 	bitsEqualVec(t, "downgrade/parent-intact", m.Apply(b), parentWant)
 	if got, want := down.Memory().Coupling+down.Memory().Nearfield, ref.Memory().Coupling+ref.Memory().Nearfield; got != want {
 		t.Fatalf("downgrade stored %d bytes, fresh hybrid build stored %d", got, want)

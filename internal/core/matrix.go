@@ -55,7 +55,8 @@ type Matrix struct {
 	// hier retains the sampling output for diagnostics (data-driven only).
 	hier *sample.Hierarchy
 
-	// Stored blocks (normal mode); nil in on-the-fly mode.
+	// Stored coupling and nearfield blocks: all of them in Normal mode, none
+	// in OnTheFly mode, a budgeted subset in Hybrid mode (see storeBlocks).
 	coup *BlockStore
 	near *BlockStore
 
@@ -228,16 +229,7 @@ func Build(pts *pointset.Points, k kernel.Pairwise, cfg Config) (*Matrix, error)
 		return nil, fmt.Errorf("core: unknown basis kind %v", cfg.Kind)
 	}
 
-	switch cfg.Mode {
-	case Normal:
-		t2 := time.Now()
-		m.storeBlocks()
-		m.stats.CouplingTime = time.Since(t2)
-	case Hybrid:
-		t2 := time.Now()
-		m.storeBlocksHybrid(cfg.StorageBudget)
-		m.stats.CouplingTime = time.Since(t2)
-	}
+	m.storeBlocks(cfg.blockBudget())
 
 	m.finishStats()
 	if cfg.RelTol > 0 {
@@ -380,77 +372,91 @@ func (m *Matrix) colTrans(id int) *mat.Dense {
 	return m.wTrans[id]
 }
 
-// storeBlocks assembles and stores every coupling block (one triangle for
-// symmetric kernels, every directed pair otherwise) and every nearfield
-// block — the normal memory mode. Assembly is parallel over blocks.
-func (m *Matrix) storeBlocks() {
-	sym := m.Kern.Symmetric()
-	if sym {
-		m.coup = NewBlockStore()
-		m.near = NewBlockStore()
-	} else {
-		m.coup = NewDirectedBlockStore()
-		m.near = NewDirectedBlockStore()
+// store returns the nearfield store for near, else the coupling store.
+func (m *Matrix) store(near bool) *BlockStore {
+	if near {
+		return m.near
 	}
-
-	type pair struct{ i, j int }
-	var coupPairs []pair
-	for i := range m.Tree.Nodes {
-		for _, j := range m.Tree.Nodes[i].Interaction {
-			if !sym || i < j {
-				coupPairs = append(coupPairs, pair{i, j})
-			}
-		}
-	}
-	var nearPairs []pair
-	for _, i := range m.Tree.Leaves {
-		for _, j := range m.Tree.Nodes[i].Near {
-			if !sym || i <= j {
-				nearPairs = append(nearPairs, pair{i, j})
-			}
-		}
-	}
-
-	// Block shapes are known before assembly, so lay out the frozen CSR slab
-	// first and assemble every payload in place through the fused tile path —
-	// no per-block allocations, no Freeze-time copy.
-	coupKeep := coupPairs[:0]
-	for _, p := range coupPairs {
-		if m.ranks[p.i] > 0 && m.colRank(p.j) > 0 {
-			coupKeep = append(coupKeep, p)
-		}
-	}
-	coupSpecs := make([]PutSpec, len(coupKeep))
-	for k, p := range coupKeep {
-		coupSpecs[k] = PutSpec{I: p.i, J: p.j, Rows: len(m.skel[p.i]), Cols: len(m.colSkeleton(p.j))}
-	}
-	coupDst := m.coup.Preallocate(coupSpecs)
-	buildPhase("coupling", func() {
-		m.parFor(len(coupKeep), func(k int) {
-			p := coupKeep[k]
-			kernel.Assemble(coupDst[k], m.Kern, m.skelPts[p.i], m.skel[p.i], m.skelPts[p.j], m.colSkeleton(p.j))
-		})
-	})
-	nearSpecs := make([]PutSpec, len(nearPairs))
-	for k, p := range nearPairs {
-		nearSpecs[k] = PutSpec{I: p.i, J: p.j, Rows: m.Tree.Nodes[p.i].Size(), Cols: m.Tree.Nodes[p.j].Size()}
-	}
-	nearDst := m.near.Preallocate(nearSpecs)
-	buildPhase("nearfield", func() {
-		m.parFor(len(nearPairs), func(k int) {
-			p := nearPairs[k]
-			ni, nj := &m.Tree.Nodes[p.i], &m.Tree.Nodes[p.j]
-			kernel.Assemble(nearDst[k], m.Kern, m.Tree.Points, m.allIdx[ni.Start:ni.End], m.Tree.Points, m.allIdx[nj.Start:nj.End])
-		})
-	})
-	// Construction is complete: switch both stores to lock-free reads for
-	// the matvec hot path.
-	m.coup.Freeze()
-	m.near.Freeze()
+	return m.coup
 }
 
-// blockCand describes one storable coupling or nearfield block for the
-// hybrid selection pass.
+// blockPoints resolves stored key (a, b) to the points a block's entries
+// are evaluated between — rows of x by cols of y: the row skeleton of a and
+// the column skeleton of b for a coupling block, the leaf ranges of a and b
+// for a nearfield block.
+func (m *Matrix) blockPoints(near bool, a, b int) (x *pointset.Points, rows []int, y *pointset.Points, cols []int) {
+	if near {
+		return m.Tree.Points, m.leafRange(a), m.Tree.Points, m.leafRange(b)
+	}
+	return m.skelPts[a], m.skel[a], m.skelPts[b], m.colSkeleton(b)
+}
+
+// blockBudget is the block-storage budget of the configured memory mode
+// for storeBlocks: every block (negative) in Normal mode, none in OnTheFly,
+// and StorageBudget bytes in Hybrid.
+func (c Config) blockBudget() int64 {
+	switch c.Mode {
+	case Normal:
+		return -1
+	case Hybrid:
+		return max(c.StorageBudget, 0)
+	}
+	return 0
+}
+
+// storeBlocks creates the matrix's coupling and nearfield stores and
+// assembles into them every block under a negative budget, none under a
+// zero budget, and otherwise the best-value blocks that fit the budget in
+// bytes. The sweeps evaluate every block left out on the fly, in the
+// orientation it would have been stored in, so the budget decides where a
+// block's numbers come from, never how they are summed.
+//
+// Value is assembly savings per byte: kernel-evaluation cost is
+// proportional to the element count (= bytes), so savings/byte reduces to
+// the per-matvec use count, with top tree levels first as the tie-break
+// (their blocks sit on every interaction list and stay hot), then a
+// deterministic kind/i/j order so equal-budget builds always select
+// identical sets. Selection is greedy and keeps scanning past blocks that
+// no longer fit.
+//
+// Block shapes are known before assembly, so the stores lay out their CSR
+// slabs first and every payload is assembled in place through the fused
+// tile path, in parallel over blocks.
+func (m *Matrix) storeBlocks(budget int64) {
+	m.coup, m.near = newBlockStores(m.Kern.Symmetric())
+	if budget == 0 {
+		return
+	}
+	t0 := time.Now()
+	cands := m.blockCandidates()
+	if budget > 0 {
+		cands = selectBlocks(cands, budget)
+	}
+	var specs [2][]PutSpec // coupling, nearfield
+	for _, c := range cands {
+		_, rows, _, cols := m.blockPoints(c.near, c.i, c.j)
+		f := 0
+		if c.near {
+			f = 1
+		}
+		specs[f] = append(specs[f], PutSpec{I: c.i, J: c.j, Rows: len(rows), Cols: len(cols)})
+	}
+	for f, phase := range [2]string{"coupling", "nearfield"} {
+		near := f == 1
+		dst := m.store(near).Preallocate(specs[f])
+		buildPhase(phase, func() {
+			m.parFor(len(dst), func(k int) {
+				p := specs[f][k]
+				x, rows, y, cols := m.blockPoints(near, p.I, p.J)
+				kernel.Assemble(dst[k], m.Kern, x, rows, y, cols)
+			})
+		})
+	}
+	m.stats.CouplingTime = time.Since(t0)
+}
+
+// blockCand describes one storable coupling or nearfield block for
+// storeBlocks.
 type blockCand struct {
 	near  bool // nearfield (leaf dense) block vs coupling block
 	i, j  int  // store key (i <= j for symmetric kernels)
@@ -459,14 +465,16 @@ type blockCand struct {
 	uses  int8 // block applications per matvec this storage saves
 }
 
-// storedBlockBytes is the frozen-store footprint of one block: payload plus
+// storedBlockBytes is the store footprint of one block: payload plus
 // header plus CSR index entry (mirrors BlockStore.Bytes accounting).
 func storedBlockBytes(elems int64) int64 { return elems*8 + 48 }
 
-// blockCandidates enumerates every block the normal mode would store,
-// annotated for the hybrid cost model. A symmetric off-diagonal block is
-// applied twice per matvec (once forward, once transposed), so storing it
-// saves two on-the-fly evaluations; diagonal and directed blocks save one.
+// blockCandidates enumerates every block the normal mode stores — one
+// triangle for symmetric kernels, every directed pair otherwise, skipping
+// coupling blocks with a rank-0 side — annotated for the budget's cost
+// model. A symmetric off-diagonal block is applied twice per matvec (once
+// forward, once transposed), so storing it saves two on-the-fly
+// evaluations; diagonal and directed blocks save one.
 func (m *Matrix) blockCandidates() []blockCand {
 	sym := m.Kern.Symmetric()
 	var cands []blockCand
@@ -512,25 +520,9 @@ func (m *Matrix) blockCandidates() []blockCand {
 	return cands
 }
 
-// storeBlocksHybrid assembles and stores the best-value blocks under a byte
-// budget and leaves the rest for fused on-the-fly evaluation. Value is
-// assembly savings per byte: kernel-evaluation cost is proportional to the
-// element count (= bytes), so savings/byte reduces to the per-matvec use
-// count, with top tree levels first as the tie-break (their blocks sit on
-// every interaction list and stay hot), then a deterministic kind/i/j order
-// so equal-budget builds always select identical sets. Selection is greedy
-// and keeps scanning past blocks that no longer fit.
-func (m *Matrix) storeBlocksHybrid(budget int64) {
-	sym := m.Kern.Symmetric()
-	if sym {
-		m.coup = NewBlockStore()
-		m.near = NewBlockStore()
-	} else {
-		m.coup = NewDirectedBlockStore()
-		m.near = NewDirectedBlockStore()
-	}
-
-	cands := m.blockCandidates()
+// selectBlocks returns the best-value candidates that fit budget bytes (see
+// storeBlocks), reordering cands in place.
+func selectBlocks(cands []blockCand, budget int64) []blockCand {
 	sort.Slice(cands, func(a, b int) bool {
 		ca, cb := &cands[a], &cands[b]
 		if ca.uses != cb.uses {
@@ -557,31 +549,17 @@ func (m *Matrix) storeBlocksHybrid(budget int64) {
 		selected = append(selected, c)
 		used += cost
 	}
-
-	buildPhase("coupling", func() {
-		m.parFor(len(selected), func(k int) {
-			c := selected[k]
-			if c.near {
-				ni, nj := &m.Tree.Nodes[c.i], &m.Tree.Nodes[c.j]
-				b := kernel.NewBlock(m.Kern, m.Tree.Points, m.allIdx[ni.Start:ni.End], m.Tree.Points, m.allIdx[nj.Start:nj.End])
-				m.near.Put(c.i, c.j, b)
-				return
-			}
-			b := kernel.NewBlock(m.Kern, m.skelPts[c.i], m.skel[c.i], m.skelPts[c.j], m.colSkeleton(c.j))
-			m.coup.Put(c.i, c.j, b)
-		})
-	})
-	m.coup.Freeze()
-	m.near.Freeze()
+	return selected
 }
 
 // WithStorageBudget derives a Hybrid-mode view of m under the given block
 // storage budget: it shares every immutable generator (tree, bases,
 // transfers, skeletons) with m and builds only its own block stores, so a
 // registry can downgrade a resident Normal-mode instance to a fraction of
-// its footprint without re-running construction. The result is an
-// independent Matrix with fresh sweep counters and its own workspace pool;
-// m is not modified and both remain safe for concurrent use.
+// its footprint without re-running construction. Its products are
+// bitwise-identical to m's. The result is an independent Matrix with fresh
+// sweep counters and its own workspace pool; m is not modified and both
+// remain safe for concurrent use.
 func (m *Matrix) WithStorageBudget(budget int64) *Matrix {
 	c := &Matrix{
 		Cfg: m.Cfg, Kern: m.Kern, Tree: m.Tree, N: m.N, Dim: m.Dim,
@@ -594,12 +572,8 @@ func (m *Matrix) WithStorageBudget(budget int64) *Matrix {
 	}
 	c.Cfg.Mode = Hybrid
 	c.Cfg.StorageBudget = budget
-	c.buildPool = par.NewPool(c.Cfg.Workers)
-	t0 := time.Now()
-	c.storeBlocksHybrid(budget)
-	c.stats.CouplingTime = time.Since(t0)
-	c.buildPool.Close()
-	c.buildPool = nil
+	c.stats.CouplingTime = 0
+	c.storeBlocks(c.Cfg.blockBudget())
 	return c
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"h2ds/internal/kernel"
 	"h2ds/internal/par"
 )
 
@@ -84,17 +83,11 @@ func (m *Matrix) Memory() MemoryStats {
 	}
 	s.Tree = m.Tree.Bytes()
 	s.Workspace = m.workspaceBytes()
-	switch m.Cfg.Mode {
-	case Normal:
-		s.Coupling = m.coup.Bytes()
-		s.Nearfield = m.near.Bytes()
-	case Hybrid:
-		// Hybrid pays for both the stored subset and the on-the-fly
-		// scratch bound for the blocks it left unstored.
-		s.Coupling = m.coup.Bytes()
-		s.Nearfield = m.near.Bytes()
-		s.ScratchPerWorker = m.maxTileBytes()
-	default:
+	s.Coupling = m.coup.Bytes()
+	s.Nearfield = m.near.Bytes()
+	if m.Cfg.Mode != Normal {
+		// On-the-fly and hybrid matrices also pay the scratch bound for
+		// the blocks they evaluate instead of storing.
 		s.ScratchPerWorker = m.maxTileBytes()
 	}
 	return s
@@ -104,10 +97,9 @@ func (m *Matrix) Memory() MemoryStats {
 // will assemble, computed from ranks and leaf sizes without assembling
 // anything. A coupling block's skeleton columns are scattered, so the fused
 // kernels gather their coordinate panel (d rows) into the tile, next to the
-// batch path's one kernel row; a nearfield pair's twin needs
-// kernel.TwinBufRows rows of its block (its leaf-range panel is read in
-// place). Either only exceeds the block itself for ranks or leaves that
-// small.
+// one kernel row of the batch paths and the twin; a nearfield block's
+// leaf-range panel is read in place, so it needs the kernel row only.
+// Either only exceeds the block itself for ranks that small.
 func (m *Matrix) maxTileBytes() int64 {
 	var maxElems int64
 	panelRows := int64(m.Tree.Points.Dim) + 1
@@ -122,7 +114,7 @@ func (m *Matrix) maxTileBytes() int64 {
 	for _, i := range m.Tree.Leaves {
 		si := int64(m.Tree.Nodes[i].Size())
 		for _, j := range m.Tree.Nodes[i].Near {
-			if e := max(si, kernel.TwinBufRows) * int64(m.Tree.Nodes[j].Size()); e > maxElems {
+			if e := max(si, 1) * int64(m.Tree.Nodes[j].Size()); e > maxElems {
 				maxElems = e
 			}
 		}

@@ -10,15 +10,38 @@ import (
 	"h2ds/internal/pointset"
 )
 
-// seedPaths temporarily reverts m to the seed hot path — map-backed frozen
-// block stores — and returns a workspace for the level-synchronous
-// reference sweeps (fork-join runtime). The returned restore func
-// reinstates the compacted stores.
+// seedPaths temporarily reverts m to the seed hot path — stores rebuilt
+// from the map-backed build-phase store (seedStore), every block
+// re-assembled into its own allocation — and returns a workspace for the
+// level-synchronous reference sweeps (fork-join runtime). The returned
+// restore func reinstates the built stores.
 func seedPaths(t *testing.T, m *Matrix) (*Workspace, func()) {
 	t.Helper()
 	coup, near := m.coup, m.near
-	m.coup, m.near = coup.uncompacted(), near.uncompacted()
+	m.coup, m.near = seedAssembled(m, false), seedAssembled(m, true)
 	return m.NewWorkspace(), func() { m.coup, m.near = coup, near }
+}
+
+// seedAssembled re-assembles every block of m's coupling (near false) or
+// nearfield store with kernel.NewBlock, Puts them in parallel into a
+// seedStore, and freezes it.
+func seedAssembled(m *Matrix, near bool) *BlockStore {
+	src := m.store(near)
+	s := newSeedStore(src.directed)
+	var wg sync.WaitGroup
+	for i := 0; i+1 < len(src.rowPtr); i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for k := src.rowPtr[i]; k < src.rowPtr[i+1]; k++ {
+				j := int(src.colIdx[k])
+				x, rows, y, cols := m.blockPoints(near, i, j)
+				s.Put(i, j, kernel.NewBlock(m.Kern, x, rows, y, cols))
+			}
+		}(i)
+	}
+	wg.Wait()
+	return s.freeze()
 }
 
 // TestPooledCompactedMatchesSeedBitwise checks the full modernized hot path

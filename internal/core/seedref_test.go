@@ -64,7 +64,7 @@ func refSweeps(ws *Workspace, ks refKernels) {
 // refApplyTo computes y = Â b (Âᵀ b with transpose) on the reference sweeps
 // using ws's buffers.
 func refApplyTo(m *Matrix, ws *Workspace, y, b []float64, transpose, assemble bool) {
-	kind := vecKind(transpose)
+	kind := m.vecKind(transpose)
 	m.Tree.PermuteVec(ws.bp, b)
 	ws.bind(m, kind)
 	ws.curB, ws.curY = ws.bp, ws.yp
@@ -100,11 +100,46 @@ func refApplyBatch(m *Matrix, B *mat.Dense, assemble bool) *mat.Dense {
 
 // assembledKernels[kind] holds the assemble-then-multiply on-the-fly
 // {coupling, leaf} kernels: every block is materialized into the worker's
-// scratch tile, then multiplied — the path the fused kernels replaced.
+// scratch tile, then multiplied — the path the fused kernels replaced. A
+// symmetric kernel's block (i, j) with i > j is assembled as the (j, i)
+// tile and applied transposed, the orientation it is stored in.
 var assembledKernels = [...][2]func(ws *Workspace, w, id int){
 	applyVec:   {coupAssembled, leafAssembled},
 	applyTrans: {coupAssembledT, leafAssembledT},
 	applyBatch: {coupAssembledB, leafAssembledB},
+}
+
+// assembledTile assembles block (i, j) of the coupling (near false) or
+// nearfield family into the worker's scratch tile in its stored
+// orientation, reporting whether the tile is block (i, j)'s transpose.
+func assembledTile(ws *Workspace, w int, near bool, i, j int) (*mat.Dense, bool) {
+	m := ws.m
+	trans := m.Kern.Symmetric() && i > j
+	if trans {
+		i, j = j, i
+	}
+	if near {
+		return kernel.Assemble(ws.scratch[w], m.Kern, m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j)), trans
+	}
+	return kernel.Assemble(ws.scratch[w], m.Kern, m.skelPts[i], m.skel[i], m.skelPts[j], m.colSkeleton(j)), trans
+}
+
+// assembledVec adds block (i, j) times v into y through assembledTile.
+func assembledVec(ws *Workspace, w int, near bool, y []float64, i, j int, v []float64) {
+	if tile, trans := assembledTile(ws, w, near, i, j); trans {
+		mat.MulTVecAdd(y, tile, v)
+	} else {
+		mat.MulVecAdd(y, tile, v)
+	}
+}
+
+// assembledBatch is assembledVec for a block of right-hand sides.
+func assembledBatch(ws *Workspace, w int, near bool, y *mat.Dense, i, j int, v *mat.Dense) {
+	if tile, trans := assembledTile(ws, w, near, i, j); trans {
+		mat.MulTAddTo(y, tile, v)
+	} else {
+		mat.MulAddTo(y, tile, v)
+	}
 }
 
 func coupAssembled(ws *Workspace, w, id int) {
@@ -118,8 +153,7 @@ func coupAssembled(ws *Workspace, w, id int) {
 		if m.colRank(j) == 0 {
 			continue
 		}
-		tile := kernel.Assemble(ws.scratch[w], m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j))
-		mat.MulVecAdd(gi, tile, seg(ws.q, ws.qOff, j))
+		assembledVec(ws, w, false, gi, id, j, seg(ws.q, ws.qOff, j))
 	}
 }
 
@@ -133,11 +167,12 @@ func leafAssembled(ws *Workspace, w, id int) {
 	}
 	for _, j := range nd.Near {
 		nj := &m.Tree.Nodes[j]
-		tile := kernel.Assemble(ws.scratch[w], m.Kern, m.Tree.Points, m.leafRange(id), m.Tree.Points, m.leafRange(j))
-		mat.MulVecAdd(yi, tile, ws.curB[nj.Start:nj.End])
+		assembledVec(ws, w, true, yi, id, j, ws.curB[nj.Start:nj.End])
 	}
 }
 
+// coupAssembledT and leafAssembledT serve unsymmetric kernels only: a
+// symmetric kernel's transpose runs the forward sweep (Matrix.vecKind).
 func coupAssembledT(ws *Workspace, w, id int) {
 	m := ws.m
 	gi := seg(ws.g, ws.gOff, id)
@@ -180,23 +215,19 @@ func coupAssembledB(ws *Workspace, w, id int) {
 		if m.colRank(j) == 0 {
 			continue
 		}
-		tile := kernel.Assemble(ws.scratch[w], m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j))
-		mat.MulAddTo(gi, tile, ws.qB[j])
+		assembledBatch(ws, w, false, gi, id, j, ws.qB[j])
 	}
 }
 
 func leafAssembledB(ws *Workspace, w, id int) {
 	m := ws.m
 	nd := &m.Tree.Nodes[id]
-	yi := rowsView(ws.viewOut[w], ws.ypB, nd.Start, nd.End)
+	yi := ws.outRows(w, 0, id)
 	zero(yi.Data)
 	if m.ranks[id] > 0 {
 		mat.MulAddTo(yi, m.u[id], ws.gB[id])
 	}
 	for _, j := range nd.Near {
-		nj := &m.Tree.Nodes[j]
-		bj := rowsView(ws.viewIn[w], ws.bpB, nj.Start, nj.End)
-		tile := kernel.Assemble(ws.scratch[w], m.Kern, m.Tree.Points, m.leafRange(id), m.Tree.Points, m.leafRange(j))
-		mat.MulAddTo(yi, tile, bj)
+		assembledBatch(ws, w, true, yi, id, j, ws.inRows(w, 0, j))
 	}
 }

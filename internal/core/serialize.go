@@ -12,7 +12,6 @@ import (
 	"h2ds/internal/interp"
 	"h2ds/internal/kernel"
 	"h2ds/internal/mat"
-	"h2ds/internal/par"
 	"h2ds/internal/pointset"
 	"h2ds/internal/sample"
 	"h2ds/internal/tree"
@@ -175,6 +174,12 @@ func (s *serialReader) readI64() int {
 // maxSliceLen guards against corrupt headers allocating absurd amounts.
 const maxSliceLen = 1 << 33
 
+// readChunk bounds the up-front allocation for a length read from the
+// stream: slices grow by this many elements at a time as the stream
+// delivers them, so a corrupt length fails at end of stream instead of
+// allocating what it claims.
+const readChunk = 1 << 16
+
 func (s *serialReader) checkLen(n int) bool {
 	if s.err != nil {
 		return false
@@ -191,10 +196,11 @@ func (s *serialReader) readString() string {
 	if !s.checkLen(n) {
 		return ""
 	}
-	buf := make([]byte, n)
-	if s.err == nil {
-		_, s.err = io.ReadFull(s.r, buf)
+	buf, err := io.ReadAll(io.LimitReader(s.r, int64(n)))
+	if err == nil && len(buf) != n {
+		err = io.ErrUnexpectedEOF
 	}
+	s.err = err
 	return string(buf)
 }
 
@@ -203,9 +209,9 @@ func (s *serialReader) readIntSlice() []int {
 	if !s.checkLen(n) {
 		return nil
 	}
-	v := make([]int, n)
-	for i := range v {
-		v[i] = s.readI64()
+	v := make([]int, 0, min(n, readChunk))
+	for len(v) < n && s.err == nil {
+		v = append(v, s.readI64())
 	}
 	return v
 }
@@ -215,11 +221,23 @@ func (s *serialReader) readF64Slice() []float64 {
 	if !s.checkLen(n) {
 		return nil
 	}
-	v := make([]float64, n)
-	if n > 0 {
-		s.read(v)
+	v := make([]float64, 0, min(n, readChunk))
+	for len(v) < n {
+		k := min(n-len(v), readChunk)
+		v = slices.Grow(v, k)
+		s.read(v[len(v) : len(v)+k])
+		if s.err != nil {
+			return nil
+		}
+		v = v[:len(v)+k]
 	}
 	return v
+}
+
+// shapeOK reports whether rows x cols is a valid payload shape no larger
+// than maxSliceLen elements.
+func shapeOK(rows, cols int) bool {
+	return rows >= 0 && cols >= 0 && (cols == 0 || int64(rows) <= maxSliceLen/int64(cols))
 }
 
 func (s *serialReader) readDense() *mat.Dense {
@@ -228,6 +246,9 @@ func (s *serialReader) readDense() *mat.Dense {
 		return nil
 	}
 	cols := s.readI64()
+	if s.err == nil && !shapeOK(rows, cols) {
+		s.err = fmt.Errorf("core: corrupt dense block shape %dx%d", rows, cols)
+	}
 	data := s.readF64Slice()
 	if s.err != nil {
 		return nil
@@ -239,11 +260,10 @@ func (s *serialReader) readDense() *mat.Dense {
 	return mat.NewDenseData(rows, cols, data)
 }
 
-// writeBlockStore serializes a frozen store's compact CSR form: the index
-// arrays, per-block shapes, and the contiguous payload slab. Only frozen
-// stores are serialized (construction completes before WriteTo).
+// writeBlockStore serializes a store's CSR form: the index arrays,
+// per-block shapes, and the contiguous payload slab.
 func writeBlockStore(s *serialWriter, bs *BlockStore) {
-	if bs == nil || !bs.frozen.Load() || bs.rowPtr == nil {
+	if bs == nil || bs.rowPtr == nil {
 		s.write(false)
 		return
 	}
@@ -262,9 +282,10 @@ func writeBlockStore(s *serialWriter, bs *BlockStore) {
 	s.writeF64Slice(bs.slab)
 }
 
-// readBlockStore reconstructs a frozen store from writeBlockStore's layout,
+// readBlockStore reconstructs a store from writeBlockStore's layout,
 // re-aliasing each block header into the single payload slab exactly as
-// Freeze's compaction does.
+// Preallocate lays it out. The index is checked by checkIndex and the
+// block set by validateStores once the tree is known.
 func readBlockStore(s *serialReader) *BlockStore {
 	var present bool
 	s.read(&present)
@@ -277,52 +298,45 @@ func readBlockStore(s *serialReader) *BlockStore {
 	if !s.checkLen(nRows) {
 		return nil
 	}
-	bs.rowPtr = make([]int32, nRows)
-	for i := range bs.rowPtr {
-		bs.rowPtr[i] = int32(s.readI64())
+	bs.rowPtr = make([]int32, 0, min(nRows, readChunk))
+	for len(bs.rowPtr) < nRows && s.err == nil {
+		bs.rowPtr = append(bs.rowPtr, int32(s.readI64()))
 	}
 	nBlocks := s.readI64()
 	if !s.checkLen(nBlocks) {
 		return nil
 	}
-	bs.colIdx = make([]int32, nBlocks)
-	bs.hdr = make([]mat.Dense, nBlocks)
+	bs.colIdx = make([]int32, 0, min(nBlocks, readChunk))
+	bs.hdr = make([]mat.Dense, 0, min(nBlocks, readChunk))
 	var need int64
-	var maxBlk int64
-	for k := 0; k < nBlocks; k++ {
-		bs.colIdx[k] = int32(s.readI64())
+	for len(bs.hdr) < nBlocks {
+		bs.colIdx = append(bs.colIdx, int32(s.readI64()))
 		rows, cols := s.readI64(), s.readI64()
 		if s.err != nil {
 			return nil
 		}
-		if rows < 0 || cols < 0 || int64(rows)*int64(cols) > maxSliceLen {
+		if !shapeOK(rows, cols) || need+int64(rows)*int64(cols) > maxSliceLen {
 			s.err = fmt.Errorf("core: corrupt stored block %dx%d", rows, cols)
 			return nil
 		}
-		bs.hdr[k] = mat.Dense{Rows: rows, Cols: cols}
+		bs.hdr = append(bs.hdr, mat.Dense{Rows: rows, Cols: cols})
 		need += int64(rows) * int64(cols)
-		if bb := int64(rows) * int64(cols) * 8; bb > maxBlk {
-			maxBlk = bb
-		}
 	}
 	bs.slab = s.readF64Slice()
 	if s.err != nil {
 		return nil
 	}
-	if int64(len(bs.slab)) != need || (nRows == 0 && nBlocks > 0) ||
-		(nRows > 0 && int(bs.rowPtr[nRows-1]) != nBlocks) {
+	if int64(len(bs.slab)) != need {
 		s.err = fmt.Errorf("core: corrupt block store section (%d blocks, slab %d, need %d)", nBlocks, len(bs.slab), need)
 		return nil
 	}
 	var off int64
-	for k := 0; k < nBlocks; k++ {
+	for k := range bs.hdr {
 		sz := int64(bs.hdr[k].Rows) * int64(bs.hdr[k].Cols)
 		bs.hdr[k].Data = bs.slab[off : off+sz]
 		off += sz
 	}
-	bs.frozenBytes = need*8 + int64(len(bs.hdr))*40 + int64(len(bs.rowPtr)+len(bs.colIdx))*4
-	bs.frozenMaxBlk = maxBlk
-	bs.frozen.Store(true)
+	bs.account()
 	return bs
 }
 
@@ -334,8 +348,8 @@ func readBlockStore(s *serialReader) *BlockStore {
 // It implements io.WriterTo.
 func (m *Matrix) WriteTo(w io.Writer) (int64, error) {
 	kernelLess := m.Kern.Name() == ""
-	if kernelLess && (m.Cfg.Mode != Normal || m.coup == nil || m.near == nil) {
-		return 0, fmt.Errorf("core: kernel-less matrix must be in normal mode with stored blocks to serialize (mode %v)", m.Cfg.Mode)
+	if kernelLess && m.Cfg.Mode != Normal {
+		return 0, fmt.Errorf("core: kernel-less matrix must be in normal mode to serialize (mode %v)", m.Cfg.Mode)
 	}
 	cw := &crcWriter{w: w}
 	s := &serialWriter{w: bufio.NewWriter(cw)}
@@ -490,9 +504,12 @@ func ReadAny(r io.Reader) (*Matrix, error) {
 }
 
 // readBody deserializes everything after the header under the given kernel
-// and verifies the integrity footer.
+// (nil for a kernel-less stream read by ReadAny) and verifies the integrity
+// footer. The checksum only proves the bytes are the ones written, not that
+// a writer was honest, so every field the apply trusts is validated too.
 func readBody(s *serialReader, k kernel.Pairwise) (*Matrix, error) {
 	m := &Matrix{Kern: k}
+	kernelLess := k == nil || k.Name() == ""
 	var kind, mode uint8
 	s.read(&kind)
 	s.read(&mode)
@@ -513,6 +530,14 @@ func readBody(s *serialReader, k kernel.Pairwise) (*Matrix, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
+	switch {
+	case m.Cfg.Kind != DataDriven && m.Cfg.Kind != Interpolation:
+		return nil, fmt.Errorf("core: corrupt stream: unknown basis kind %d", kind)
+	case m.Cfg.Mode != Normal && m.Cfg.Mode != OnTheFly && m.Cfg.Mode != Hybrid:
+		return nil, fmt.Errorf("core: corrupt stream: unknown memory mode %d", mode)
+	case kernelLess && m.Cfg.Mode != Normal:
+		return nil, fmt.Errorf("core: corrupt stream: kernel-less stream in memory mode %v (only normal mode can serve stored-only blocks)", m.Cfg.Mode)
+	}
 	if m.N <= 0 || m.Dim <= 0 || m.N > maxSliceLen || m.Dim > 64 {
 		return nil, fmt.Errorf("core: corrupt header n=%d dim=%d", m.N, m.Dim)
 	}
@@ -528,20 +553,23 @@ func readBody(s *serialReader, k kernel.Pairwise) (*Matrix, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
-	if !s.checkLen(nNodes) || len(coords) != m.N*m.Dim || len(t.Perm) != m.N {
+	if !s.checkLen(nNodes) || nNodes == 0 || len(coords) != m.N*m.Dim || len(t.Perm) != m.N {
 		return nil, fmt.Errorf("core: corrupt tree section")
 	}
 	t.InvPerm = make([]int, m.N)
+	for i := range t.InvPerm {
+		t.InvPerm[i] = -1
+	}
 	for kk, orig := range t.Perm {
-		if orig < 0 || orig >= m.N {
+		if orig < 0 || orig >= m.N || t.InvPerm[orig] >= 0 {
 			return nil, fmt.Errorf("core: corrupt permutation entry %d", orig)
 		}
 		t.InvPerm[orig] = kk
 	}
-	t.Nodes = make([]tree.Node, nNodes)
+	t.Nodes = make([]tree.Node, 0, min(nNodes, readChunk))
 	for i := 0; i < nNodes; i++ {
+		t.Nodes = append(t.Nodes, tree.Node{ID: i})
 		nd := &t.Nodes[i]
-		nd.ID = i
 		nd.Parent = s.readI64()
 		nd.Level = s.readI64()
 		nd.Start = s.readI64()
@@ -554,6 +582,9 @@ func readBody(s *serialReader, k kernel.Pairwise) (*Matrix, error) {
 		nd.Box.Max = s.readF64Slice()
 		if s.err != nil {
 			return nil, s.err
+		}
+		if nd.Level < 0 || nd.Level >= nNodes {
+			return nil, fmt.Errorf("core: corrupt node %d level %d", i, nd.Level)
 		}
 		for len(t.Levels) <= nd.Level {
 			t.Levels = append(t.Levels, nil)
@@ -607,32 +638,35 @@ func readBody(s *serialReader, k kernel.Pairwise) (*Matrix, error) {
 		return nil, s.err
 	}
 
-	// Stored-block section (kernel-less streams only). The blocks arrive
-	// verbatim, so no kernel is needed to serve the matrix; a loaded
-	// kernel-less matrix gets a placeholder kernel that refuses fresh
-	// evaluations but answers Symmetric for the apply's triangular logic.
-	blocksFromStream := false
+	// Stored-block section, present exactly in kernel-less streams. The
+	// blocks arrive verbatim, so no kernel is needed to serve the matrix; a
+	// loaded kernel-less matrix gets a placeholder kernel that refuses fresh
+	// evaluations but answers Symmetric for the stores' orientation.
 	var hasBlocks uint8
 	s.read(&hasBlocks)
-	if hasBlocks == 1 {
+	if s.err != nil {
+		return nil, s.err
+	}
+	if hasBlocks > 1 || (hasBlocks == 1) != kernelLess {
+		return nil, fmt.Errorf("core: corrupt stream: stored-block marker %d for a stream with kernel name %q", hasBlocks, kernelName(k))
+	}
+	if kernelLess {
 		var sym bool
 		s.read(&sym)
-		coup := readBlockStore(s)
-		near := readBlockStore(s)
+		m.coup = readBlockStore(s)
+		m.near = readBlockStore(s)
 		if s.err != nil {
 			return nil, s.err
 		}
-		if coup == nil || near == nil {
+		if m.coup == nil || m.near == nil {
 			return nil, fmt.Errorf("core: kernel-less stream missing stored blocks")
 		}
-		m.coup, m.near = coup, near
-		blocksFromStream = true
 		if m.Kern == nil {
 			m.Kern = storedOnlyKernel{sym: sym}
 		}
-	}
-	if m.Kern == nil {
-		return nil, fmt.Errorf("core: stream names no kernel and carries no stored blocks")
+		if m.Kern.Symmetric() != sym {
+			return nil, fmt.Errorf("core: corrupt stream: stored blocks for symmetric=%v, kernel symmetric=%v", sym, m.Kern.Symmetric())
+		}
 	}
 
 	if err := s.verifyFooter(); err != nil {
@@ -644,72 +678,206 @@ func readBody(s *serialReader, k kernel.Pairwise) (*Matrix, error) {
 	for i := range m.allIdx {
 		m.allIdx[i] = i
 	}
-	if m.Cfg.Kind == Interpolation {
-		for id := range t.Nodes {
-			m.skelPts[id] = interp.NewGrid(t.Nodes[id].Box, m.Cfg.P).Points()
-		}
-	} else {
-		for id := range t.Nodes {
-			m.skelPts[id] = t.Points
-		}
-	}
 	if err := m.validateLoaded(); err != nil {
 		return nil, err
 	}
-	if (m.Cfg.Mode == Normal || m.Cfg.Mode == Hybrid) && !blocksFromStream {
-		// Reassemble the stored blocks on a transient build pool, exactly as
-		// Build does. Hybrid selection is deterministic, so a round-trip
-		// stores the identical block subset. Kernel-less streams skip this:
-		// their blocks came off the wire verbatim above.
-		m.buildPool = par.NewPool(m.Cfg.Workers)
-		if m.Cfg.Mode == Normal {
-			m.storeBlocks()
-		} else {
-			m.storeBlocksHybrid(m.Cfg.StorageBudget)
+	if kernelLess {
+		if err := m.validateStores(); err != nil {
+			return nil, err
 		}
-		m.buildPool.Close()
-		m.buildPool = nil
+	} else {
+		// Reassemble the stored blocks exactly as Build does. Hybrid
+		// selection is deterministic, so a round trip stores the identical
+		// block subset.
+		m.storeBlocks(m.Cfg.blockBudget())
 	}
 	m.finishStats()
 	return m, nil
 }
 
+// kernelName is k's name, or "" for a nil kernel.
+func kernelName(k kernel.Pairwise) string {
+	if k == nil {
+		return ""
+	}
+	return k.Name()
+}
+
 // validateLoaded sanity-checks cross-references after deserialization so a
-// corrupt stream fails loudly instead of panicking later.
+// corrupt stream fails loudly instead of panicking later: the header
+// parameters, the tree's shape, every generator's shape against the ranks
+// and leaf sizes, skeleton and hierarchy indices, and the block lists. It
+// also builds the skeleton point sets, which need a validated grid size.
 func (m *Matrix) validateLoaded() error {
 	if v := m.Cfg.RelTol; math.IsNaN(v) || v < 0 || v >= 1 {
 		return fmt.Errorf("core: corrupt reltol %g", v)
 	}
+	if v := m.Cfg.Tol; math.IsNaN(v) || v <= 0 {
+		return fmt.Errorf("core: corrupt tolerance %g", v)
+	}
+	if m.Kern.Symmetric() && !m.sharedBasis {
+		return fmt.Errorf("core: corrupt stream: symmetric kernel with separate column bases")
+	}
+	if err := m.validateTree(); err != nil {
+		return err
+	}
 	nNodes := len(m.Tree.Nodes)
-	for id := 0; id < nNodes; id++ {
-		nd := &m.Tree.Nodes[id]
-		if nd.Start < 0 || nd.End > m.N || nd.Start > nd.End {
-			return fmt.Errorf("core: corrupt node %d range [%d,%d)", id, nd.Start, nd.End)
-		}
-		for _, c := range nd.Children {
-			if c < 0 || c >= nNodes {
-				return fmt.Errorf("core: corrupt child id %d", c)
+	if m.Cfg.Kind == Interpolation {
+		// Every interpolation node has rank P^Dim; check that before
+		// building the grids so a corrupt P cannot size them.
+		grid := 1
+		for c := 0; c < m.Dim && grid > 0; c++ {
+			if m.Cfg.P < 1 || grid > m.ranks[0]/m.Cfg.P {
+				grid = -1
+			} else {
+				grid *= m.Cfg.P
 			}
 		}
+		if grid != m.ranks[0] {
+			return fmt.Errorf("core: corrupt interpolation order %d for rank %d", m.Cfg.P, m.ranks[0])
+		}
+	}
+	for id := 0; id < nNodes; id++ {
+		nd := &m.Tree.Nodes[id]
 		for _, j := range append(append([]int(nil), nd.Interaction...), nd.Near...) {
 			if j < 0 || j >= nNodes {
 				return fmt.Errorf("core: corrupt list entry %d at node %d", j, id)
 			}
 		}
-		limit := m.skelPts[id].Len()
-		for _, p := range m.skel[id] {
-			if p < 0 || p >= limit {
-				return fmt.Errorf("core: corrupt skeleton index %d at node %d", p, id)
+		if m.Cfg.Kind == Interpolation {
+			if len(nd.Box.Min) != m.Dim || len(nd.Box.Max) != m.Dim {
+				return fmt.Errorf("core: corrupt bounding box at node %d", id)
+			}
+			m.skelPts[id] = interp.NewGrid(nd.Box, m.Cfg.P).Points()
+		} else {
+			m.skelPts[id] = m.Tree.Points
+		}
+		if err := m.validateSide(id, "row", m.ranks, m.skel, m.u, m.trans); err != nil {
+			return err
+		}
+		if !m.sharedBasis {
+			if err := m.validateSide(id, "column", m.colRanks, m.colSkel, m.v, m.wTrans); err != nil {
+				return err
 			}
 		}
-		if len(m.skel[id]) != m.ranks[id] {
-			return fmt.Errorf("core: node %d skeleton/rank mismatch", id)
-		}
-		if v := m.Cfg.Tol; math.IsNaN(v) || v <= 0 {
-			return fmt.Errorf("core: corrupt tolerance %g", v)
+		if m.hier != nil {
+			for _, p := range append(append([]int(nil), m.hier.XStar[id]...), m.hier.YStar[id]...) {
+				if p < 0 || p >= m.N {
+					return fmt.Errorf("core: corrupt sample index %d at node %d", p, id)
+				}
+			}
 		}
 	}
 	return m.validateLists()
+}
+
+// validateTree checks the tree the task graph and the permutation buffers
+// trust: node 0 is the root over [0, N), every other node's parent lists it
+// as a child one level up, children cover their parent's range
+// contiguously in order, and exactly the childless nodes are leaves. That
+// makes the parent links a tree, so the apply's task graph is acyclic.
+func (m *Matrix) validateTree() error {
+	nodes := m.Tree.Nodes
+	if r := &nodes[0]; r.Parent != -1 || r.Level != 0 || r.Start != 0 || r.End != m.N {
+		return fmt.Errorf("core: corrupt root node")
+	}
+	for id := range nodes {
+		nd := &nodes[id]
+		if id > 0 && (nd.Parent < 0 || nd.Parent >= len(nodes) || nodes[nd.Parent].Level != nd.Level-1 ||
+			!slices.Contains(nodes[nd.Parent].Children, id)) {
+			return fmt.Errorf("core: corrupt parent %d of node %d", nd.Parent, id)
+		}
+		if nd.IsLeaf != (len(nd.Children) == 0) {
+			return fmt.Errorf("core: corrupt leaf flag at node %d", id)
+		}
+		if nd.Start < 0 || nd.End > m.N || nd.Start > nd.End {
+			return fmt.Errorf("core: corrupt node %d range [%d,%d)", id, nd.Start, nd.End)
+		}
+		at := nd.Start
+		for _, c := range nd.Children {
+			if c <= 0 || c >= len(nodes) || nodes[c].Parent != id || nodes[c].Start != at {
+				return fmt.Errorf("core: corrupt child id %d of node %d", c, id)
+			}
+			at = nodes[c].End
+		}
+		if !nd.IsLeaf && at != nd.End {
+			return fmt.Errorf("core: corrupt node %d: children do not cover [%d,%d)", id, nd.Start, nd.End)
+		}
+	}
+	return nil
+}
+
+// validateSide checks one side (row or column) of node id's generators:
+// the skeleton matches the rank and indexes the skeleton points, a leaf's
+// basis is |X_id| x rank, and an internal node's stacked transfer blocks
+// are (Σ_c rank_c) x rank.
+func (m *Matrix) validateSide(id int, side string, ranks []int, skel [][]int, basis, trans []*mat.Dense) error {
+	nd := &m.Tree.Nodes[id]
+	if len(skel[id]) != ranks[id] {
+		return fmt.Errorf("core: node %d %s skeleton/rank mismatch", id, side)
+	}
+	limit := m.skelPts[id].Len()
+	for _, p := range skel[id] {
+		if p < 0 || p >= limit {
+			return fmt.Errorf("core: corrupt %s skeleton index %d at node %d", side, p, id)
+		}
+	}
+	g, rows := basis[id], nd.Size()
+	if !nd.IsLeaf {
+		g, rows = trans[id], 0
+		for _, c := range nd.Children {
+			rows += ranks[c]
+		}
+	}
+	if g == nil || g.Rows != rows || g.Cols != ranks[id] {
+		return fmt.Errorf("core: corrupt %s generator at node %d (want %dx%d)", side, id, rows, ranks[id])
+	}
+	return nil
+}
+
+// validateStores checks a kernel-less stream's stored-block section against
+// the loaded tree: well-formed CSR indices, the kernel's orientation, and
+// exactly the blocks storeBlocks stores in Normal mode, each in the shape
+// the sweeps multiply. A kernel-less matrix can evaluate no entry, so a
+// block the sweeps visit but the stream lacks would be unservable.
+func (m *Matrix) validateStores() error {
+	nNodes := len(m.Tree.Nodes)
+	sym := m.Kern.Symmetric()
+	for _, st := range []struct {
+		name string
+		s    *BlockStore
+	}{{"coupling", m.coup}, {"nearfield", m.near}} {
+		if st.s.directed == sym {
+			return fmt.Errorf("core: corrupt %s store: directed=%v for a kernel with symmetric=%v", st.name, st.s.directed, sym)
+		}
+		if err := st.s.checkIndex(nNodes); err != nil {
+			return fmt.Errorf("core: corrupt %s store: %w", st.name, err)
+		}
+	}
+	var nCoup, nNear int
+	for _, c := range m.blockCandidates() {
+		name, s := "coupling", m.coup
+		rows, cols := len(m.skel[c.i]), len(m.colSkeleton(c.j))
+		if c.near {
+			name, s = "nearfield", m.near
+			rows, cols = m.Tree.Nodes[c.i].Size(), m.Tree.Nodes[c.j].Size()
+			nNear++
+		} else {
+			nCoup++
+		}
+		blk := s.Get(c.i, c.j)
+		if blk == nil {
+			return fmt.Errorf("core: corrupt stream: %s block (%d, %d) missing", name, c.i, c.j)
+		}
+		if blk.Rows != rows || blk.Cols != cols {
+			return fmt.Errorf("core: corrupt stream: %s block (%d, %d) is %dx%d, want %dx%d", name, c.i, c.j, blk.Rows, blk.Cols, rows, cols)
+		}
+	}
+	if m.coup.Len() != nCoup || m.near.Len() != nNear {
+		return fmt.Errorf("core: corrupt stream: %d coupling and %d nearfield blocks stored, want %d and %d",
+			m.coup.Len(), m.near.Len(), nCoup, nNear)
+	}
+	return nil
 }
 
 // validateLists checks the block lists the apply trusts: every leaf's Near

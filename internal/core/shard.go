@@ -150,7 +150,7 @@ func (m *Matrix) ApplyShard(p *ShardPlan, s int, b []float64, transpose bool) ([
 
 // applyShardPermuted computes the packed coupling partials for one node set.
 func (m *Matrix) applyShardPermuted(ws *Workspace, bp []float64, nodes []int, transpose bool) []float64 {
-	ws.bind(m, vecKind(transpose))
+	ws.bind(m, m.vecKind(transpose))
 	ws.curB = bp
 	ws.runScatter(nodes)
 
@@ -169,9 +169,13 @@ func (ws *Workspace) runScatter(nodes []int) {
 	ws.runScheduled()
 }
 
-// vecKind is the vector apply variant for the transpose flag.
-func vecKind(transpose bool) applyKind {
-	if transpose {
+// vecKind is the vector apply variant for the transpose flag. Every block
+// of a symmetric kernel is applied in its one stored orientation, so its
+// transpose sweep would repeat the forward sweep's arithmetic exactly
+// (Âᵀb ≡ Âb, bit for bit): it runs the forward sweep, pair twins included,
+// and only unsymmetric kernels run the transpose sweep.
+func (m *Matrix) vecKind(transpose bool) applyKind {
+	if transpose && !m.Kern.Symmetric() {
 		return applyTrans
 	}
 	return applyVec
@@ -260,7 +264,7 @@ func (m *Matrix) applyGatherPermuted(ws *Workspace, yp, bp []float64, p *ShardPl
 	if err := m.checkPartials(p, parts, transpose, 1); err != nil {
 		return err
 	}
-	ws.bind(m, vecKind(transpose))
+	ws.bind(m, m.vecKind(transpose))
 	ws.curB, ws.curY = bp, yp
 	ws.maskGather(p, parts, func(id int) []float64 { return seg(ws.g, ws.gOff, id) })
 	ws.runScheduled()

@@ -28,8 +28,8 @@ type sweepTimers struct {
 	leaf     atomic.Int64
 
 	// On-the-fly instrumentation: cumulative nanoseconds spent in fused
-	// block evaluation (the former assemble-then-multiply cost), and hybrid
-	// store hit/miss counts. Workers accumulate into padded per-worker
+	// block evaluation (the former assemble-then-multiply cost), and store
+	// hit/miss counts. Workers accumulate into padded per-worker
 	// counters during a sweep and flush here once per apply, so the hot
 	// path performs no atomic operations per block.
 	otfAssembly  atomic.Int64
@@ -77,14 +77,19 @@ type SweepStats struct {
 // SweepStats returns the cumulative stage timings recorded since the matrix
 // was built. Safe for concurrent use.
 func (m *Matrix) SweepStats() SweepStats {
-	return SweepStats{
+	ss := SweepStats{
 		Applies:       m.sweeps.applies.Load(),
 		UpNS:          m.sweeps.up.Load(),
 		CouplingNS:    m.sweeps.coupling.Load(),
 		DownNS:        m.sweeps.down.Load(),
 		LeafNS:        m.sweeps.leaf.Load(),
 		OtfAssemblyNS: m.sweeps.otfAssembly.Load(),
-		HybridHits:    m.sweeps.hybridHits.Load(),
-		HybridMisses:  m.sweeps.hybridMisses.Load(),
 	}
+	// The sweeps count store hits and misses in every mode; only a hybrid
+	// store's split is news.
+	if m.Cfg.Mode == Hybrid {
+		ss.HybridHits = m.sweeps.hybridHits.Load()
+		ss.HybridMisses = m.sweeps.hybridMisses.Load()
+	}
+	return ss
 }

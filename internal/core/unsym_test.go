@@ -168,17 +168,16 @@ func TestUnsymmetricErrorEstimator(t *testing.T) {
 }
 
 func TestDirectedBlockStore(t *testing.T) {
-	s := NewDirectedBlockStore()
 	b := mat.NewDenseData(3, 2, []float64{1, 2, 3, 4, 5, 6})
-	s.Put(5, 1, b) // reversed order allowed in directed mode
-	if s.Get(5, 1) != b || s.Get(1, 5) != nil {
+	s := storeOf(true, map[blockKey]*mat.Dense{{5, 1}: b}) // reversed order allowed in directed mode
+	if got := s.Get(5, 1); got == nil || !got.Equal(b, 0) || s.Get(1, 5) != nil {
 		t.Fatal("directed store key handling wrong")
 	}
 	g := make([]float64, 3)
-	if !s.Apply(g, 5, 1, []float64{1, 2}) {
+	if !applyStored(s, g, 5, 1, []float64{1, 2}) {
 		t.Fatal("directed apply missed")
 	}
-	if s.Apply(g, 1, 5, []float64{1, 2, 3}) {
+	if applyStored(s, g, 1, 5, []float64{1, 2, 3}) {
 		t.Fatal("directed apply must not transpose")
 	}
 }

@@ -52,8 +52,8 @@ type Workspace struct {
 
 	// Per-worker tile buffers (grown on demand when the configured worker
 	// count rises). The fused on-the-fly kernels use them as one-row panels
-	// in the batch sweeps, the vector pair twins as a row panel plus the
-	// four transposed-dot lanes.
+	// in the batch sweeps and the vector pair twins, and for gathered
+	// coordinate panels.
 	scratch []*mat.Dense
 
 	// ctr holds per-worker instrumentation, padded to ctrStride int64s per
@@ -84,8 +84,8 @@ type Workspace struct {
 	k                  int // current batch width
 	bpB, ypB           *mat.Dense
 	rowSlabB, colSlabB []float64
-	qB, gB             []*mat.Dense // per-node headers re-pointed into the slabs
-	viewIn, viewOut    []*mat.Dense // per-worker leaf-range views
+	qB, gB             []*mat.Dense   // per-node headers re-pointed into the slabs
+	views              [][4]mat.Dense // per-worker leaf-range view headers (outRows, inRows)
 }
 
 // applyKind selects the apply variant whose per-node kernels a drain runs.
@@ -124,6 +124,15 @@ var nearKernels = [...]func(ws *Workspace, w, i, j int){
 	applyVec:   (*Workspace).nearVec,
 	applyTrans: (*Workspace).nearT,
 	applyBatch: (*Workspace).nearB,
+}
+
+// nearTwins[kind] is one apply variant's symmetric pair kernel:
+// kernel(ws, worker, i, j) adds block (i, j) into leaf i's outputs and its
+// transpose into leaf j's. The transpose sweep has none: only unsymmetric
+// kernels run it (Matrix.vecKind).
+var nearTwins = [...]func(ws *Workspace, w, i, j int){
+	applyVec:   (*Workspace).nearTwin,
+	applyBatch: (*Workspace).nearTwinB,
 }
 
 // NewWorkspace allocates a workspace sized for m's tree and ranks. Reuse it
@@ -315,7 +324,7 @@ func (m *Matrix) ApplyTransposeToWith(ws *Workspace, y, b []float64) {
 		panic(fmt.Sprintf("core: applyTranspose length mismatch y=%d b=%d n=%d", len(y), len(b), m.N))
 	}
 	m.Tree.PermuteVec(ws.bp, b)
-	m.applyPermutedWith(ws, ws.yp, ws.bp, applyTrans)
+	m.applyPermutedWith(ws, ws.yp, ws.bp, m.vecKind(true))
 	m.Tree.UnpermuteVec(y, ws.yp)
 }
 
@@ -365,9 +374,8 @@ func (ws *Workspace) upNode(_, id int) {
 	}
 }
 
-// coupNode is stage 3 for Apply: g_i = Σ_{j ∈ IL(i)} B_{i,j} q_j, with
-// on-the-fly assembly into the worker's scratch tile when no blocks are
-// stored.
+// coupNode is stage 3 for Apply: g_i = Σ_{j ∈ IL(i)} B_{i,j} q_j, each block
+// in its stored orientation (vecBlock).
 func (ws *Workspace) coupNode(w, id int) {
 	m := ws.m
 	gi := seg(ws.g, ws.gOff, id)
@@ -379,22 +387,65 @@ func (ws *Workspace) coupNode(w, id int) {
 		if m.colRank(j) == 0 {
 			continue
 		}
-		qj := seg(ws.q, ws.qOff, j)
-		switch m.Cfg.Mode {
-		case Normal:
-			m.coup.Apply(gi, id, j, qj)
-			continue
-		case Hybrid:
-			if m.coup.applyOTFOrder(gi, id, j, qj) {
-				ws.ctr[w*ctrStride+ctrHit]++
-				continue
-			}
-			ws.ctr[w*ctrStride+ctrMiss]++
-		}
-		t := nowNS()
-		kernel.BlockVecAdd(gi, m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j), qj, ws.scratch[w])
-		ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
+		a, b, trans := m.coup.key(id, j)
+		ws.vecBlock(w, false, gi, a, b, trans, seg(ws.q, ws.qOff, j))
 	}
+}
+
+// vecBlock adds one coupling (near false) or nearfield block, applied
+// forward or transposed, into y: y += B_{a,b} v, or y += B_{a,b}ᵀ v with
+// trans. (a, b) is the block's stored key, so every block is summed in one
+// orientation in every memory mode: a stored payload is multiplied in place
+// (MulVecAdd / MulTVecAdd), and an unstored one is evaluated by the fused
+// kernel of the same product (BlockVecAdd / BlockTVecAdd), which is
+// bitwise-identical to it.
+func (ws *Workspace) vecBlock(w int, near bool, y []float64, a, b int, trans bool, v []float64) {
+	m := ws.m
+	ctr := ws.ctr[w*ctrStride : (w+1)*ctrStride]
+	if blk := m.store(near).Get(a, b); blk != nil {
+		ctr[ctrHit]++
+		if trans {
+			mat.MulTVecAdd(y, blk, v)
+		} else {
+			mat.MulVecAdd(y, blk, v)
+		}
+		return
+	}
+	ctr[ctrMiss]++
+	t := nowNS()
+	x, rows, yp, cols := m.blockPoints(near, a, b)
+	if trans {
+		kernel.BlockTVecAdd(y, m.Kern, x, rows, yp, cols, v, ws.scratch[w])
+	} else {
+		kernel.BlockVecAdd(y, m.Kern, x, rows, yp, cols, v, ws.scratch[w])
+	}
+	ctr[ctrOtfNS] += nowNS() - t
+}
+
+// batchBlock is vecBlock for a block of right-hand sides: Y += B_{a,b} V, or
+// Y += B_{a,b}ᵀ V with trans (MulAddTo / MulTAddTo, fused BlockMulAdd /
+// BlockTMulAdd).
+func (ws *Workspace) batchBlock(w int, near bool, y *mat.Dense, a, b int, trans bool, v *mat.Dense) {
+	m := ws.m
+	ctr := ws.ctr[w*ctrStride : (w+1)*ctrStride]
+	if blk := m.store(near).Get(a, b); blk != nil {
+		ctr[ctrHit]++
+		if trans {
+			mat.MulTAddTo(y, blk, v)
+		} else {
+			mat.MulAddTo(y, blk, v)
+		}
+		return
+	}
+	ctr[ctrMiss]++
+	t := nowNS()
+	x, rows, yp, cols := m.blockPoints(near, a, b)
+	if trans {
+		kernel.BlockTMulAdd(y, m.Kern, x, rows, yp, cols, v, ws.scratch[w])
+	} else {
+		kernel.BlockMulAdd(y, m.Kern, x, rows, yp, cols, v, ws.scratch[w])
+	}
+	ctr[ctrOtfNS] += nowNS() - t
 }
 
 // downNode is stage 4 for Apply: g_c += R_c g_i, parents writing only their
@@ -440,17 +491,15 @@ func (ws *Workspace) leafB(id int) []float64 {
 }
 
 // pairTask is the nearfield of one leaf pair (i, j), i <= j: block (i, j)
-// into leaf i's outputs and, for i < j, block (j, i) into leaf j's. In the
-// vector apply, where the kernel is symmetric and the block has one stored
-// (or evaluated) orientation, a twin visits it once for both outputs — the
-// triangular Normal store through mat.MulVecAddTwin, a hybrid hit through
-// mat.MulVecAddTwinDot, an on-the-fly radial block through
-// kernel.BlockVecAddTwin — each bitwise-identical to the two directed
-// blocks it replaces. Everything else (the diagonal block, the transpose
-// and batch applies, directed stores, non-radial kernels) applies each
-// orientation with the variant's near kernel.
+// into leaf i's outputs and, for i < j, block (j, i) into leaf j's. For a
+// symmetric kernel both orientations share the one stored block (i, j), so
+// a twin visits it once for both outputs (nearTwins; a symmetric kernel
+// never runs the transpose sweep). Everything else (the diagonal block,
+// unsymmetric kernels) applies each orientation with the variant's near
+// kernel.
 func (ws *Workspace) pairTask(w, i, j int) {
-	if i != j && ws.kind == applyVec && ws.nearTwin(w, i, j) {
+	if i != j && !ws.m.near.directed {
+		nearTwins[ws.kind](ws, w, i, j)
 		return
 	}
 	near := nearKernels[ws.kind]
@@ -460,61 +509,32 @@ func (ws *Workspace) pairTask(w, i, j int) {
 	}
 }
 
-// nearTwin applies both orientations of the off-diagonal pair (i, j) of a
-// vector apply with a single-visit twin and reports whether one applied.
-// Hybrid counts a hit or miss per directed block, as nearVec does.
-func (ws *Workspace) nearTwin(w, i, j int) bool {
+// nearTwin applies the off-diagonal pair (i < j) of a symmetric vector
+// apply in one visit of block (i, j): y_i += B_{i,j} b_j and
+// y_j += B_{i,j}ᵀ b_i, through mat.MulVecAddTwin for a stored block and
+// kernel.BlockVecAddTwin otherwise — each bitwise-identical to the two
+// directed blocks it replaces. It counts a hit or miss per directed block,
+// as nearVec does.
+func (ws *Workspace) nearTwin(w, i, j int) {
 	m := ws.m
-	if m.Cfg.Mode != OnTheFly && m.near.directed {
-		return false
-	}
+	ctr := ws.ctr[w*ctrStride : (w+1)*ctrStride]
 	yi, yj := ws.leafY(i), ws.leafY(j)
 	bi, bj := ws.leafB(i), ws.leafB(j)
-	switch m.Cfg.Mode {
-	case Normal:
-		if blk := m.near.Get(i, j); blk != nil {
-			mat.MulVecAddTwin(yi, yj, blk, bj, bi)
-		}
-		return true
-	case Hybrid:
-		if blk := m.near.Get(i, j); blk != nil {
-			ws.scratch[w].Reshape(4, blk.Cols)
-			mat.MulVecAddTwinDot(yi, yj, blk, bj, bi, ws.scratch[w].Data)
-			ws.ctr[w*ctrStride+ctrHit] += 2
-			return true
-		}
+	if blk := m.near.Get(i, j); blk != nil {
+		ctr[ctrHit] += 2
+		mat.MulVecAddTwin(yi, yj, blk, bj, bi)
+		return
 	}
-	rk, radial := m.Kern.(kernel.Kernel)
-	if !radial {
-		return false
-	}
-	if m.Cfg.Mode == Hybrid {
-		ws.ctr[w*ctrStride+ctrMiss] += 2
-	}
+	ctr[ctrMiss] += 2
 	t := nowNS()
-	kernel.BlockVecAddTwin(yi, yj, rk, m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j), bj, bi, ws.scratch[w])
-	ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
-	return true
+	kernel.BlockVecAddTwin(yi, yj, m.Kern, m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j), bj, bi, ws.scratch[w])
+	ctr[ctrOtfNS] += nowNS() - t
 }
 
 // nearVec adds one directed nearfield block: y_i += K(X_i, X_j) b_j.
 func (ws *Workspace) nearVec(w, i, j int) {
-	m := ws.m
-	yi, bj := ws.leafY(i), ws.leafB(j)
-	switch m.Cfg.Mode {
-	case Normal:
-		m.near.Apply(yi, i, j, bj)
-		return
-	case Hybrid:
-		if m.near.applyOTFOrder(yi, i, j, bj) {
-			ws.ctr[w*ctrStride+ctrHit]++
-			return
-		}
-		ws.ctr[w*ctrStride+ctrMiss]++
-	}
-	t := nowNS()
-	kernel.BlockVecAdd(yi, m.Kern, m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j), bj, ws.scratch[w])
-	ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
+	a, b, trans := ws.m.near.key(i, j)
+	ws.vecBlock(w, true, ws.leafY(i), a, b, trans, ws.leafB(j))
 }
 
 // upNodeT is the transpose upward sweep through the ROW generators (U, R).
@@ -542,7 +562,9 @@ func (ws *Workspace) upNodeT(_, id int) {
 
 // coupNodeT is the transpose coupling sweep: g_i = Σ_j B_{j,i}ᵀ q_j. The
 // interaction lists are symmetric as sets, so iterating i's own list covers
-// exactly the blocks whose transpose writes into i.
+// exactly the blocks whose transpose writes into i. Only unsymmetric kernels
+// run the transpose sweeps (see vecKind), so the stored key of B_{j,i} is
+// (j, i) itself.
 func (ws *Workspace) coupNodeT(w, id int) {
 	m := ws.m
 	gi := seg(ws.g, ws.gOff, id)
@@ -554,31 +576,7 @@ func (ws *Workspace) coupNodeT(w, id int) {
 		if m.ranks[j] == 0 {
 			continue
 		}
-		qj := seg(ws.q, ws.qOff, j)
-		switch m.Cfg.Mode {
-		case Normal:
-			// g_i += B_{j,i}ᵀ q_j. In triangular (symmetric) storage,
-			// Apply(g, i, j, q) already computes B_{i,j} q = B_{j,i}ᵀ q.
-			// In directed storage we must transpose the stored (j, i)
-			// block explicitly.
-			if m.coup.directed {
-				if blk := m.coup.Get(j, id); blk != nil {
-					mat.MulTVecAdd(gi, blk, qj)
-				}
-			} else {
-				m.coup.Apply(gi, id, j, qj)
-			}
-			continue
-		case Hybrid:
-			if m.coup.applyTransposeOTFOrder(gi, id, j, qj) {
-				ws.ctr[w*ctrStride+ctrHit]++
-				continue
-			}
-			ws.ctr[w*ctrStride+ctrMiss]++
-		}
-		t := nowNS()
-		kernel.BlockTVecAdd(gi, m.Kern, m.skelPts[j], m.skel[j], m.skelPts[id], m.colSkeleton(id), qj, ws.scratch[w])
-		ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
+		ws.vecBlock(w, false, gi, j, id, true, seg(ws.q, ws.qOff, j))
 	}
 }
 
@@ -612,28 +610,7 @@ func (ws *Workspace) leafNodeT(_, id int) {
 
 // nearT adds one directed transpose nearfield block: y_i += K(X_j, X_i)ᵀ b_j.
 func (ws *Workspace) nearT(w, i, j int) {
-	m := ws.m
-	yi, bj := ws.leafY(i), ws.leafB(j)
-	switch m.Cfg.Mode {
-	case Normal:
-		if m.near.directed {
-			if blk := m.near.Get(j, i); blk != nil {
-				mat.MulTVecAdd(yi, blk, bj)
-			}
-		} else {
-			m.near.Apply(yi, i, j, bj)
-		}
-		return
-	case Hybrid:
-		if m.near.applyTransposeOTFOrder(yi, i, j, bj) {
-			ws.ctr[w*ctrStride+ctrHit]++
-			return
-		}
-		ws.ctr[w*ctrStride+ctrMiss]++
-	}
-	t := nowNS()
-	kernel.BlockTVecAdd(yi, m.Kern, m.Tree.Points, m.leafRange(j), m.Tree.Points, m.leafRange(i), bj, ws.scratch[w])
-	ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
+	ws.vecBlock(w, true, ws.leafY(i), j, i, true, ws.leafB(j))
 }
 
 // ---- batched multi-RHS path ----
@@ -654,9 +631,8 @@ func (ws *Workspace) ensureBatch(k int) {
 			ws.gB[i] = &mat.Dense{}
 		}
 	}
-	for len(ws.viewIn) < len(ws.scratch) {
-		ws.viewIn = append(ws.viewIn, &mat.Dense{})
-		ws.viewOut = append(ws.viewOut, &mat.Dense{})
+	for len(ws.views) < len(ws.scratch) {
+		ws.views = append(ws.views, [4]mat.Dense{})
 	}
 	ws.bpB.Reshape(m.N, k)
 	ws.ypB.Reshape(m.N, k)
@@ -683,6 +659,19 @@ func rowsView(v, a *mat.Dense, r0, r1 int) *mat.Dense {
 	v.Rows, v.Cols = r1-r0, a.Cols
 	v.Data = a.Data[r0*a.Cols : r1*a.Cols]
 	return v
+}
+
+// outRows and inRows view leaf id's rows of the batch output and input
+// panels through worker w's header slot s (0 or 1, so a pair task can hold
+// two leaves' views at once) — the batch forms of leafY and leafB.
+func (ws *Workspace) outRows(w, s, id int) *mat.Dense {
+	nd := &ws.m.Tree.Nodes[id]
+	return rowsView(&ws.views[w][s], ws.ypB, nd.Start, nd.End)
+}
+
+func (ws *Workspace) inRows(w, s, id int) *mat.Dense {
+	nd := &ws.m.Tree.Nodes[id]
+	return rowsView(&ws.views[w][2+s], ws.bpB, nd.Start, nd.End)
 }
 
 // ApplyBatchToWith computes Y = Â B for k right-hand sides stored as the
@@ -731,7 +720,7 @@ func (ws *Workspace) upNodeB(w, id int) {
 		return
 	}
 	if nd.IsLeaf {
-		mat.MulTAddTo(qi, m.colBasis(id), rowsView(ws.viewIn[w], ws.bpB, nd.Start, nd.End))
+		mat.MulTAddTo(qi, m.colBasis(id), ws.inRows(w, 0, id))
 		return
 	}
 	off := 0
@@ -745,7 +734,8 @@ func (ws *Workspace) upNodeB(w, id int) {
 }
 
 // coupNodeB is the batched coupling sweep: one stored-block application or
-// tile assembly per block for all k columns.
+// fused evaluation per block for all k columns, in the block's stored
+// orientation (batchBlock).
 func (ws *Workspace) coupNodeB(w, id int) {
 	m := ws.m
 	gi := ws.gB[id]
@@ -757,20 +747,8 @@ func (ws *Workspace) coupNodeB(w, id int) {
 		if m.colRank(j) == 0 {
 			continue
 		}
-		switch m.Cfg.Mode {
-		case Normal:
-			m.coup.ApplyBatch(gi, id, j, ws.qB[j])
-			continue
-		case Hybrid:
-			if m.coup.applyBatchOTFOrder(gi, id, j, ws.qB[j]) {
-				ws.ctr[w*ctrStride+ctrHit]++
-				continue
-			}
-			ws.ctr[w*ctrStride+ctrMiss]++
-		}
-		t := nowNS()
-		kernel.BlockMulAdd(gi, m.Kern, m.skelPts[id], m.skel[id], m.skelPts[j], m.colSkeleton(j), ws.qB[j], ws.scratch[w])
-		ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
+		a, b, trans := m.coup.key(id, j)
+		ws.batchBlock(w, false, gi, a, b, trans, ws.qB[j])
 	}
 }
 
@@ -795,8 +773,7 @@ func (ws *Workspace) downNodeB(_, id int) {
 // leafNodeB is the batched leaf sweep, farfield half: Y_i = U_i G_i.
 func (ws *Workspace) leafNodeB(w, id int) {
 	m := ws.m
-	nd := &m.Tree.Nodes[id]
-	yi := rowsView(ws.viewOut[w], ws.ypB, nd.Start, nd.End)
+	yi := ws.outRows(w, 0, id)
 	zero(yi.Data)
 	if m.ranks[id] > 0 {
 		mat.MulAddTo(yi, m.u[id], ws.gB[id])
@@ -805,22 +782,27 @@ func (ws *Workspace) leafNodeB(w, id int) {
 
 // nearB adds one directed batched nearfield block: Y_i += K(X_i, X_j) B_j.
 func (ws *Workspace) nearB(w, i, j int) {
+	a, b, trans := ws.m.near.key(i, j)
+	ws.batchBlock(w, true, ws.outRows(w, 0, i), a, b, trans, ws.inRows(w, 0, j))
+}
+
+// nearTwinB is nearTwin for a block of right-hand sides: Y_i += B_{i,j} B_j
+// and Y_j += B_{i,j}ᵀ B_i in one visit of block (i, j) — the stored block
+// through MulAddTo and MulTAddTo, an unstored one through
+// kernel.BlockMulAddTwin, which evaluates each entry once.
+func (ws *Workspace) nearTwinB(w, i, j int) {
 	m := ws.m
-	ni, nj := &m.Tree.Nodes[i], &m.Tree.Nodes[j]
-	yi := rowsView(ws.viewOut[w], ws.ypB, ni.Start, ni.End)
-	bj := rowsView(ws.viewIn[w], ws.bpB, nj.Start, nj.End)
-	switch m.Cfg.Mode {
-	case Normal:
-		m.near.ApplyBatch(yi, i, j, bj)
+	ctr := ws.ctr[w*ctrStride : (w+1)*ctrStride]
+	yi, yj := ws.outRows(w, 0, i), ws.outRows(w, 1, j)
+	bi, bj := ws.inRows(w, 0, i), ws.inRows(w, 1, j)
+	if blk := m.near.Get(i, j); blk != nil {
+		ctr[ctrHit] += 2
+		mat.MulAddTo(yi, blk, bj)
+		mat.MulTAddTo(yj, blk, bi)
 		return
-	case Hybrid:
-		if m.near.applyBatchOTFOrder(yi, i, j, bj) {
-			ws.ctr[w*ctrStride+ctrHit]++
-			return
-		}
-		ws.ctr[w*ctrStride+ctrMiss]++
 	}
+	ctr[ctrMiss] += 2
 	t := nowNS()
-	kernel.BlockMulAdd(yi, m.Kern, m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j), bj, ws.scratch[w])
-	ws.ctr[w*ctrStride+ctrOtfNS] += nowNS() - t
+	kernel.BlockMulAddTwin(yi, yj, m.Kern, m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j), bj, bi, ws.scratch[w])
+	ctr[ctrOtfNS] += nowNS() - t
 }

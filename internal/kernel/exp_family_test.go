@@ -33,7 +33,8 @@ func spreadCube(n, d int, seed int64, scale float64) *pointset.Points {
 }
 
 // TestExpFamilyTilesBitwise pins every exp-family tile of the fused paths —
-// Assemble, BlockVecAdd, BlockTVecAdd, BlockMulAdd and BlockVecAddTwin —
+// Assemble, BlockVecAdd, BlockTVecAdd, BlockMulAdd, BlockTMulAdd and
+// BlockVecAddTwin —
 // against the per-entry seed oracle (NewBlockSeed, then the matching mat
 // product), with the AVX path on and off, for d = 2, 3 and 5, unit and
 // stretched point sets, and shapes around the 4-lane step and the 64-entry
@@ -85,10 +86,19 @@ func TestExpFamilyTilesBitwise(t *testing.T) {
 						BlockMulAdd(c, k, x, rows, x, cols, b, buf)
 						bitsEqual(t, tag+" BlockMulAdd", c.Data, wantC.Data)
 
+						bt, ct := mat.NewDense(sh.rows, 3), mat.NewDense(sh.cols, 3)
+						copy(bt.Data, rnd(len(bt.Data)))
+						copy(ct.Data, rnd(len(ct.Data)))
+						wantCT := mat.NewDense(sh.cols, 3)
+						copy(wantCT.Data, ct.Data)
+						mat.MulTAddTo(wantCT, tile, bt)
+						BlockTMulAdd(ct, k, x, rows, x, cols, bt, buf)
+						bitsEqual(t, tag+" BlockTMulAdd", ct.Data, wantCT.Data)
+
 						tR, tC := rnd(sh.rows), rnd(sh.cols)
 						wantR, wantT := append([]float64(nil), tR...), append([]float64(nil), tC...)
 						mat.MulVecAdd(wantR, tile, vc)
-						mat.MulVecAdd(wantT, NewBlockSeed(k, x, cols, x, rows), vr)
+						mat.MulTVecAdd(wantT, tile, vr)
 						BlockVecAddTwin(tR, tC, k, x, rows, x, cols, vc, vr, buf)
 						bitsEqual(t, tag+" twin rows", tR, wantR)
 						bitsEqual(t, tag+" twin cols", tC, wantT)

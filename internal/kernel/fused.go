@@ -11,12 +11,13 @@
 // evaluation loop, and the kernel values for a chunk of at most fusedChunk
 // entries live in a stack buffer that never leaves L1. Only a slice of the
 // tile ever exists — for the vector paths a 64-entry chunk, for the batch
-// path one tile row — instead of the full rows x cols block.
+// paths and the twin one tile row — instead of the full rows x cols block.
 //
 // Bitwise contract: every primitive reproduces the exact per-element
 // operation sequence of kernel.Assemble followed by the matching internal/mat
-// product (MulVecAdd, MulTVecAdd, MulAddTo), including mat's 4-accumulator
-// dot grouping, its sequential tails, and MulTVecAdd's per-row zero skips.
+// product (MulVecAdd, MulTVecAdd, MulAddTo, MulTAddTo), including mat's
+// 4-accumulator dot grouping, its sequential tails, and the transposed
+// products' zero skips.
 // The equivalence suites in this package and internal/core pin this digit
 // for digit.
 
@@ -262,6 +263,16 @@ func (e evaluator) rowDot(xi, p, v []float64, r2, kb *[fusedChunk]float64) float
 	return s
 }
 
+// fillRow evaluates one whole tile row, row[t] = K(xi, p_t), a chunk of
+// fusedChunk entries at a time; r2 is chunk scratch.
+func (e evaluator) fillRow(row, xi, p []float64, r2 *[fusedChunk]float64) {
+	d := len(xi)
+	for b0 := 0; b0 < len(row); b0 += fusedChunk {
+		b1 := min(b0+fusedChunk, len(row))
+		e.fill(row[b0:b1], r2[:], xi, p[b0*d:b1*d])
+	}
+}
+
 // BlockVecAdd computes out[a] += Σ_b K(x[rows[a]], y[cols[b]]) * v[b] — the
 // fused form of Assemble + mat.MulVecAdd, bitwise-identical to it. out is
 // indexed by row position (len(rows)), v by column position (len(cols)). buf
@@ -278,36 +289,37 @@ func BlockVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *
 	}
 }
 
-// TwinBufRows is the row count BlockVecAddTwin reshapes its scratch buffer
-// to for a consecutive column run: one kernel-row panel plus the four
-// transposed-dot lanes (a gathered column set adds d panel rows).
-const TwinBufRows = 5
-
-// BlockVecAddTwin applies one block of a radial kernel in both orientations
-// while evaluating each entry once: outR[a] += Σ_b K(x[rows[a]], y[cols[b]])
-// vc[b] and outC[b] += Σ_a K(y[cols[b]], x[rows[a]]) vr[a]. It is
-// bitwise-identical to BlockVecAdd(outR, k, x, rows, y, cols, vc) followed
-// by BlockVecAdd(outC, k, y, cols, x, rows, vr): a radial kernel sees the
-// same squared distance from either side ((a-b)² == (b-a)² exactly), the row
-// side reduces through dot's grouping, and the column side reproduces the
-// second call's 4-accumulator dot through mat.TwinRow's lanes. Each tile
-// row is evaluated into buf (reshaped to TwinBufRows x len(cols), so only a
-// one-row panel ever exists). outR and outC must not overlap.
-func BlockVecAddTwin(outR, outC []float64, k Kernel, x *pointset.Points, rows []int, y *pointset.Points, cols []int, vc, vr []float64, buf *mat.Dense) {
+// BlockVecAddTwin applies one block in both orientations while evaluating
+// each entry once: outR[a] += Σ_b K(x[rows[a]], y[cols[b]]) vc[b] and
+// outC[b] += Σ_a K(x[rows[a]], y[cols[b]]) vr[a]. It is the on-the-fly
+// counterpart of mat.MulVecAddTwin and bitwise-identical to
+// BlockVecAdd(outR, …, vc) followed by BlockTVecAdd(outC, …, vr): the row
+// side reduces through dot's grouping, and the column side adds vr[a] times
+// each evaluated row in row order, skipping zero multipliers, as
+// MulTVecAdd does. Each tile row is evaluated into buf (one row panel, plus
+// a gathered column panel as in BlockMulAdd). outR and outC must not
+// overlap.
+func BlockVecAddTwin(outR, outC []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, vc, vr []float64, buf *mat.Dense) {
+	e := newEvaluator(pk)
+	row, p := colScratch(buf, 1, y, cols)
 	d := x.Dim
 	L := len(cols)
-	work, p := colScratch(buf, TwinBufRows, y, cols)
-	row, lanes := work[:L], work[L:]
+	U := L &^ 3
+	vc = vc[:L]
 	var r2 [fusedChunk]float64
 	for a, i := range rows {
-		xi := x.Coords[i*d : i*d+d]
-		for b0 := 0; b0 < L; b0 += fusedChunk {
-			b1 := min(b0+fusedChunk, L)
-			panelEval(k, row[b0:b1], r2[:], xi, p[b0*d:b1*d])
+		e.fillRow(row, x.Coords[i*d:i*d+d], p, &r2)
+		var acc [4]float64
+		mat.DotAcc4(row[:U], vc[:U], &acc)
+		s := (acc[0] + acc[1]) + (acc[2] + acc[3])
+		for t := U; t < L; t++ {
+			s += row[t] * vc[t]
 		}
-		outR[a] += mat.TwinRow(row, vc, vr[a], a, len(rows), lanes)
+		outR[a] += s
+		if xv := vr[a]; xv != 0 {
+			mat.AxpyChunk(outC, xv, row)
+		}
 	}
-	mat.TwinFlush(outC, len(rows), lanes)
 }
 
 // BlockTVecAdd computes out[b] += Σ_a K(x[rows[a]], y[cols[b]]) * v[a] — the
@@ -395,18 +407,82 @@ func BlockMulAdd(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *p
 	e := newEvaluator(pk)
 	row, p := colScratch(buf, 1, y, cols)
 	d := x.Dim
-	n := b.Cols
-	L := len(cols)
 	var r2 [fusedChunk]float64
 	for a, i := range rows {
-		xi := x.Coords[i*d : i*d+d]
-		for b0 := 0; b0 < L; b0 += fusedChunk {
-			b1 := min(b0+fusedChunk, L)
-			e.fill(row[b0:b1], r2[:], xi, p[b0*d:b1*d])
+		e.fillRow(row, x.Coords[i*d:i*d+d], p, &r2)
+		dotRow(c.Row(a), row, b)
+	}
+}
+
+// BlockTMulAdd computes C += K(x[rows], y[cols])ᵀ * B — the fused form of
+// Assemble + mat.MulTAddTo, bitwise-identical to it, including its skips of
+// zero entries. Each tile row is evaluated into buf as in BlockMulAdd and
+// scattered into C's rows. C is len(cols) x B.Cols and B is
+// len(rows) x B.Cols.
+func BlockTMulAdd(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, b *mat.Dense, buf *mat.Dense) {
+	e := newEvaluator(pk)
+	row, p := colScratch(buf, 1, y, cols)
+	d := x.Dim
+	var r2 [fusedChunk]float64
+	for a, i := range rows {
+		e.fillRow(row, x.Coords[i*d:i*d+d], p, &r2)
+		scatterRow(c, row, b.Row(a))
+	}
+}
+
+// BlockMulAddTwin applies one block in both orientations to a block of
+// right-hand sides while evaluating each entry once: CR += K·BC and
+// CC += Kᵀ·BR with K = K(x[rows], y[cols]). It is the batch counterpart of
+// BlockVecAddTwin, bitwise-identical to BlockMulAdd(CR, …, BC) followed by
+// BlockTMulAdd(CC, …, BR). CR and CC must not overlap.
+func BlockMulAddTwin(cR, cC *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, bC, bR *mat.Dense, buf *mat.Dense) {
+	e := newEvaluator(pk)
+	row, p := colScratch(buf, 1, y, cols)
+	d := x.Dim
+	var r2 [fusedChunk]float64
+	for a, i := range rows {
+		e.fillRow(row, x.Coords[i*d:i*d+d], p, &r2)
+		dotRow(cR.Row(a), row, bC)
+		scatterRow(cC, row, bR.Row(a))
+	}
+}
+
+// dotRow adds row·B into crow, column by column of B: one row of
+// mat.MulAddTo's accumulation, in its dot grouping.
+func dotRow(crow, row []float64, b *mat.Dense) {
+	n := b.Cols
+	for t := 0; t < n; t++ {
+		crow[t] += mat.DotStride(row, b.Data, t, n)
+	}
+}
+
+// inlineAxpy is the right-hand-side count below which scatterRow adds the
+// scaled row of B with inline loops rather than a mat.AxpyChunk call per
+// kernel entry: for so few elements the call costs more than the
+// arithmetic. Both forms multiply, then add, once per element, so they give
+// the same bits.
+const inlineAxpy = 8
+
+// scatterRow adds v·brow into row j of C for every nonzero v = row[j]: one
+// row of mat.MulTAddTo's accumulation, with its zero skips.
+func scatterRow(c *mat.Dense, row, brow []float64) {
+	n := len(brow)
+	if n < inlineAxpy {
+		// One tight strided pass per column of B; every element of C still
+		// receives its adds in row order.
+		for t, bv := range brow {
+			ct := c.Data[t:]
+			for j, v := range row {
+				if v != 0 {
+					ct[j*n] += v * bv
+				}
+			}
 		}
-		crow := c.Row(a)
-		for j := 0; j < n; j++ {
-			crow[j] += mat.DotStride(row, b.Data, j, n)
+		return
+	}
+	for j, v := range row {
+		if v != 0 {
+			mat.AxpyChunk(c.Data[j*n:j*n+n], v, brow)
 		}
 	}
 }

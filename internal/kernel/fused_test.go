@@ -192,6 +192,75 @@ func TestBlockMulAddBitwise(t *testing.T) {
 	}
 }
 
+// TestBlockTMulAddBitwise pins the fused transposed batch path against
+// assemble-then-MulTAddTo, zero entries included (a coincident point under
+// a kernel that vanishes at r = 0 yields exact zeros), for several
+// right-hand-side widths.
+func TestBlockTMulAddBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	buf := mat.NewDense(0, 0)
+	for _, d := range []int{2, 3, 5} {
+		x := pointset.Cube(150, d, int64(d+40))
+		for _, k := range fusedKernels() {
+			for _, sh := range fusedShapes {
+				for _, nrhs := range []int{1, 3, 5, 8, 9} {
+					rows := randIdx(rng, x.Len(), sh.rows)
+					cols := randIdx(rng, x.Len(), sh.cols)
+					b := mat.NewDense(sh.rows, nrhs)
+					for i := range b.Data {
+						b.Data[i] = rng.NormFloat64()
+					}
+					out := mat.NewDense(sh.cols, nrhs)
+					want := mat.NewDense(sh.cols, nrhs)
+					for i := range out.Data {
+						out.Data[i] = rng.NormFloat64()
+						want.Data[i] = out.Data[i]
+					}
+					tile := NewBlockSeed(k, x, rows, x, cols)
+					mat.MulTAddTo(want, tile, b)
+					BlockTMulAdd(out, k, x, rows, x, cols, b, buf)
+					bitsEqual(t, k.Name(), out.Data, want.Data)
+				}
+			}
+		}
+	}
+}
+
+// TestBlockMulAddTwinBitwise pins the single-evaluation batch twin against
+// its two separate products, BlockMulAdd for the rows and BlockTMulAdd for
+// the columns, bit for bit, for every kernel, coincident points (exact zero
+// entries) and right-hand-side widths on both sides of the inline scatter.
+func TestBlockMulAddTwinBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	buf := mat.NewDense(0, 0)
+	rnd := func(r, c int) *mat.Dense {
+		m := mat.NewDense(r, c)
+		for i := range m.Data {
+			m.Data[i] = rng.NormFloat64()
+		}
+		return m
+	}
+	for _, d := range []int{2, 3, 5} {
+		x := pointset.Cube(150, d, int64(d+50))
+		for _, k := range fusedKernels() {
+			for _, sh := range fusedShapes {
+				for _, nrhs := range []int{1, 2, 7, 8, 9} {
+					rows := randIdx(rng, x.Len(), sh.rows)
+					cols := randIdx(rng, x.Len(), sh.cols)
+					bC, bR := rnd(sh.cols, nrhs), rnd(sh.rows, nrhs)
+					cR, cC := rnd(sh.rows, nrhs), rnd(sh.cols, nrhs)
+					wantR, wantC := cR.Clone(), cC.Clone()
+					BlockMulAdd(wantR, k, x, rows, x, cols, bC, buf)
+					BlockTMulAdd(wantC, k, x, rows, x, cols, bR, buf)
+					BlockMulAddTwin(cR, cC, k, x, rows, x, cols, bC, bR, buf)
+					bitsEqual(t, k.Name()+"/rows", cR.Data, wantR.Data)
+					bitsEqual(t, k.Name()+"/cols", cC.Data, wantC.Data)
+				}
+			}
+		}
+	}
+}
+
 // TestApplyBlockBitwiseFused pins the fused BlockVecAdd, fed a gathered
 // multiplier, against the seed streaming product ApplyBlock over the same
 // index sets.
@@ -254,10 +323,11 @@ func TestRowApplyBitwiseFused(t *testing.T) {
 }
 
 // TestBlockVecAddTwinBitwise pins the single-evaluation twin against its two
-// separate BlockVecAdd calls (one per orientation), bit for bit, for every
-// radial kernel, the 2-D, 3-D and generic distance loops, ragged shapes
-// around every unroll and chunk boundary, zero multipliers, coincident
-// points (the r == 0 branches), and the AVX path on and off.
+// separate products, BlockVecAdd for the rows and BlockTVecAdd for the
+// columns, bit for bit, for every kernel (the pairwise fallback included),
+// the 2-D, 3-D and generic distance loops, ragged shapes around every unroll
+// and chunk boundary, zero multipliers, coincident points (the r == 0
+// branches), and the AVX path on and off.
 func TestBlockVecAddTwinBitwise(t *testing.T) {
 	defer mat.SetSIMD(mat.SetSIMD(true))
 	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 125, 200}
@@ -276,7 +346,7 @@ func TestBlockVecAddTwinBitwise(t *testing.T) {
 			// One point set for both sides, as in a nearfield block, so
 			// repeated indices produce zero distances.
 			x := pointset.Cube(300, d, int64(d+90))
-			for _, k := range everyKernel() {
+			for _, k := range fusedKernels() {
 				for _, r := range sizes {
 					for _, c := range sizes {
 						rows, cols := randIdx(rng, x.Len(), r), randIdx(rng, x.Len(), c)
@@ -287,7 +357,7 @@ func TestBlockVecAddTwinBitwise(t *testing.T) {
 						outR, outC := rnd(r), rnd(c)
 						wantR, wantC := append([]float64(nil), outR...), append([]float64(nil), outC...)
 						BlockVecAdd(wantR, k, x, rows, x, cols, vc, buf)
-						BlockVecAdd(wantC, k, x, cols, x, rows, vr, buf)
+						BlockTVecAdd(wantC, k, x, rows, x, cols, vr, buf)
 						BlockVecAddTwin(outR, outC, k, x, rows, x, cols, vc, vr, buf)
 						bitsEqual(t, k.Name()+"/rows", outR, wantR)
 						bitsEqual(t, k.Name()+"/cols", outC, wantC)

@@ -528,83 +528,6 @@ func axpyPair(y []float64, a *Dense, i int, x0, x1 float64) {
 	}
 }
 
-// MulTVecAddDot computes y += aᵀ*x like MulTVecAdd, but with MulVecAdd's
-// summation order: each output element accumulates a 4-accumulator strided
-// dot over a's rows (dot's exact grouping), so the result is
-// bitwise-identical to MulVecAdd(y, aT, x) on the materialized transpose aT.
-// The hybrid storage mode uses it to apply a stored block transposed while
-// reproducing the on-the-fly path's row-dot order digit for digit.
-func MulTVecAddDot(y []float64, a *Dense, x []float64) {
-	if len(x) != a.Rows || len(y) != a.Cols {
-		panic(fmt.Sprintf("mat: multvecadddot shape mismatch %dx%d^T * %d -> %d", a.Rows, a.Cols, len(x), len(y)))
-	}
-	for c := range y {
-		y[c] += dotStride(x, a.Data, c, a.Cols)
-	}
-}
-
-// MulVecAddSeq computes y += a*x like MulVecAdd, but with MulTVecAdd's
-// summation order: each output element accumulates strictly sequentially
-// over the columns in order, skipping columns where x is zero — exactly the
-// per-element operation sequence of MulTVecAdd(y, aT, x) on the materialized
-// transpose aT (axpy4/axpy2 chains are sequential per element, and axpyPair
-// skips zero multipliers). The hybrid storage mode uses it in the transpose
-// sweep when the stored block has the opposite orientation.
-func MulVecAddSeq(y []float64, a *Dense, x []float64) {
-	if len(x) != a.Cols || len(y) != a.Rows {
-		panic(fmt.Sprintf("mat: mulvecaddseq shape mismatch %dx%d * %d -> %d", a.Rows, a.Cols, len(x), len(y)))
-	}
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		s := y[i]
-		for j, v := range row {
-			if x[j] != 0 {
-				s += x[j] * v
-			}
-		}
-		y[i] = s
-	}
-}
-
-// MulTAddToDot computes c += aᵀ*b like MulTAddTo, but with MulAddTo's
-// summation order: each output element accumulates a doubly-strided
-// 4-accumulator dot (dotStride's exact grouping), bitwise-identical to
-// MulAddTo(c, aT, b) on the materialized transpose aT. The hybrid storage
-// mode uses it for transposed stored blocks on the batched sweep.
-func MulTAddToDot(c, a, b *Dense) {
-	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: multaddtodot shape mismatch c=%dx%d a=%dx%d b=%dx%d",
-			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	n := b.Cols
-	for i := 0; i < a.Cols; i++ {
-		crow := c.Row(i)
-		for j := 0; j < n; j++ {
-			crow[j] += dotStride2(a.Data, i, a.Cols, b.Data, j, n, a.Rows)
-		}
-	}
-}
-
-// dotStride2 is dot over two strided virtual vectors: Σ_k a[k*na+ja] *
-// b[k*nb+jb] for k in [0, rows), with dot's exact 4-accumulator grouping.
-func dotStride2(a []float64, ja, na int, b []float64, jb, nb, rows int) float64 {
-	var s0, s1, s2, s3 float64
-	k := 0
-	for ; k+4 <= rows; k += 4 {
-		pa := k*na + ja
-		pb := k*nb + jb
-		s0 += a[pa] * b[pb]
-		s1 += a[pa+na] * b[pb+nb]
-		s2 += a[pa+2*na] * b[pb+2*nb]
-		s3 += a[pa+3*na] * b[pb+3*nb]
-	}
-	s := (s0 + s1) + (s2 + s3)
-	for ; k < rows; k++ {
-		s += a[k*na+ja] * b[k*nb+jb]
-	}
-	return s
-}
-
 // MulAddTo computes c += a*b. Shapes must agree (c is a.Rows x b.Cols); c
 // must not alias a or b. Each output element accumulates its dot product in
 // a scalar before the single in-place add, mirroring MulVecAdd's summation

@@ -1,8 +1,11 @@
 package sample
 
 import (
+	"math"
 	"testing"
 
+	"h2ds/internal/kernel"
+	"h2ds/internal/mat"
 	"h2ds/internal/pointset"
 	"h2ds/internal/tree"
 )
@@ -254,6 +257,49 @@ func TestHaltonProperties(t *testing.T) {
 			if v < 0 || v >= 1 {
 				t.Fatalf("halton(%d,%d)=%g out of [0,1)", i, b, v)
 			}
+		}
+	}
+}
+
+// nystromRelError is the relative Frobenius error, over the given exact
+// rows, of the global Nyström approximation K ≈ C W Cᵀ (paper §II-A2),
+// C = K(X, S) and W = pinv(K(S, S) + ridge·I), on rank landmarks S picked
+// by s — the non-hierarchical reference point for sampler quality.
+func nystromRelError(pts *pointset.Points, k kernel.Pairwise, s Sampler, rank int, rows []int) float64 {
+	all := allIdx(pts.Len())
+	lm := s.Sample(pts, all, rank)
+	c := kernel.NewBlock(k, pts, all, pts, lm)
+	kss := kernel.NewBlock(k, pts, lm, pts, lm)
+	ridge := 1e-12 * kss.MaxAbs()
+	for i := range lm {
+		kss.Set(i, i, kss.At(i, i)+ridge)
+	}
+	w := mat.NewSVD(kss).PInv(0)
+	var num, den float64
+	for _, i := range rows {
+		approx := make([]float64, pts.Len())
+		mat.MulVecAdd(approx, c, mat.MulVec(w.T(), c.Row(i)))
+		for j, e := range kernel.NewBlock(k, pts, []int{i}, pts, all).Data {
+			num += (e - approx[j]) * (e - approx[j])
+			den += e * e
+		}
+	}
+	return math.Sqrt(num / den)
+}
+
+func TestNystromSamplerComparison(t *testing.T) {
+	// Sampler quality is workload dependent (geometric spread vs density
+	// following); the contract here is that every included sampler yields
+	// a usable global Nyström approximation on a non-uniform cloud at
+	// equal rank.
+	pts := pointset.Dino(800, 5)
+	k := kernel.Gaussian{Scale: 1.0}
+	rows := []int{0, 199, 400, 777}
+	for _, s := range []Sampler{AnchorNet{}, FarthestPoint{}, Random{Seed: 9}} {
+		e := nystromRelError(pts, k, s, 50, rows)
+		t.Logf("%s: %.3e", s.Name(), e)
+		if e > 1e-3 {
+			t.Fatalf("%s: error %g too large at rank 50", s.Name(), e)
 		}
 	}
 }
