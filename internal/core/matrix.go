@@ -356,22 +356,6 @@ func (m *Matrix) colSkeleton(id int) []int {
 	return m.colSkel[id]
 }
 
-// colBasis returns node id's leaf column basis (V_i).
-func (m *Matrix) colBasis(id int) *mat.Dense {
-	if m.sharedBasis {
-		return m.u[id]
-	}
-	return m.v[id]
-}
-
-// colTrans returns node id's stacked column transfer blocks (W).
-func (m *Matrix) colTrans(id int) *mat.Dense {
-	if m.sharedBasis {
-		return m.trans[id]
-	}
-	return m.wTrans[id]
-}
-
 // store returns the nearfield store for near, else the coupling store.
 func (m *Matrix) store(near bool) *BlockStore {
 	if near {

@@ -72,40 +72,13 @@ func TestApplyTransposeAdjointIdentity(t *testing.T) {
 }
 
 func TestApplyBatchMatchesColumnwise(t *testing.T) {
+	// Every column of a batch apply is the vector apply of that column, bit
+	// for bit, on a non-uniform point set.
 	pts := pointset.Dino(1500, 117)
-	for _, tc := range []struct {
-		kern kernel.Pairwise
-		mode MemoryMode
-	}{
-		{kernel.Coulomb{}, Normal},
-		{kernel.Coulomb{}, OnTheFly},
-		{drift3(), Normal},
-		{drift3(), OnTheFly},
-	} {
-		m, err := Build(pts, tc.kern, Config{Kind: DataDriven, Mode: tc.mode, Tol: 1e-6, LeafSize: 60})
-		if err != nil {
-			t.Fatal(err)
-		}
-		const k = 4
-		b := mat.NewDense(1500, k)
-		for j := 0; j < k; j++ {
-			col := randVec(1500, int64(120+j))
-			for i := 0; i < 1500; i++ {
-				b.Set(i, j, col[i])
-			}
-		}
-		y := m.ApplyBatch(b)
-		for j := 0; j < k; j++ {
-			col := make([]float64, 1500)
-			for i := range col {
-				col[i] = b.At(i, j)
-			}
-			want := m.Apply(col)
-			for i := range want {
-				if math.Abs(y.At(i, j)-want[i]) > 1e-10*(1+math.Abs(want[i])) {
-					t.Fatalf("%s/%v: batch column %d differs at %d: %g vs %g",
-						tc.kern.Name(), tc.mode, j, i, y.At(i, j), want[i])
-				}
+	for _, k := range []kernel.Pairwise{kernel.Coulomb{}, drift3()} {
+		for mode, m := range buildModes(t, pts, k, 60) {
+			for _, width := range []int{1, 4} {
+				requireBatchColumnsBitwise(t, k.Name()+"/"+mode, m, nil, rhsPanel(1500, width, 120))
 			}
 		}
 	}

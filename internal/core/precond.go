@@ -54,8 +54,8 @@ func (m *Matrix) BlockJacobi(sigma float64) (*BlockJacobi, error) {
 
 // ApplyTo solves the block-diagonal system: y = M⁻¹ b with
 // M = blockdiag(K_leaf + σI). y and b are in the caller's original point
-// ordering, matching Matrix.ApplyTo; they may alias. It draws its
-// permutation buffers from the matrix's workspace pool and solves each leaf
+// ordering, matching Matrix.ApplyTo; they may alias. It draws its width-1
+// permutation panels from the matrix's workspace pool and solves each leaf
 // in place, so repeated applications inside PCG are allocation-free in
 // steady state.
 func (bj *BlockJacobi) ApplyTo(y, b []float64) {
@@ -65,12 +65,14 @@ func (bj *BlockJacobi) ApplyTo(y, b []float64) {
 	}
 	ws := m.getWorkspace()
 	ws.check(m, par.Resolve(bj.workers))
-	m.Tree.PermuteVec(ws.bp, b)
+	ws.ensureWidth(1)
+	bp, yp := ws.bp.Data, ws.yp.Data
+	m.Tree.PermuteVec(bp, b)
 	ws.pool.ForWorker(len(bj.leaves), func(_, k int) {
 		nd := &m.Tree.Nodes[bj.leaves[k]]
-		bj.factors[k].SolveTo(ws.yp[nd.Start:nd.End], ws.bp[nd.Start:nd.End])
+		bj.factors[k].SolveTo(yp[nd.Start:nd.End], bp[nd.Start:nd.End])
 	})
-	m.Tree.UnpermuteVec(y, ws.yp)
+	m.Tree.UnpermuteVec(y, yp)
 	m.putWorkspace(ws)
 }
 

@@ -239,10 +239,9 @@ func (ws *Workspace) runSched(_, slot int) {
 	}
 }
 
-// execTask runs one task's per-node kernel for the current apply variant
-// and charges its time to the worker's per-stage counter line. Tasks the
-// sharded apply masks out do nothing; runSched still releases their
-// dependents.
+// execTask runs one task's per-node kernel and charges its time to the
+// worker's per-stage counter line. Tasks the sharded apply masks out do
+// nothing; runSched still releases their dependents.
 func (ws *Workspace) execTask(w int, t int32) {
 	g := ws.sched.g
 	nN := int32(g.nNodes)
@@ -267,7 +266,7 @@ func (ws *Workspace) execTask(w int, t int32) {
 		return
 	}
 	t0 := nowNS()
-	stageKernels[ws.kind][stage](ws, w, id)
+	ws.runStage(stage, w, id)
 	ws.ctr[w*ctrStride+ctrUpNS+stage] += nowNS() - t0
 }
 
@@ -282,6 +281,5 @@ func (ws *Workspace) runScheduled() {
 		ws.m.sweeps.applies.Add(1)
 	}
 	ws.flushCounters()
-	ws.curB, ws.curY = nil, nil
 	ws.coupMask, ws.scatter = nil, false
 }

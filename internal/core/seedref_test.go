@@ -13,19 +13,19 @@ import (
 // on-the-fly kernels below), so it is the oracle the bitwise suites pin the
 // scheduled applies against.
 
-// refKernels is one apply variant's per-stage kernel table.
+// refKernels is the per-stage kernel table the reference sweeps run.
 type refKernels = [nStages]func(ws *Workspace, w, id int)
 
-// refKernelsFor returns the reference kernel table for an apply variant:
-// the production per-node kernels, with the leaf stage carrying the whole
-// nearfield one directed block at a time (refLeaf), and with the
-// coupling and leaf stages swapped for the assemble-then-multiply ones when
-// assemble is set (valid for OnTheFly matrices only).
-func refKernelsFor(kind applyKind, assemble bool) refKernels {
-	ks := stageKernels[kind]
-	ks[stageLeaf] = refLeaf
+// refKernelsFor returns the reference kernel table: the production per-node
+// kernels, with the leaf stage carrying the whole nearfield one directed
+// block at a time (refLeaf), and with the coupling and leaf stages swapped
+// for the assemble-then-multiply ones when assemble is set (valid for
+// OnTheFly matrices only). Every table serves every width and direction:
+// the call's bind sets both.
+func refKernelsFor(assemble bool) refKernels {
+	ks := refKernels{(*Workspace).upNode, (*Workspace).coupNode, (*Workspace).downNode, refLeaf}
 	if assemble {
-		ks[stageCoup], ks[stageLeaf] = assembledKernels[kind][0], assembledKernels[kind][1]
+		ks[stageCoup], ks[stageLeaf] = coupAssembled, leafAssembled
 	}
 	return ks
 }
@@ -35,9 +35,9 @@ func refKernelsFor(kind applyKind, assemble bool) refKernels {
 // stage before the nearfield moved into pair tasks, and the order the pair
 // chains must reproduce.
 func refLeaf(ws *Workspace, w, id int) {
-	stageKernels[ws.kind][stageLeaf](ws, w, id)
+	ws.leafNode(w, id)
 	for _, j := range ws.m.Tree.Nodes[id].Near {
-		nearKernels[ws.kind](ws, w, id, j)
+		ws.near(w, id, j)
 	}
 }
 
@@ -58,25 +58,21 @@ func refSweeps(ws *Workspace, ks refKernels) {
 	}
 	run(m.Tree.Leaves, ks[stageLeaf])
 	ws.flushCounters()
-	ws.curB, ws.curY = nil, nil
 }
 
-// refApplyTo computes y = Â b (Âᵀ b with transpose) on the reference sweeps
-// using ws's buffers.
+// refApplyTo computes y = Â b (Âᵀ b with transpose) at width 1 on the
+// reference sweeps using ws's buffers.
 func refApplyTo(m *Matrix, ws *Workspace, y, b []float64, transpose, assemble bool) {
-	kind := m.vecKind(transpose)
-	m.Tree.PermuteVec(ws.bp, b)
-	ws.bind(m, kind)
-	ws.curB, ws.curY = ws.bp, ws.yp
-	refSweeps(ws, refKernelsFor(kind, assemble))
-	m.Tree.UnpermuteVec(y, ws.yp)
+	ws.bindVec(m, b, transpose)
+	refSweeps(ws, refKernelsFor(assemble))
+	m.Tree.UnpermuteVec(y, ws.yp.Data)
 }
 
 // refApplyBatchTo computes Y = Â B on the reference sweeps using ws's
 // buffers.
 func refApplyBatchTo(m *Matrix, ws *Workspace, Y, B *mat.Dense, assemble bool) {
 	ws.bindBatch(m, B)
-	refSweeps(ws, refKernelsFor(applyBatch, assemble))
+	refSweeps(ws, refKernelsFor(assemble))
 	ws.unpermuteBatch(Y)
 }
 
@@ -98,20 +94,15 @@ func refApplyBatch(m *Matrix, B *mat.Dense, assemble bool) *mat.Dense {
 	return Y
 }
 
-// assembledKernels[kind] holds the assemble-then-multiply on-the-fly
-// {coupling, leaf} kernels: every block is materialized into the worker's
-// scratch tile, then multiplied — the path the fused kernels replaced. A
-// symmetric kernel's block (i, j) with i > j is assembled as the (j, i)
-// tile and applied transposed, the orientation it is stored in.
-var assembledKernels = [...][2]func(ws *Workspace, w, id int){
-	applyVec:   {coupAssembled, leafAssembled},
-	applyTrans: {coupAssembledT, leafAssembledT},
-	applyBatch: {coupAssembledB, leafAssembledB},
-}
+// coupAssembled and leafAssembled are the assemble-then-multiply on-the-fly
+// coupling and leaf kernels: every block is materialized into the worker's
+// scratch tile, then multiplied — the path the fused kernels replaced.
 
 // assembledTile assembles block (i, j) of the coupling (near false) or
 // nearfield family into the worker's scratch tile in its stored
-// orientation, reporting whether the tile is block (i, j)'s transpose.
+// orientation, reporting whether the tile is block (i, j)'s transpose: a
+// symmetric kernel's block (i, j) with i > j is assembled as the (j, i)
+// tile.
 func assembledTile(ws *Workspace, w int, near bool, i, j int) (*mat.Dense, bool) {
 	m := ws.m
 	trans := m.Kern.Symmetric() && i > j
@@ -124,18 +115,14 @@ func assembledTile(ws *Workspace, w int, near bool, i, j int) (*mat.Dense, bool)
 	return kernel.Assemble(ws.scratch[w], m.Kern, m.skelPts[i], m.skel[i], m.skelPts[j], m.colSkeleton(j)), trans
 }
 
-// assembledVec adds block (i, j) times v into y through assembledTile.
-func assembledVec(ws *Workspace, w int, near bool, y []float64, i, j int, v []float64) {
-	if tile, trans := assembledTile(ws, w, near, i, j); trans {
-		mat.MulTVecAdd(y, tile, v)
-	} else {
-		mat.MulVecAdd(y, tile, v)
+// assembledMul adds the block that carries input node j into output node
+// i under the call's direction — block (i, j), or block (j, i) transposed
+// for the transpose product — times v into y, through assembledTile.
+func assembledMul(ws *Workspace, w int, near bool, y *mat.Dense, i, j int, v *mat.Dense) {
+	if ws.transposed {
+		i, j = j, i
 	}
-}
-
-// assembledBatch is assembledVec for a block of right-hand sides.
-func assembledBatch(ws *Workspace, w int, near bool, y *mat.Dense, i, j int, v *mat.Dense) {
-	if tile, trans := assembledTile(ws, w, near, i, j); trans {
+	if tile, trans := assembledTile(ws, w, near, i, j); trans != ws.transposed {
 		mat.MulTAddTo(y, tile, v)
 	} else {
 		mat.MulAddTo(y, tile, v)
@@ -143,91 +130,25 @@ func assembledBatch(ws *Workspace, w int, near bool, y *mat.Dense, i, j int, v *
 }
 
 func coupAssembled(ws *Workspace, w, id int) {
-	m := ws.m
-	gi := seg(ws.g, ws.gOff, id)
-	zero(gi)
-	if len(gi) == 0 {
-		return
-	}
-	for _, j := range m.Tree.Nodes[id].Interaction {
-		if m.colRank(j) == 0 {
-			continue
-		}
-		assembledVec(ws, w, false, gi, id, j, seg(ws.q, ws.qOff, j))
-	}
-}
-
-func leafAssembled(ws *Workspace, w, id int) {
-	m := ws.m
-	nd := &m.Tree.Nodes[id]
-	yi := ws.curY[nd.Start:nd.End]
-	zero(yi)
-	if m.ranks[id] > 0 {
-		mat.MulVecAdd(yi, m.u[id], seg(ws.g, ws.gOff, id))
-	}
-	for _, j := range nd.Near {
-		nj := &m.Tree.Nodes[j]
-		assembledVec(ws, w, true, yi, id, j, ws.curB[nj.Start:nj.End])
-	}
-}
-
-// coupAssembledT and leafAssembledT serve unsymmetric kernels only: a
-// symmetric kernel's transpose runs the forward sweep (Matrix.vecKind).
-func coupAssembledT(ws *Workspace, w, id int) {
-	m := ws.m
-	gi := seg(ws.g, ws.gOff, id)
-	zero(gi)
-	if len(gi) == 0 {
-		return
-	}
-	for _, j := range m.Tree.Nodes[id].Interaction {
-		if m.ranks[j] == 0 {
-			continue
-		}
-		tile := kernel.Assemble(ws.scratch[w], m.Kern, m.skelPts[j], m.skel[j], m.skelPts[id], m.colSkeleton(id))
-		mat.MulTVecAdd(gi, tile, seg(ws.q, ws.qOff, j))
-	}
-}
-
-func leafAssembledT(ws *Workspace, w, id int) {
-	m := ws.m
-	nd := &m.Tree.Nodes[id]
-	yi := ws.curY[nd.Start:nd.End]
-	zero(yi)
-	if m.colRank(id) > 0 {
-		mat.MulVecAdd(yi, m.colBasis(id), seg(ws.g, ws.gOff, id))
-	}
-	for _, j := range nd.Near {
-		nj := &m.Tree.Nodes[j]
-		tile := kernel.Assemble(ws.scratch[w], m.Kern, m.Tree.Points, m.leafRange(j), m.Tree.Points, m.leafRange(id))
-		mat.MulTVecAdd(yi, tile, ws.curB[nj.Start:nj.End])
-	}
-}
-
-func coupAssembledB(ws *Workspace, w, id int) {
-	m := ws.m
-	gi := ws.gB[id]
+	gi := ws.out.panel[id]
 	zero(gi.Data)
 	if gi.Rows == 0 {
 		return
 	}
-	for _, j := range m.Tree.Nodes[id].Interaction {
-		if m.colRank(j) == 0 {
-			continue
+	for _, j := range ws.m.Tree.Nodes[id].Interaction {
+		if qj := ws.in.panel[j]; qj.Rows > 0 {
+			assembledMul(ws, w, false, gi, id, j, qj)
 		}
-		assembledBatch(ws, w, false, gi, id, j, ws.qB[j])
 	}
 }
 
-func leafAssembledB(ws *Workspace, w, id int) {
-	m := ws.m
-	nd := &m.Tree.Nodes[id]
-	yi := ws.outRows(w, 0, id)
+func leafAssembled(ws *Workspace, w, id int) {
+	yi := ws.outRows(id)
 	zero(yi.Data)
-	if m.ranks[id] > 0 {
-		mat.MulAddTo(yi, m.u[id], ws.gB[id])
+	if gi := ws.out.panel[id]; gi.Rows > 0 {
+		mat.MulAddTo(yi, ws.out.basis[id], gi)
 	}
-	for _, j := range nd.Near {
-		assembledBatch(ws, w, true, yi, id, j, ws.inRows(w, 0, j))
+	for _, j := range ws.m.Tree.Nodes[id].Near {
+		assembledMul(ws, w, true, yi, id, j, ws.inRows(j))
 	}
 }

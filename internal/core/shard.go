@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-
-	"h2ds/internal/mat"
 )
 
 // ShardPlan partitions one operator's tree at a subtree cut so the five-sweep
@@ -144,41 +142,17 @@ func (m *Matrix) ApplyShard(p *ShardPlan, s int, b []float64, transpose bool) ([
 	}
 	ws := m.getWorkspace()
 	defer m.putWorkspace(ws)
-	m.Tree.PermuteVec(ws.bp, b)
-	return m.applyShardPermuted(ws, ws.bp, p.Nodes[s], transpose), nil
-}
-
-// applyShardPermuted computes the packed coupling partials for one node set.
-func (m *Matrix) applyShardPermuted(ws *Workspace, bp []float64, nodes []int, transpose bool) []float64 {
-	ws.bind(m, m.vecKind(transpose))
-	ws.curB = bp
-	ws.runScatter(nodes)
-
-	out := make([]float64, 0, m.PartialLen(nodes, transpose))
-	for _, id := range nodes {
-		out = append(out, seg(ws.g, ws.gOff, id)...)
-	}
-	return out
-}
-
-// runScatter drains the task graph as a scatter half: every upward task,
-// the coupling tasks of nodes only, no downward or leaf work.
-func (ws *Workspace) runScatter(nodes []int) {
+	nodes := p.Nodes[s]
+	ws.bindVec(m, b, transpose)
 	mark(ws.maskCoupling(), nodes)
 	ws.scatter = true
 	ws.runScheduled()
-}
 
-// vecKind is the vector apply variant for the transpose flag. Every block
-// of a symmetric kernel is applied in its one stored orientation, so its
-// transpose sweep would repeat the forward sweep's arithmetic exactly
-// (Âᵀb ≡ Âb, bit for bit): it runs the forward sweep, pair twins included,
-// and only unsymmetric kernels run the transpose sweep.
-func (m *Matrix) vecKind(transpose bool) applyKind {
-	if transpose && !m.Kern.Symmetric() {
-		return applyTrans
+	out := make([]float64, 0, m.PartialLen(nodes, transpose))
+	for _, id := range nodes {
+		out = append(out, ws.out.panel[id].Data...)
 	}
-	return applyVec
+	return out, nil
 }
 
 // maskCoupling clears the workspace's coupling mask, installs it for the
@@ -199,27 +173,41 @@ func mark(mask []bool, nodes []int) {
 	}
 }
 
-// checkPartials validates every supplied partial's length (width columns per
-// rank row) before any sweep work runs. Nil partials are allowed: the
-// gather recomputes them.
-func (m *Matrix) checkPartials(p *ShardPlan, parts [][]float64, transpose bool, width int) error {
+// ApplyGather runs the gather half: after validating every partial, one
+// drain runs its own upward sweep, the coupling sweep for the
+// coordinator-owned nodes over the placed shard partials (any nil entry is
+// recomputed locally — the coordinator's shard-failure fallback), then the
+// downward and leaf/nearfield sweeps. The result is bitwise-equal to
+// m.ApplyTo (or ApplyTransposeTo) on the same inputs.
+func (m *Matrix) ApplyGather(p *ShardPlan, b []float64, parts [][]float64, transpose bool) ([]float64, error) {
+	ws := m.getWorkspace()
+	defer m.putWorkspace(ws)
+	y := make([]float64, m.N)
+	if err := m.applyGatherWith(ws, y, b, p, parts, transpose); err != nil {
+		return nil, err
+	}
+	return y, nil
+}
+
+// applyGatherWith is ApplyGather into y on a caller-owned workspace. Every
+// partial's length is checked before any sweep work runs; nil partials are
+// allowed. The coupling mask covers the coordinator nodes plus the nodes of
+// every nil (recomputed) partial, and each supplied partial is placed into
+// its nodes' g panels, where the drain's downward tasks add into it exactly
+// as into locally computed ones.
+func (m *Matrix) applyGatherWith(ws *Workspace, y, b []float64, p *ShardPlan, parts [][]float64, transpose bool) error {
+	if len(b) != m.N {
+		return fmt.Errorf("core: ApplyGather input length %d want %d", len(b), m.N)
+	}
+	if len(parts) != len(p.Nodes) {
+		return fmt.Errorf("core: ApplyGather got %d partials want %d", len(parts), len(p.Nodes))
+	}
 	for s, part := range parts {
-		if part == nil {
-			continue
-		}
-		if want := m.PartialLen(p.Nodes[s], transpose) * width; len(part) != want {
+		if want := m.PartialLen(p.Nodes[s], transpose); part != nil && len(part) != want {
 			return fmt.Errorf("core: shard %d partial length %d want %d", s, len(part), want)
 		}
 	}
-	return nil
-}
-
-// maskGather installs the gather's coupling mask — coordinator nodes plus
-// the nodes of every nil (recomputed) partial — and places each supplied
-// partial into its nodes' g segments via segOf (node id -> segment). The
-// drain's downward tasks then add into the placed segments exactly as they
-// would into locally computed ones.
-func (ws *Workspace) maskGather(p *ShardPlan, parts [][]float64, segOf func(id int) []float64) {
+	ws.bindVec(m, b, transpose)
 	mask := ws.maskCoupling()
 	mark(mask, p.Coord)
 	for s, part := range parts {
@@ -229,89 +217,10 @@ func (ws *Workspace) maskGather(p *ShardPlan, parts [][]float64, segOf func(id i
 		}
 		off := 0
 		for _, id := range p.Nodes[s] {
-			gi := segOf(id)
-			copy(gi, part[off:off+len(gi)])
-			off += len(gi)
+			off += copy(ws.out.panel[id].Data, part[off:])
 		}
 	}
-}
-
-// ApplyGather runs the gather half: after validating every partial, one
-// drain runs its own upward sweep, the coupling sweep for the
-// coordinator-owned nodes over the placed shard partials (any nil entry is
-// recomputed locally — the coordinator's shard-failure fallback), then the
-// downward and leaf/nearfield sweeps. The result is bitwise-equal to
-// m.ApplyTo (or ApplyTransposeTo) on the same inputs.
-func (m *Matrix) ApplyGather(p *ShardPlan, b []float64, parts [][]float64, transpose bool) ([]float64, error) {
-	if len(b) != m.N {
-		return nil, fmt.Errorf("core: ApplyGather input length %d want %d", len(b), m.N)
-	}
-	if len(parts) != len(p.Nodes) {
-		return nil, fmt.Errorf("core: ApplyGather got %d partials want %d", len(parts), len(p.Nodes))
-	}
-	ws := m.getWorkspace()
-	defer m.putWorkspace(ws)
-	m.Tree.PermuteVec(ws.bp, b)
-	if err := m.applyGatherPermuted(ws, ws.yp, ws.bp, p, parts, transpose); err != nil {
-		return nil, err
-	}
-	y := make([]float64, m.N)
-	m.Tree.UnpermuteVec(y, ws.yp)
-	return y, nil
-}
-
-func (m *Matrix) applyGatherPermuted(ws *Workspace, yp, bp []float64, p *ShardPlan, parts [][]float64, transpose bool) error {
-	if err := m.checkPartials(p, parts, transpose, 1); err != nil {
-		return err
-	}
-	ws.bind(m, m.vecKind(transpose))
-	ws.curB, ws.curY = bp, yp
-	ws.maskGather(p, parts, func(id int) []float64 { return seg(ws.g, ws.gOff, id) })
 	ws.runScheduled()
-	return nil
-}
-
-// ApplyBatchShard is the multi-RHS scatter half: packed per-node g panels
-// (rank × k, row-major) in ascending node-id order for shard s. Batch sharding
-// covers the plain product only, matching the single-node batch surface.
-func (m *Matrix) ApplyBatchShard(p *ShardPlan, s int, B *mat.Dense) ([]float64, error) {
-	if s < 0 || s >= len(p.Nodes) {
-		return nil, fmt.Errorf("core: ApplyBatchShard shard %d outside plan of %d", s, len(p.Nodes))
-	}
-	if B.Rows != m.N {
-		return nil, fmt.Errorf("core: ApplyBatchShard rows %d want %d", B.Rows, m.N)
-	}
-	k := B.Cols
-	ws := m.getWorkspace()
-	defer m.putWorkspace(ws)
-	ws.bindBatch(m, B)
-	nodes := p.Nodes[s]
-	ws.runScatter(nodes)
-
-	out := make([]float64, 0, m.PartialLen(nodes, false)*k)
-	for _, id := range nodes {
-		out = append(out, ws.gB[id].Data...)
-	}
-	return out, nil
-}
-
-// ApplyBatchGather is the multi-RHS gather half, bitwise-equal to
-// m.ApplyBatchTo on the same inputs. Nil partials are recomputed locally.
-func (m *Matrix) ApplyBatchGather(p *ShardPlan, Y, B *mat.Dense, parts [][]float64) error {
-	if B.Rows != m.N {
-		return fmt.Errorf("core: ApplyBatchGather rows %d want %d", B.Rows, m.N)
-	}
-	if len(parts) != len(p.Nodes) {
-		return fmt.Errorf("core: ApplyBatchGather got %d partials want %d", len(parts), len(p.Nodes))
-	}
-	if err := m.checkPartials(p, parts, false, B.Cols); err != nil {
-		return err
-	}
-	ws := m.getWorkspace()
-	defer m.putWorkspace(ws)
-	ws.bindBatch(m, B)
-	ws.maskGather(p, parts, func(id int) []float64 { return ws.gB[id].Data })
-	ws.runScheduled()
-	ws.unpermuteBatch(Y)
+	m.Tree.UnpermuteVec(y, ws.yp.Data)
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"h2ds/internal/kernel"
-	"h2ds/internal/mat"
 	"h2ds/internal/pointset"
 )
 
@@ -69,9 +68,9 @@ func TestShardPlanPartitionsTree(t *testing.T) {
 // TestShardedApplyBitwiseEqual is the distributed-correctness cornerstone:
 // scatter/gather through ApplyShard + ApplyGather must reproduce the
 // single-node product BITWISE for symmetric and unsymmetric kernels, in
-// plain, transpose, and batch form, at several shard counts and at worker
-// counts 1 (serial drain), 2 and 3 (odd) — including the coordinator's
-// local-recompute fallback for a missing shard.
+// plain and transpose form, at several shard counts and at worker counts 1
+// (serial drain), 2 and 3 (odd) — including the coordinator's
+// local-recompute fallback for a missing shard in both directions.
 func TestShardedApplyBitwiseEqual(t *testing.T) {
 	pts := pointset.Cube(1800, 3, 91)
 	n := pts.Len()
@@ -87,14 +86,6 @@ func TestShardedApplyBitwiseEqual(t *testing.T) {
 				m.Cfg.Workers = workers
 				want := m.Apply(b)
 				wantT := m.ApplyTranspose(b)
-				B := mat.NewDense(n, 3)
-				for j := 0; j < 3; j++ {
-					col := randVec(n, 93+int64(j))
-					for i := 0; i < n; i++ {
-						B.Row(i)[j] = col[i]
-					}
-				}
-				wantB := m.ApplyBatch(B)
 
 				for _, nshards := range []int{1, 2, 4} {
 					p, err := m.PlanShards(nshards, 0)
@@ -103,15 +94,11 @@ func TestShardedApplyBitwiseEqual(t *testing.T) {
 					}
 					parts := make([][]float64, p.NShards)
 					partsT := make([][]float64, p.NShards)
-					partsB := make([][]float64, p.NShards)
 					for s := 0; s < p.NShards; s++ {
 						if parts[s], err = m.ApplyShard(p, s, b, false); err != nil {
 							t.Fatal(err)
 						}
 						if partsT[s], err = m.ApplyShard(p, s, b, true); err != nil {
-							t.Fatal(err)
-						}
-						if partsB[s], err = m.ApplyBatchShard(p, s, B); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -123,10 +110,6 @@ func TestShardedApplyBitwiseEqual(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					gotB := mat.NewDense(0, 0)
-					if err := m.ApplyBatchGather(p, gotB, B, partsB); err != nil {
-						t.Fatal(err)
-					}
 					for i := range want {
 						if got[i] != want[i] {
 							t.Fatalf("%s/%v w=%d nshards=%d: apply differs at %d: %g != %g", k.Name(), mode, workers, nshards, i, got[i], want[i])
@@ -135,23 +118,25 @@ func TestShardedApplyBitwiseEqual(t *testing.T) {
 							t.Fatalf("%s/%v w=%d nshards=%d: transpose differs at %d: %g != %g", k.Name(), mode, workers, nshards, i, gotT[i], wantT[i])
 						}
 					}
-					for i := range wantB.Data {
-						if gotB.Data[i] != wantB.Data[i] {
-							t.Fatalf("%s/%v w=%d nshards=%d: batch differs at flat %d", k.Name(), mode, workers, nshards, i)
-						}
-					}
 
 					// Shard-failure fallback: dropping one partial must still be
 					// bitwise-exact (the coordinator recomputes it locally).
 					if p.NShards > 1 {
-						parts[0] = nil
+						parts[0], partsT[p.NShards-1] = nil, nil
 						got, err = m.ApplyGather(p, b, parts, false)
+						if err != nil {
+							t.Fatal(err)
+						}
+						gotT, err = m.ApplyGather(p, b, partsT, true)
 						if err != nil {
 							t.Fatal(err)
 						}
 						for i := range want {
 							if got[i] != want[i] {
 								t.Fatalf("%s/%v w=%d nshards=%d: fallback apply differs at %d", k.Name(), mode, workers, nshards, i)
+							}
+							if gotT[i] != wantT[i] {
+								t.Fatalf("%s/%v w=%d nshards=%d: fallback transpose differs at %d", k.Name(), mode, workers, nshards, i)
 							}
 						}
 					}
@@ -213,13 +198,11 @@ func TestShardPartialValidation(t *testing.T) {
 	bad[last] = make([]float64, otf.PartialLen(po.Nodes[last], false)+1)
 	ws := otf.NewWorkspace()
 	defer ws.Close()
-	if err := otf.applyGatherPermuted(ws, ws.yp, ws.bp, po, bad, false); err == nil {
-		t.Fatal("wrong-length partial accepted by gather")
-	}
-	badB := make([][]float64, po.NShards)
-	badB[last] = make([]float64, 1)
-	if err := otf.ApplyBatchGather(po, mat.NewDense(0, 0), mat.NewDense(otf.N, 2), badB); err == nil {
-		t.Fatal("wrong-length batch partial accepted by gather")
+	y := make([]float64, otf.N)
+	for _, transpose := range []bool{false, true} {
+		if err := otf.applyGatherWith(ws, y, b, po, bad, transpose); err == nil {
+			t.Fatalf("transpose=%v: wrong-length partial accepted by gather", transpose)
+		}
 	}
 	for i, c := range ws.ctr {
 		if c != 0 {

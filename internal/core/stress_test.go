@@ -101,27 +101,3 @@ func TestConcurrentApplyStress(t *testing.T) {
 		})
 	}
 }
-
-// TestWorkspaceBatchWidth pins the accessor serving layers report from.
-func TestWorkspaceBatchWidth(t *testing.T) {
-	pts := pointset.Cube(400, 3, 19)
-	m, err := Build(pts, kernel.Coulomb{},
-		Config{Kind: DataDriven, Mode: OnTheFly, Tol: 1e-5, LeafSize: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := m.NewWorkspace()
-	if got := ws.BatchWidth(); got != 0 {
-		t.Fatalf("fresh workspace BatchWidth = %d, want 0", got)
-	}
-	B := mat.NewDense(m.N, 4)
-	Y := mat.NewDense(m.N, 4)
-	m.ApplyBatchToWith(ws, Y, B)
-	if got := ws.BatchWidth(); got != 4 {
-		t.Fatalf("BatchWidth after k=4 batch = %d, want 4", got)
-	}
-	m.ApplyBatchToWith(ws, Y.Reshape(m.N, 2), B.Reshape(m.N, 2))
-	if got := ws.BatchWidth(); got != 2 {
-		t.Fatalf("BatchWidth tracks the most recent batch: got %d, want 2", got)
-	}
-}

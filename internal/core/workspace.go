@@ -10,10 +10,12 @@ import (
 
 // Workspace holds every buffer a matvec needs, so repeated products — the
 // iterative-solve workload the paper motivates the normal mode with (§VI-B)
-// — touch the allocator only on the first call. It carves per-node q/g
-// segments out of two flat slabs via prefix sums over the node ranks
-// (contiguous by construction, one cache-friendly block per level), keeps
-// the two N-length permutation buffers, and owns the per-worker scratch
+// — touch the allocator only on the first call. It keeps one slab set per
+// width k: two N-by-k permutation panels and two rank-by-k slabs, one per
+// rank side, carved into per-node panels via prefix sums over the node
+// ranks (contiguous by construction, one cache-friendly block per level).
+// A vector is width 1; a batch reshapes the set to its width, growing it
+// only past the widest width seen. It also owns the per-worker scratch
 // tiles of the on-the-fly mode.
 //
 // Concurrency contract: a Workspace may be used by ONE goroutine at a time.
@@ -25,9 +27,10 @@ import (
 // Every apply — vector, transpose, batch, and both halves of the sharded
 // apply — runs as one drain of the dependency-driven task graph (see
 // schedule.go) on the workspace's persistent par.Pool, at every worker
-// count; one worker drains the same graph serially. Per-call parameters
-// (the apply variant, the vectors, the q/g roles, the coupling mask) travel
-// through workspace fields and the drain loop is bound once at
+// count; one worker drains the same graph serially. All of them run the
+// same per-node kernels over width-k panels, k = 1 for vectors. Per-call
+// parameters (the width, the direction's role binding, the coupling mask)
+// travel through workspace fields and the drain loop is bound once at
 // construction, so the steady-state matvec makes zero allocations.
 type Workspace struct {
 	m *Matrix
@@ -40,20 +43,9 @@ type Workspace struct {
 	pool    *par.Pool
 	workers int
 
-	// Permutation buffers (length N).
-	bp, yp []float64
-
-	// Prefix sums over the row-side and column-side ranks, indexed by node
-	// id; node i's segment is slab[off[i]:off[i+1]]. For shared bases the
-	// two offset tables are the same slice; the slabs are always distinct
-	// because q and g live simultaneously.
-	rowOff, colOff   []int
-	rowSlab, colSlab []float64
-
 	// Per-worker tile buffers (grown on demand when the configured worker
 	// count rises). The fused on-the-fly kernels use them as one-row panels
-	// in the batch sweeps and the vector pair twins, and for gathered
-	// coordinate panels.
+	// and for gathered coordinate panels.
 	scratch []*mat.Dense
 
 	// ctr holds per-worker instrumentation, padded to ctrStride int64s per
@@ -61,11 +53,24 @@ type Workspace struct {
 	// Flushed into the matrix's atomics once per apply.
 	ctr []int64
 
-	// ---- per-call state read by the task kernels ----
-	kind       applyKind
-	curB, curY []float64 // permuted input/output vectors
-	q, g       []float64 // slab aliases for the call's q/g roles
-	qOff, gOff []int     // matching offset tables
+	// ---- the slab set, shaped for width k ----
+	k      int
+	bp, yp *mat.Dense // N-by-k permuted input and output panels
+
+	// Prefix sums over the row-side and column-side ranks, indexed by node
+	// id: node i's panel is rows [off[i], off[i+1]) of its side's slab. For
+	// shared bases the two offset tables are the same slice; the slabs are
+	// always distinct because q and g live simultaneously.
+	rowOff, colOff     []int
+	rowSlab, colSlab   []float64
+	rowPanel, colPanel []*mat.Dense // per-node headers re-pointed into the slabs
+	bpRows, ypRows     []mat.Dense  // per-node row-range views of bp and yp (inRows, outRows)
+
+	// ---- per-call role binding read by the task kernels ----
+	// in is the input side (its panels are the upward sweep's q), out the
+	// output side (its panels are the coupling results g).
+	in, out    side
+	transposed bool
 
 	// coupMask, when non-nil, restricts the coupling stage to the marked
 	// nodes (the sharded apply); scatter additionally skips the downward and
@@ -79,23 +84,15 @@ type Workspace struct {
 	// pool allocates nothing; sched is the resettable task-queue state.
 	drain func(worker, slot int)
 	sched scheduler
-
-	// ---- batch (multi-RHS) state ----
-	k                  int // current batch width
-	bpB, ypB           *mat.Dense
-	rowSlabB, colSlabB []float64
-	qB, gB             []*mat.Dense   // per-node headers re-pointed into the slabs
-	views              [][4]mat.Dense // per-worker leaf-range view headers (outRows, inRows)
 }
 
-// applyKind selects the apply variant whose per-node kernels a drain runs.
-type applyKind uint8
-
-const (
-	applyVec   applyKind = iota // y = Â b
-	applyTrans                  // y = Âᵀ b
-	applyBatch                  // Y = Â B, one column per right-hand side
-)
+// side is one side of the factorization as a sweep reads it: per node, the
+// leaf basis, the stacked children transfer blocks, and the rank-by-k
+// coefficient panel.
+type side struct {
+	basis, trans []*mat.Dense
+	panel        []*mat.Dense
+}
 
 // Sweep stages of Algorithm 2, in task-graph order. stageLeaf covers stage 5:
 // the leaf expansion task and the nearfield pair tasks behind it; stages 1–2
@@ -108,41 +105,12 @@ const (
 	nStages
 )
 
-// stageKernels[kind][stage] is the per-node kernel of one apply variant's
-// sweep stage: kernel(ws, worker, node id). Method expressions, so selecting
-// a variant per task is a table lookup, not a closure.
-var stageKernels = [...][nStages]func(ws *Workspace, w, id int){
-	applyVec:   {(*Workspace).upNode, (*Workspace).coupNode, (*Workspace).downNode, (*Workspace).leafNode},
-	applyTrans: {(*Workspace).upNodeT, (*Workspace).coupNodeT, (*Workspace).downNodeT, (*Workspace).leafNodeT},
-	applyBatch: {(*Workspace).upNodeB, (*Workspace).coupNodeB, (*Workspace).downNodeB, (*Workspace).leafNodeB},
-}
-
-// nearKernels[kind] is one apply variant's directed nearfield kernel:
-// kernel(ws, worker, i, j) adds block (i, j)'s contribution into leaf i's
-// output rows.
-var nearKernels = [...]func(ws *Workspace, w, i, j int){
-	applyVec:   (*Workspace).nearVec,
-	applyTrans: (*Workspace).nearT,
-	applyBatch: (*Workspace).nearB,
-}
-
-// nearTwins[kind] is one apply variant's symmetric pair kernel:
-// kernel(ws, worker, i, j) adds block (i, j) into leaf i's outputs and its
-// transpose into leaf j's. The transpose sweep has none: only unsymmetric
-// kernels run it (Matrix.vecKind).
-var nearTwins = [...]func(ws *Workspace, w, i, j int){
-	applyVec:   (*Workspace).nearTwin,
-	applyBatch: (*Workspace).nearTwinB,
-}
-
-// NewWorkspace allocates a workspace sized for m's tree and ranks. Reuse it
-// across products from a single goroutine; for ad-hoc calls prefer ApplyTo,
-// which pools workspaces internally.
+// NewWorkspace allocates a workspace sized for m's tree and ranks, with its
+// slab set at width 1. Reuse it across products from a single goroutine;
+// for ad-hoc calls prefer ApplyTo, which pools workspaces internally.
 func (m *Matrix) NewWorkspace() *Workspace {
 	nNodes := len(m.Tree.Nodes)
 	ws := &Workspace{m: m}
-	ws.bp = make([]float64, m.N)
-	ws.yp = make([]float64, m.N)
 	ws.rowOff = make([]int, nNodes+1)
 	for i := 0; i < nNodes; i++ {
 		ws.rowOff[i+1] = ws.rowOff[i] + m.ranks[i]
@@ -155,8 +123,14 @@ func (m *Matrix) NewWorkspace() *Workspace {
 			ws.colOff[i+1] = ws.colOff[i] + m.colRank(i)
 		}
 	}
-	ws.rowSlab = make([]float64, ws.rowOff[nNodes])
-	ws.colSlab = make([]float64, ws.colOff[nNodes])
+	ws.bp, ws.yp = mat.NewDense(0, 0), mat.NewDense(0, 0)
+	ws.bpRows, ws.ypRows = make([]mat.Dense, nNodes), make([]mat.Dense, nNodes)
+	ws.rowPanel = make([]*mat.Dense, nNodes)
+	ws.colPanel = make([]*mat.Dense, nNodes)
+	for i := 0; i < nNodes; i++ {
+		ws.rowPanel[i], ws.colPanel[i] = &mat.Dense{}, &mat.Dense{}
+	}
+	ws.ensureWidth(1)
 	ws.workers = par.Resolve(m.Cfg.Workers)
 	ws.pool = par.NewPool(ws.workers)
 	ws.growScratch(ws.workers)
@@ -239,20 +213,74 @@ func (ws *Workspace) check(m *Matrix, workers int) {
 	ws.growScratch(workers)
 }
 
-// bind prepares ws for one apply of the given kind on m: check, then the
-// q/g role assignment — q carries the upward (input-side) coefficients and g
-// the coupling results, so the transpose swaps the row and column slabs.
-// The batch variant addresses its own per-node panels and ignores the roles.
-func (ws *Workspace) bind(m *Matrix, kind applyKind) {
-	ws.check(m, par.Resolve(m.Cfg.Workers))
-	ws.kind = kind
-	if kind == applyTrans {
-		ws.q, ws.qOff = ws.rowSlab, ws.rowOff
-		ws.g, ws.gOff = ws.colSlab, ws.colOff
-	} else {
-		ws.q, ws.qOff = ws.colSlab, ws.colOff
-		ws.g, ws.gOff = ws.rowSlab, ws.rowOff
+// ensureWidth shapes the slab set for width k: the N-by-k permutation
+// panels, one slab per rank side, and the per-node headers re-pointed into
+// them. Buffers only grow, so alternating widths reuse them. The headers
+// are read-only during an apply, so tasks on different workers share them.
+func (ws *Workspace) ensureWidth(k int) {
+	if k == ws.k {
+		return
 	}
+	m := ws.m
+	nNodes := len(m.Tree.Nodes)
+	ws.bp.Reshape(m.N, k)
+	ws.yp.Reshape(m.N, k)
+	ws.rowSlab = growTo(ws.rowSlab, ws.rowOff[nNodes]*k)
+	ws.colSlab = growTo(ws.colSlab, ws.colOff[nNodes]*k)
+	for id := 0; id < nNodes; id++ {
+		carve(ws.rowPanel[id], ws.rowSlab, ws.rowOff, id, k)
+		carve(ws.colPanel[id], ws.colSlab, ws.colOff, id, k)
+		nd := &m.Tree.Nodes[id]
+		rowsView(&ws.bpRows[id], ws.bp, nd.Start, nd.End)
+		rowsView(&ws.ypRows[id], ws.yp, nd.Start, nd.End)
+	}
+	ws.k = k
+}
+
+// growTo returns s resliced to length n, reallocated only when its capacity
+// is short.
+func growTo(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
+
+// carve points header p at node id's rank-by-k panel of slab.
+func carve(p *mat.Dense, slab []float64, off []int, id, k int) {
+	p.Rows, p.Cols = off[id+1]-off[id], k
+	p.Data = slab[off[id]*k : off[id+1]*k]
+}
+
+// bind prepares ws for one width-k apply on m: check, shape the slab set,
+// then bind the direction's roles. The forward product reads the column
+// generators (V/W) on the input side and the row generators (U/R) on the
+// output side; the transpose exchanges them and applies each coupling and
+// nearfield block (j, i) transposed (key). Every block of a symmetric
+// kernel is summed in its one stored orientation, so its transpose would
+// repeat the forward sweep's arithmetic exactly (Âᵀb ≡ Âb, bit for bit): it
+// binds the forward roles, pair twins included.
+func (ws *Workspace) bind(m *Matrix, k int, transpose bool) {
+	ws.check(m, par.Resolve(m.Cfg.Workers))
+	ws.ensureWidth(k)
+	row := side{m.u, m.trans, ws.rowPanel}
+	col := side{m.u, m.trans, ws.colPanel}
+	if !m.sharedBasis {
+		col.basis, col.trans = m.v, m.wTrans
+	}
+	ws.transposed = transpose && !m.Kern.Symmetric()
+	if ws.transposed {
+		ws.in, ws.out = row, col
+	} else {
+		ws.in, ws.out = col, row
+	}
+}
+
+// bindVec binds ws for a width-1 product and permutes b (original point
+// ordering) into the input panel.
+func (ws *Workspace) bindVec(m *Matrix, b []float64, transpose bool) {
+	ws.bind(m, 1, transpose)
+	m.Tree.PermuteVec(ws.bp.Data, b)
 }
 
 // Close releases the workspace's persistent worker goroutines. It is safe
@@ -267,18 +295,12 @@ func (ws *Workspace) Close() {
 	}
 }
 
-// BatchWidth returns the multi-RHS width the batch buffers are currently
-// shaped for: the k of the most recent ApplyBatchToWith call, or 0 before
-// the first one. Serving layers read it to report the effective coalescing
-// width a reused workspace is operating at.
-func (ws *Workspace) BatchWidth() int { return ws.k }
-
-// Bytes returns the deterministic payload size of the vector-path buffers
-// (permute buffers plus both rank slabs). Scratch tiles are accounted
-// separately (MemoryStats.ScratchPerWorker); batch slabs grow with the
-// batch width and are excluded.
+// Bytes returns the deterministic payload size of the slab set at its
+// current width (both permutation panels plus both rank slabs): at width 1,
+// the figure MemoryStats.Workspace reports. Scratch tiles are accounted
+// separately (MemoryStats.ScratchPerWorker).
 func (ws *Workspace) Bytes() int64 {
-	return int64(len(ws.bp)+len(ws.yp)+len(ws.rowSlab)+len(ws.colSlab)) * 8
+	return int64(len(ws.bp.Data)+len(ws.yp.Data)+len(ws.rowSlab)+len(ws.colSlab)) * 8
 }
 
 // getWorkspace draws a workspace from the matrix's pool, creating one on
@@ -293,8 +315,8 @@ func (m *Matrix) getWorkspace() *Workspace {
 // putWorkspace returns a workspace to the pool.
 func (m *Matrix) putWorkspace(ws *Workspace) { m.wsPool.Put(ws) }
 
-// workspaceBytes is the deterministic size of one vector-path workspace,
-// computed from the representation shape without allocating one.
+// workspaceBytes is the deterministic size of one workspace's slab set at
+// width 1, computed from the representation shape without allocating one.
 func (m *Matrix) workspaceBytes() int64 {
 	var rows, cols int
 	for i := range m.Tree.Nodes {
@@ -307,14 +329,12 @@ func (m *Matrix) workspaceBytes() int64 {
 // ApplyToWith computes y = Â b into y (original point ordering) using the
 // caller-owned workspace: zero allocations in steady state. y and b must
 // both have length N; they may alias (the product round-trips through the
-// workspace's permutation buffers).
+// workspace's permutation panels).
 func (m *Matrix) ApplyToWith(ws *Workspace, y, b []float64) {
 	if len(y) != m.N || len(b) != m.N {
 		panic(fmt.Sprintf("core: apply length mismatch y=%d b=%d n=%d", len(y), len(b), m.N))
 	}
-	m.Tree.PermuteVec(ws.bp, b)
-	m.applyPermutedWith(ws, ws.yp, ws.bp, applyVec)
-	m.Tree.UnpermuteVec(y, ws.yp)
+	m.applyVecWith(ws, y, b, false)
 }
 
 // ApplyTransposeToWith computes y = Âᵀ b into y using the caller-owned
@@ -323,109 +343,191 @@ func (m *Matrix) ApplyTransposeToWith(ws *Workspace, y, b []float64) {
 	if len(y) != m.N || len(b) != m.N {
 		panic(fmt.Sprintf("core: applyTranspose length mismatch y=%d b=%d n=%d", len(y), len(b), m.N))
 	}
-	m.Tree.PermuteVec(ws.bp, b)
-	m.applyPermutedWith(ws, ws.yp, ws.bp, m.vecKind(true))
-	m.Tree.UnpermuteVec(y, ws.yp)
+	m.applyVecWith(ws, y, b, true)
 }
 
-// applyPermutedWith runs the five sweeps of Algorithm 2 on permuted vectors
-// with all state drawn from ws: the plain product for applyVec, and for
-// applyTrans the transpose, whose upward sweep goes through U/R, couplings
-// apply B_{j,i}ᵀ, and downward/leaf sweeps go through V/W. yp and bp must
-// not alias (stage 5 reads bp's nearfield neighbours while writing yp).
-func (m *Matrix) applyPermutedWith(ws *Workspace, yp, bp []float64, kind applyKind) {
-	ws.bind(m, kind)
-	ws.curB, ws.curY = bp, yp
+// applyVecWith runs the five sweeps of Algorithm 2 at width 1 with all state
+// drawn from ws:
+//
+//  1. leaf horizontal sweep    q_i = V_iᵀ b_i
+//  2. bottom-to-top sweep      q_i = Σ_c W_cᵀ q_c
+//  3. horizontal coupling      g_i = Σ_{j ∈ IL(i)} B_{i,j} q_j
+//  4. top-to-bottom sweep      g_c += R_c g_i
+//  5. leaf horizontal sweep    y_i = U_i g_i + Σ_{j ∈ near(i)} K(X_i,X_j) b_j
+//
+// With transpose the roles exchange (bind): the upward sweep goes through
+// U/R, couplings apply B_{j,i}ᵀ, and the downward and leaf sweeps go
+// through V/W.
+func (m *Matrix) applyVecWith(ws *Workspace, y, b []float64, transpose bool) {
+	ws.bindVec(m, b, transpose)
 	ws.runScheduled()
+	m.Tree.UnpermuteVec(y, ws.yp.Data)
 }
 
-// seg returns node id's segment of the given slab.
-func seg(slab []float64, off []int, id int) []float64 { return slab[off[id]:off[id+1]] }
+// ApplyBatchToWith computes Y = Â B for k right-hand sides stored as the
+// columns of the N-by-k matrix B, using the caller-owned workspace. Y is
+// reshaped to N-by-k; Y and B may alias. The five sweeps run once with
+// width-k node panels, so every coupling and nearfield block — in
+// on-the-fly mode, every tile assembly — is visited once for the whole
+// batch instead of once per column, and each stage is a small blocked GEMM.
+// A one-column B is the vector apply, bit for bit.
+func (m *Matrix) ApplyBatchToWith(ws *Workspace, Y, B *mat.Dense) {
+	if B.Rows != m.N {
+		panic(fmt.Sprintf("core: applyBatch rows %d want %d", B.Rows, m.N))
+	}
+	ws.bindBatch(m, B)
+	ws.runScheduled()
+	ws.unpermuteBatch(Y)
+}
 
-// zero clears a segment in place.
-func zero(s []float64) {
-	for i := range s {
-		s[i] = 0
+// bindBatch binds ws for a forward product of B's columns and permutes B's
+// rows into the input panel.
+func (ws *Workspace) bindBatch(m *Matrix, B *mat.Dense) {
+	ws.bind(m, B.Cols, false)
+	permuteRows(ws.bp, B, m.Tree.Perm, false)
+}
+
+// unpermuteBatch reshapes Y to N-by-k and un-permutes the output panel's
+// rows into it.
+func (ws *Workspace) unpermuteBatch(Y *mat.Dense) {
+	Y.Reshape(ws.m.N, ws.k)
+	permuteRows(Y, ws.yp, ws.m.Tree.Perm, true)
+}
+
+// permuteRows copies row perm[r] of src to row r of dst, or with inverse
+// row r of src to row perm[r] of dst. Both are N-by-k.
+func permuteRows(dst, src *mat.Dense, perm []int, inverse bool) {
+	k := src.Cols
+	for r, orig := range perm {
+		d, s := r, orig
+		if inverse {
+			d, s = orig, r
+		}
+		dr, sr := dst.Data[d*k:d*k+k], src.Data[s*k:s*k+k]
+		for c := range dr {
+			dr[c] = sr[c]
+		}
 	}
 }
 
-// upNode is stage 1+2 for Apply: leaves project their input slice through
-// the column basis; internal nodes combine children through the stacked
-// column transfer blocks.
+// rowsView points header v at rows [r0, r1) of the row-major matrix a
+// (shared backing, no copy).
+func rowsView(v, a *mat.Dense, r0, r1 int) {
+	v.Rows, v.Cols = r1-r0, a.Cols
+	v.Data = a.Data[r0*a.Cols : r1*a.Cols]
+}
+
+// outRows and inRows view node id's rows of the output and input panels.
+func (ws *Workspace) outRows(id int) *mat.Dense { return &ws.ypRows[id] }
+
+func (ws *Workspace) inRows(id int) *mat.Dense { return &ws.bpRows[id] }
+
+// runStage runs one (node, stage) task's kernel.
+func (ws *Workspace) runStage(stage, w, id int) {
+	switch stage {
+	case stageUp:
+		ws.upNode(w, id)
+	case stageCoup:
+		ws.coupNode(w, id)
+	case stageDown:
+		ws.downNode(w, id)
+	default:
+		ws.leafNode(w, id)
+	}
+}
+
+// upNode is stages 1–2: a leaf projects its input rows through the
+// input-side basis, q_i = V_iᵀ B_i; an internal node combines its children
+// through the stacked input-side transfer blocks, q_i = Σ_c W_cᵀ q_c.
 func (ws *Workspace) upNode(_, id int) {
-	m := ws.m
-	nd := &m.Tree.Nodes[id]
-	qi := seg(ws.q, ws.qOff, id)
-	zero(qi)
-	if len(qi) == 0 {
+	nd := &ws.m.Tree.Nodes[id]
+	qi := ws.in.panel[id]
+	zero(qi.Data)
+	if qi.Rows == 0 {
 		return
 	}
 	if nd.IsLeaf {
-		mat.MulTVecAdd(qi, m.colBasis(id), ws.curB[nd.Start:nd.End])
+		mat.MulTAddTo(qi, ws.in.basis[id], ws.inRows(id))
 		return
 	}
 	off := 0
 	for _, c := range nd.Children {
-		rc := m.colRank(c)
-		if rc > 0 {
-			mat.MulTVecAddRange(qi, m.colTrans(id), off, off+rc, seg(ws.q, ws.qOff, c))
+		qc := ws.in.panel[c]
+		if qc.Rows > 0 {
+			mat.MulTRangeAddTo(qi, ws.in.trans[id], off, off+qc.Rows, qc)
 		}
-		off += rc
+		off += qc.Rows
 	}
 }
 
-// coupNode is stage 3 for Apply: g_i = Σ_{j ∈ IL(i)} B_{i,j} q_j, each block
-// in its stored orientation (vecBlock).
+// coupNode is stage 3: g_i = Σ_{j ∈ IL(i)} B_{i,j} q_j, one stored-block
+// application or fused evaluation per block for all k columns, each block
+// in its stored orientation (block).
 func (ws *Workspace) coupNode(w, id int) {
 	m := ws.m
-	gi := seg(ws.g, ws.gOff, id)
-	zero(gi)
-	if len(gi) == 0 {
+	gi := ws.out.panel[id]
+	zero(gi.Data)
+	if gi.Rows == 0 {
 		return
 	}
 	for _, j := range m.Tree.Nodes[id].Interaction {
-		if m.colRank(j) == 0 {
+		qj := ws.in.panel[j]
+		if qj.Rows == 0 {
 			continue
 		}
-		a, b, trans := m.coup.key(id, j)
-		ws.vecBlock(w, false, gi, a, b, trans, seg(ws.q, ws.qOff, j))
+		a, b, trans := ws.key(m.coup, id, j)
+		ws.block(w, false, gi, a, b, trans, qj)
 	}
 }
 
-// vecBlock adds one coupling (near false) or nearfield block, applied
-// forward or transposed, into y: y += B_{a,b} v, or y += B_{a,b}ᵀ v with
-// trans. (a, b) is the block's stored key, so every block is summed in one
-// orientation in every memory mode: a stored payload is multiplied in place
-// (MulVecAdd / MulTVecAdd), and an unstored one is evaluated by the fused
-// kernel of the same product (BlockVecAdd / BlockTVecAdd), which is
-// bitwise-identical to it.
-func (ws *Workspace) vecBlock(w int, near bool, y []float64, a, b int, trans bool, v []float64) {
-	m := ws.m
-	ctr := ws.ctr[w*ctrStride : (w+1)*ctrStride]
-	if blk := m.store(near).Get(a, b); blk != nil {
-		ctr[ctrHit]++
-		if trans {
-			mat.MulTVecAdd(y, blk, v)
-		} else {
-			mat.MulVecAdd(y, blk, v)
-		}
+// downNode is stage 4: g_c += R_c g_i through the output-side transfer
+// blocks, parents writing only their own children's panels.
+func (ws *Workspace) downNode(_, id int) {
+	nd := &ws.m.Tree.Nodes[id]
+	gi := ws.out.panel[id]
+	if nd.IsLeaf || gi.Rows == 0 {
 		return
 	}
-	ctr[ctrMiss]++
-	t := nowNS()
-	x, rows, yp, cols := m.blockPoints(near, a, b)
-	if trans {
-		kernel.BlockTVecAdd(y, m.Kern, x, rows, yp, cols, v, ws.scratch[w])
-	} else {
-		kernel.BlockVecAdd(y, m.Kern, x, rows, yp, cols, v, ws.scratch[w])
+	off := 0
+	for _, c := range nd.Children {
+		gc := ws.out.panel[c]
+		if gc.Rows > 0 {
+			mat.MulRangeAddTo(gc, ws.out.trans[id], off, off+gc.Rows, gi)
+		}
+		off += gc.Rows
 	}
-	ctr[ctrOtfNS] += nowNS() - t
 }
 
-// batchBlock is vecBlock for a block of right-hand sides: Y += B_{a,b} V, or
-// Y += B_{a,b}ᵀ V with trans (MulAddTo / MulTAddTo, fused BlockMulAdd /
-// BlockTMulAdd).
-func (ws *Workspace) batchBlock(w int, near bool, y *mat.Dense, a, b int, trans bool, v *mat.Dense) {
+// leafNode is stage 5, farfield half: Y_i = U_i G_i through the output-side
+// basis. The nearfield half runs as pair tasks (pairTask) chained behind it.
+func (ws *Workspace) leafNode(_, id int) {
+	yi := ws.outRows(id)
+	zero(yi.Data)
+	if gi := ws.out.panel[id]; gi.Rows > 0 {
+		mat.MulAddTo(yi, ws.out.basis[id], gi)
+	}
+}
+
+// key returns the stored key (a, b) of the block that carries input node j
+// into output node i under the call's direction, and whether it applies
+// transposed: block (i, j) forward, block (j, i) transposed for the
+// transpose product.
+func (ws *Workspace) key(s *BlockStore, i, j int) (a, b int, trans bool) {
+	if ws.transposed {
+		a, b, trans = s.key(j, i)
+		return a, b, !trans
+	}
+	return s.key(i, j)
+}
+
+// block adds one coupling (near false) or nearfield block, applied forward
+// or transposed, into y: Y += B_{a,b} V, or Y += B_{a,b}ᵀ V with trans.
+// (a, b) is the block's stored key, so every block is summed in one
+// orientation in every memory mode: a stored payload is multiplied in place
+// (MulAddTo / MulTAddTo), and an unstored one is evaluated by the fused
+// kernel of the same product (BlockMulAdd / BlockTMulAdd), which is
+// bitwise-identical to it. At width 1 each of these runs its vector form.
+func (ws *Workspace) block(w int, near bool, y *mat.Dense, a, b int, trans bool, v *mat.Dense) {
 	m := ws.m
 	ctr := ws.ctr[w*ctrStride : (w+1)*ctrStride]
 	if blk := m.store(near).Get(a, b); blk != nil {
@@ -448,361 +550,54 @@ func (ws *Workspace) batchBlock(w int, near bool, y *mat.Dense, a, b int, trans 
 	ctr[ctrOtfNS] += nowNS() - t
 }
 
-// downNode is stage 4 for Apply: g_c += R_c g_i, parents writing only their
-// own children's segments.
-func (ws *Workspace) downNode(_, id int) {
-	m := ws.m
-	nd := &m.Tree.Nodes[id]
-	if nd.IsLeaf || m.ranks[id] == 0 {
-		return
-	}
-	gi := seg(ws.g, ws.gOff, id)
-	off := 0
-	for _, c := range nd.Children {
-		rc := m.ranks[c]
-		if rc > 0 {
-			mat.MulVecAddRange(seg(ws.g, ws.gOff, c), m.trans[id], off, off+rc, gi)
-		}
-		off += rc
-	}
-}
-
-// leafNode is stage 5 for Apply, farfield half: y_i = U_i g_i. The
-// nearfield half runs as pair tasks (pairTask) chained behind it.
-func (ws *Workspace) leafNode(_, id int) {
-	m := ws.m
-	yi := ws.leafY(id)
-	zero(yi)
-	if m.ranks[id] > 0 {
-		mat.MulVecAdd(yi, m.u[id], seg(ws.g, ws.gOff, id))
-	}
-}
-
-// leafY and leafB return leaf id's range of the call's output and input
-// vectors.
-func (ws *Workspace) leafY(id int) []float64 {
-	nd := &ws.m.Tree.Nodes[id]
-	return ws.curY[nd.Start:nd.End]
-}
-
-func (ws *Workspace) leafB(id int) []float64 {
-	nd := &ws.m.Tree.Nodes[id]
-	return ws.curB[nd.Start:nd.End]
-}
-
 // pairTask is the nearfield of one leaf pair (i, j), i <= j: block (i, j)
 // into leaf i's outputs and, for i < j, block (j, i) into leaf j's. For a
 // symmetric kernel both orientations share the one stored block (i, j), so
-// a twin visits it once for both outputs (nearTwins; a symmetric kernel
-// never runs the transpose sweep). Everything else (the diagonal block,
-// unsymmetric kernels) applies each orientation with the variant's near
-// kernel.
+// nearTwin visits it once for both outputs (a symmetric kernel never binds
+// the transpose roles). Everything else (the diagonal block, unsymmetric
+// kernels) applies each orientation with near.
 func (ws *Workspace) pairTask(w, i, j int) {
 	if i != j && !ws.m.near.directed {
-		nearTwins[ws.kind](ws, w, i, j)
+		ws.nearTwin(w, i, j)
 		return
 	}
-	near := nearKernels[ws.kind]
-	near(ws, w, i, j)
+	ws.near(w, i, j)
 	if i != j {
-		near(ws, w, j, i)
+		ws.near(w, j, i)
 	}
 }
 
-// nearTwin applies the off-diagonal pair (i < j) of a symmetric vector
-// apply in one visit of block (i, j): y_i += B_{i,j} b_j and
-// y_j += B_{i,j}ᵀ b_i, through mat.MulVecAddTwin for a stored block and
-// kernel.BlockVecAddTwin otherwise — each bitwise-identical to the two
-// directed blocks it replaces. It counts a hit or miss per directed block,
-// as nearVec does.
+// near adds one directed nearfield block into leaf i's outputs:
+// Y_i += K(X_i, X_j) B_j, or its transpose-product form.
+func (ws *Workspace) near(w, i, j int) {
+	a, b, trans := ws.key(ws.m.near, i, j)
+	ws.block(w, true, ws.outRows(i), a, b, trans, ws.inRows(j))
+}
+
+// nearTwin applies the off-diagonal pair (i < j) of a symmetric kernel in
+// one visit of block (i, j): Y_i += B_{i,j} B_j and Y_j += B_{i,j}ᵀ B_i,
+// through mat.MulAddToTwin for a stored block and kernel.BlockMulAddTwin
+// otherwise — each bitwise-identical to the two directed blocks it
+// replaces. It counts a hit or miss per directed block, as near does.
 func (ws *Workspace) nearTwin(w, i, j int) {
 	m := ws.m
 	ctr := ws.ctr[w*ctrStride : (w+1)*ctrStride]
-	yi, yj := ws.leafY(i), ws.leafY(j)
-	bi, bj := ws.leafB(i), ws.leafB(j)
+	yi, yj := ws.outRows(i), ws.outRows(j)
+	bi, bj := ws.inRows(i), ws.inRows(j)
 	if blk := m.near.Get(i, j); blk != nil {
 		ctr[ctrHit] += 2
-		mat.MulVecAddTwin(yi, yj, blk, bj, bi)
-		return
-	}
-	ctr[ctrMiss] += 2
-	t := nowNS()
-	kernel.BlockVecAddTwin(yi, yj, m.Kern, m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j), bj, bi, ws.scratch[w])
-	ctr[ctrOtfNS] += nowNS() - t
-}
-
-// nearVec adds one directed nearfield block: y_i += K(X_i, X_j) b_j.
-func (ws *Workspace) nearVec(w, i, j int) {
-	a, b, trans := ws.m.near.key(i, j)
-	ws.vecBlock(w, true, ws.leafY(i), a, b, trans, ws.leafB(j))
-}
-
-// upNodeT is the transpose upward sweep through the ROW generators (U, R).
-func (ws *Workspace) upNodeT(_, id int) {
-	m := ws.m
-	nd := &m.Tree.Nodes[id]
-	qi := seg(ws.q, ws.qOff, id)
-	zero(qi)
-	if len(qi) == 0 {
-		return
-	}
-	if nd.IsLeaf {
-		mat.MulTVecAdd(qi, m.u[id], ws.curB[nd.Start:nd.End])
-		return
-	}
-	off := 0
-	for _, c := range nd.Children {
-		rc := m.ranks[c]
-		if rc > 0 {
-			mat.MulTVecAddRange(qi, m.trans[id], off, off+rc, seg(ws.q, ws.qOff, c))
-		}
-		off += rc
-	}
-}
-
-// coupNodeT is the transpose coupling sweep: g_i = Σ_j B_{j,i}ᵀ q_j. The
-// interaction lists are symmetric as sets, so iterating i's own list covers
-// exactly the blocks whose transpose writes into i. Only unsymmetric kernels
-// run the transpose sweeps (see vecKind), so the stored key of B_{j,i} is
-// (j, i) itself.
-func (ws *Workspace) coupNodeT(w, id int) {
-	m := ws.m
-	gi := seg(ws.g, ws.gOff, id)
-	zero(gi)
-	if len(gi) == 0 {
-		return
-	}
-	for _, j := range m.Tree.Nodes[id].Interaction {
-		if m.ranks[j] == 0 {
-			continue
-		}
-		ws.vecBlock(w, false, gi, j, id, true, seg(ws.q, ws.qOff, j))
-	}
-}
-
-// downNodeT is the transpose downward sweep through the COLUMN generators.
-func (ws *Workspace) downNodeT(_, id int) {
-	m := ws.m
-	nd := &m.Tree.Nodes[id]
-	if nd.IsLeaf || m.colRank(id) == 0 {
-		return
-	}
-	gi := seg(ws.g, ws.gOff, id)
-	off := 0
-	for _, c := range nd.Children {
-		rc := m.colRank(c)
-		if rc > 0 {
-			mat.MulVecAddRange(seg(ws.g, ws.gOff, c), m.colTrans(id), off, off+rc, gi)
-		}
-		off += rc
-	}
-}
-
-// leafNodeT is the transpose leaf sweep, farfield half: y_i = V_i g_i.
-func (ws *Workspace) leafNodeT(_, id int) {
-	m := ws.m
-	yi := ws.leafY(id)
-	zero(yi)
-	if m.colRank(id) > 0 {
-		mat.MulVecAdd(yi, m.colBasis(id), seg(ws.g, ws.gOff, id))
-	}
-}
-
-// nearT adds one directed transpose nearfield block: y_i += K(X_j, X_i)ᵀ b_j.
-func (ws *Workspace) nearT(w, i, j int) {
-	ws.vecBlock(w, true, ws.leafY(i), j, i, true, ws.leafB(j))
-}
-
-// ---- batched multi-RHS path ----
-
-// ensureBatch sizes the batch buffers for width k: the N-by-k permutation
-// buffers, one slab per rank side, and per-node matrix headers re-pointed
-// into the slabs. Everything is reused across calls; buffers only grow.
-func (ws *Workspace) ensureBatch(k int) {
-	m := ws.m
-	nNodes := len(m.Tree.Nodes)
-	if ws.bpB == nil {
-		ws.bpB = mat.NewDense(0, 0)
-		ws.ypB = mat.NewDense(0, 0)
-		ws.qB = make([]*mat.Dense, nNodes)
-		ws.gB = make([]*mat.Dense, nNodes)
-		for i := 0; i < nNodes; i++ {
-			ws.qB[i] = &mat.Dense{}
-			ws.gB[i] = &mat.Dense{}
-		}
-	}
-	for len(ws.views) < len(ws.scratch) {
-		ws.views = append(ws.views, [4]mat.Dense{})
-	}
-	ws.bpB.Reshape(m.N, k)
-	ws.ypB.Reshape(m.N, k)
-	if need := ws.rowOff[nNodes] * k; cap(ws.rowSlabB) < need {
-		ws.rowSlabB = make([]float64, need)
-	}
-	if need := ws.colOff[nNodes] * k; cap(ws.colSlabB) < need {
-		ws.colSlabB = make([]float64, need)
-	}
-	for id := 0; id < nNodes; id++ {
-		g := ws.gB[id]
-		g.Rows, g.Cols = ws.rowOff[id+1]-ws.rowOff[id], k
-		g.Data = ws.rowSlabB[ws.rowOff[id]*k : ws.rowOff[id+1]*k]
-		q := ws.qB[id]
-		q.Rows, q.Cols = ws.colOff[id+1]-ws.colOff[id], k
-		q.Data = ws.colSlabB[ws.colOff[id]*k : ws.colOff[id+1]*k]
-	}
-	ws.k = k
-}
-
-// rowsView points header v at rows [r0, r1) of the row-major matrix a
-// (shared backing, no copy).
-func rowsView(v, a *mat.Dense, r0, r1 int) *mat.Dense {
-	v.Rows, v.Cols = r1-r0, a.Cols
-	v.Data = a.Data[r0*a.Cols : r1*a.Cols]
-	return v
-}
-
-// outRows and inRows view leaf id's rows of the batch output and input
-// panels through worker w's header slot s (0 or 1, so a pair task can hold
-// two leaves' views at once) — the batch forms of leafY and leafB.
-func (ws *Workspace) outRows(w, s, id int) *mat.Dense {
-	nd := &ws.m.Tree.Nodes[id]
-	return rowsView(&ws.views[w][s], ws.ypB, nd.Start, nd.End)
-}
-
-func (ws *Workspace) inRows(w, s, id int) *mat.Dense {
-	nd := &ws.m.Tree.Nodes[id]
-	return rowsView(&ws.views[w][2+s], ws.bpB, nd.Start, nd.End)
-}
-
-// ApplyBatchToWith computes Y = Â B for k right-hand sides stored as the
-// columns of the N-by-k matrix B, using the caller-owned workspace. Y is
-// reshaped to N-by-k; Y and B may alias. The five sweeps run once with
-// matrix-valued node states, so every coupling and nearfield block — in
-// on-the-fly mode, every tile assembly — is visited once for the whole
-// batch instead of once per column, and each stage is a small blocked GEMM.
-func (m *Matrix) ApplyBatchToWith(ws *Workspace, Y, B *mat.Dense) {
-	if B.Rows != m.N {
-		panic(fmt.Sprintf("core: applyBatch rows %d want %d", B.Rows, m.N))
-	}
-	ws.bindBatch(m, B)
-	ws.runScheduled()
-	ws.unpermuteBatch(Y)
-}
-
-// bindBatch prepares ws for a batch apply of B's columns: bind, size the
-// batch buffers for B's width, and permute B's rows into the input panel.
-func (ws *Workspace) bindBatch(m *Matrix, B *mat.Dense) {
-	ws.bind(m, applyBatch)
-	ws.ensureBatch(B.Cols)
-	for row, orig := range m.Tree.Perm {
-		copy(ws.bpB.Row(row), B.Row(orig))
-	}
-}
-
-// unpermuteBatch reshapes Y to N-by-k and un-permutes the batch output rows
-// into it.
-func (ws *Workspace) unpermuteBatch(Y *mat.Dense) {
-	m := ws.m
-	Y.Reshape(m.N, ws.k)
-	for row, orig := range m.Tree.Perm {
-		copy(Y.Row(orig), ws.ypB.Row(row))
-	}
-}
-
-// upNodeB is the batched upward sweep: q_i = V_iᵀ B_i for leaves,
-// q_i = Σ_c W_cᵀ q_c above.
-func (ws *Workspace) upNodeB(w, id int) {
-	m := ws.m
-	nd := &m.Tree.Nodes[id]
-	qi := ws.qB[id]
-	zero(qi.Data)
-	if qi.Rows == 0 {
-		return
-	}
-	if nd.IsLeaf {
-		mat.MulTAddTo(qi, m.colBasis(id), ws.inRows(w, 0, id))
-		return
-	}
-	off := 0
-	for _, c := range nd.Children {
-		rc := m.colRank(c)
-		if rc > 0 {
-			mat.MulTRangeAddTo(qi, m.colTrans(id), off, off+rc, ws.qB[c])
-		}
-		off += rc
-	}
-}
-
-// coupNodeB is the batched coupling sweep: one stored-block application or
-// fused evaluation per block for all k columns, in the block's stored
-// orientation (batchBlock).
-func (ws *Workspace) coupNodeB(w, id int) {
-	m := ws.m
-	gi := ws.gB[id]
-	zero(gi.Data)
-	if gi.Rows == 0 {
-		return
-	}
-	for _, j := range m.Tree.Nodes[id].Interaction {
-		if m.colRank(j) == 0 {
-			continue
-		}
-		a, b, trans := m.coup.key(id, j)
-		ws.batchBlock(w, false, gi, a, b, trans, ws.qB[j])
-	}
-}
-
-// downNodeB is the batched downward sweep: g_c += R_c g_i.
-func (ws *Workspace) downNodeB(_, id int) {
-	m := ws.m
-	nd := &m.Tree.Nodes[id]
-	if nd.IsLeaf || m.ranks[id] == 0 {
-		return
-	}
-	gi := ws.gB[id]
-	off := 0
-	for _, c := range nd.Children {
-		rc := m.ranks[c]
-		if rc > 0 {
-			mat.MulRangeAddTo(ws.gB[c], m.trans[id], off, off+rc, gi)
-		}
-		off += rc
-	}
-}
-
-// leafNodeB is the batched leaf sweep, farfield half: Y_i = U_i G_i.
-func (ws *Workspace) leafNodeB(w, id int) {
-	m := ws.m
-	yi := ws.outRows(w, 0, id)
-	zero(yi.Data)
-	if m.ranks[id] > 0 {
-		mat.MulAddTo(yi, m.u[id], ws.gB[id])
-	}
-}
-
-// nearB adds one directed batched nearfield block: Y_i += K(X_i, X_j) B_j.
-func (ws *Workspace) nearB(w, i, j int) {
-	a, b, trans := ws.m.near.key(i, j)
-	ws.batchBlock(w, true, ws.outRows(w, 0, i), a, b, trans, ws.inRows(w, 0, j))
-}
-
-// nearTwinB is nearTwin for a block of right-hand sides: Y_i += B_{i,j} B_j
-// and Y_j += B_{i,j}ᵀ B_i in one visit of block (i, j) — the stored block
-// through MulAddTo and MulTAddTo, an unstored one through
-// kernel.BlockMulAddTwin, which evaluates each entry once.
-func (ws *Workspace) nearTwinB(w, i, j int) {
-	m := ws.m
-	ctr := ws.ctr[w*ctrStride : (w+1)*ctrStride]
-	yi, yj := ws.outRows(w, 0, i), ws.outRows(w, 1, j)
-	bi, bj := ws.inRows(w, 0, i), ws.inRows(w, 1, j)
-	if blk := m.near.Get(i, j); blk != nil {
-		ctr[ctrHit] += 2
-		mat.MulAddTo(yi, blk, bj)
-		mat.MulTAddTo(yj, blk, bi)
+		mat.MulAddToTwin(yi, yj, blk, bj, bi)
 		return
 	}
 	ctr[ctrMiss] += 2
 	t := nowNS()
 	kernel.BlockMulAddTwin(yi, yj, m.Kern, m.Tree.Points, m.leafRange(i), m.Tree.Points, m.leafRange(j), bj, bi, ws.scratch[w])
 	ctr[ctrOtfNS] += nowNS() - t
+}
+
+// zero clears a panel's data in place.
+func zero(s []float64) {
+	for i := range s {
+		s[i] = 0
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -119,66 +120,120 @@ func TestApplyDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestApplyBatchToMatchesSequentialTightly(t *testing.T) {
-	// The batched sweeps use GEMM kernels whose per-element summation order
-	// mirrors the vector kernels, so each batch column must agree with the
-	// sequential product to ~1 ulp (acceptance bound: 1e-14 relative).
-	pts := pointset.Cube(2000, 3, 230)
-	const k = 8
-	for mode, m := range buildBoth(t, pts, kernel.Coulomb{}, 70) {
-		bm := mat.NewDense(2000, k)
-		for j := 0; j < k; j++ {
-			col := randVec(2000, int64(231+j))
-			for i := 0; i < 2000; i++ {
-				bm.Set(i, j, col[i])
+// rhsPanel returns an n-by-k panel of right-hand sides whose columns cycle
+// through a random vector, a unit vector, and a half-zeroed random vector
+// with exact +0 and -0 entries — the inputs on which the vector and batch
+// transposed products skip different zeros. The cycle is offset by k, so a
+// one-column panel is the half-zeroed vector.
+func rhsPanel(n, k int, seed int64) *mat.Dense {
+	B := mat.NewDense(n, k)
+	negZero := math.Copysign(0, -1)
+	for j := 0; j < k; j++ {
+		col := randVec(n, seed+int64(j))
+		switch (j + k + 1) % 3 {
+		case 1:
+			clear(col)
+			col[(j*131)%n] = 1
+		case 2:
+			for i := range col {
+				switch {
+				case i >= n/2 && i%2 == 0, i%3 == 1:
+					col[i] = 0
+				case i >= n/2, i%5 == 2:
+					col[i] = negZero
+				}
 			}
 		}
-		y := m.ApplyBatch(bm)
-		for j := 0; j < k; j++ {
-			col := make([]float64, 2000)
-			for i := range col {
-				col[i] = bm.At(i, j)
-			}
-			want := m.Apply(col)
-			for i := range want {
-				if d := math.Abs(y.At(i, j) - want[i]); d > 1e-14*(1+math.Abs(want[i])) {
-					t.Fatalf("mode %v: batch column %d differs at %d beyond 1e-14: %g vs %g",
-						mode, j, i, y.At(i, j), want[i])
-				}
+		for i := 0; i < n; i++ {
+			B.Set(i, j, col[i])
+		}
+	}
+	return B
+}
+
+// column returns a copy of column j of a.
+func column(a *mat.Dense, j int) []float64 {
+	c := make([]float64, a.Rows)
+	for i := range c {
+		c[i] = a.At(i, j)
+	}
+	return c
+}
+
+// requireBatchColumnsBitwise applies B as one batch through ws (the
+// matrix's pool when nil) and fails unless every output column equals the
+// vector apply of that input column bit for bit.
+func requireBatchColumnsBitwise(t *testing.T, tag string, m *Matrix, ws *Workspace, B *mat.Dense) {
+	t.Helper()
+	Y := mat.NewDense(0, 0)
+	if ws == nil {
+		m.ApplyBatchTo(Y, B)
+	} else {
+		m.ApplyBatchToWith(ws, Y, B)
+	}
+	for j := 0; j < B.Cols; j++ {
+		bitsEqualVec(t, fmt.Sprintf("%s k=%d column %d", tag, B.Cols, j), column(Y, j), m.Apply(column(B, j)))
+	}
+}
+
+// buildModes builds k over pts in Normal, OnTheFly, and Hybrid at half the
+// full block footprint.
+func buildModes(t *testing.T, pts *pointset.Points, k kernel.Pairwise, leaf int) map[string]*Matrix {
+	t.Helper()
+	cfg := Config{Kind: DataDriven, Mode: Normal, Tol: 1e-6, LeafSize: leaf}
+	norm, err := Build(pts, k, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]*Matrix{"normal": norm}
+	cfg.Mode = OnTheFly
+	if out["otf"], err = Build(pts, k, cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Mode, cfg.StorageBudget = Hybrid, norm.storedBytesForTest()/2
+	if out["hybrid50"], err = Build(pts, k, cfg); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func TestApplyBatchToMatchesSequentialTightly(t *testing.T) {
+	// The batched sweeps use GEMM kernels whose per-element summation order
+	// mirrors the vector kernels, and width 1 runs the vector kernels
+	// themselves, so each batch column must equal the sequential product
+	// bit for bit — at every width, in every storage mode, for a symmetric
+	// and an unsymmetric kernel, on inputs with exact zeros and -0.
+	pts := pointset.Cube(2000, 3, 230)
+	for _, k := range []kernel.Pairwise{kernel.Coulomb{}, drift3()} {
+		for mode, m := range buildModes(t, pts, k, 70) {
+			for _, width := range []int{1, 2, 3, 5, 8} {
+				requireBatchColumnsBitwise(t, k.Name()+"/"+mode, m, nil, rhsPanel(2000, width, 231))
 			}
 		}
 	}
 }
 
 func TestApplyBatchWidthChangesReuseWorkspace(t *testing.T) {
+	// One workspace reshaped across widths must give every width's bits,
+	// and a vector apply between batches must too.
 	pts := pointset.Cube(900, 3, 240)
-	m, err := Build(pts, kernel.Coulomb{}, Config{Kind: DataDriven, Mode: OnTheFly, Tol: 1e-5, LeafSize: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := m.NewWorkspace()
-	for _, k := range []int{4, 1, 8, 2} {
-		bm := mat.NewDense(900, k)
-		for j := 0; j < k; j++ {
-			col := randVec(900, int64(241+j))
-			for i := 0; i < 900; i++ {
-				bm.Set(i, j, col[i])
-			}
+	for _, k := range []kernel.Pairwise{kernel.Coulomb{}, drift3()} {
+		m, err := Build(pts, k, Config{Kind: DataDriven, Mode: OnTheFly, Tol: 1e-5, LeafSize: 60})
+		if err != nil {
+			t.Fatal(err)
 		}
-		y := mat.NewDense(0, 0)
-		m.ApplyBatchToWith(ws, y, bm)
-		for j := 0; j < k; j++ {
-			col := make([]float64, 900)
-			for i := range col {
-				col[i] = bm.At(i, j)
-			}
-			want := m.Apply(col)
-			for i := range want {
-				if d := math.Abs(y.At(i, j) - want[i]); d > 1e-12*(1+math.Abs(want[i])) {
-					t.Fatalf("k=%d: column %d differs at %d", k, j, i)
-				}
-			}
+		ws := m.NewWorkspace()
+		y := make([]float64, m.N)
+		for _, width := range []int{5, 1, 8, 2, 3} {
+			B := rhsPanel(900, width, 241)
+			requireBatchColumnsBitwise(t, k.Name(), m, ws, B)
+			b := column(B, 0)
+			m.ApplyToWith(ws, y, b)
+			bitsEqualVec(t, fmt.Sprintf("%s vector after k=%d", k.Name(), width), y, m.Apply(b))
+			m.ApplyTransposeToWith(ws, y, b)
+			bitsEqualVec(t, fmt.Sprintf("%s transpose after k=%d", k.Name(), width), y, m.ApplyTranspose(b))
 		}
+		ws.Close()
 	}
 }
 

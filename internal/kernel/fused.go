@@ -402,8 +402,13 @@ func BlockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y 
 // tile row at a time is materialized into buf (caller-owned scratch,
 // reshaped here, which also holds a gathered column panel) and reused across
 // every column of B, so the working set is one row panel regardless of tile
-// size. C is len(rows) x B.Cols and B is len(cols) x B.Cols.
+// size. C is len(rows) x B.Cols and B is len(cols) x B.Cols. A one-column B
+// runs BlockVecAdd itself.
 func BlockMulAdd(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, b *mat.Dense, buf *mat.Dense) {
+	if b.Cols == 1 {
+		BlockVecAdd(c.Data, pk, x, rows, y, cols, b.Data, buf)
+		return
+	}
 	e := newEvaluator(pk)
 	row, p := colScratch(buf, 1, y, cols)
 	d := x.Dim
@@ -418,8 +423,13 @@ func BlockMulAdd(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *p
 // Assemble + mat.MulTAddTo, bitwise-identical to it, including its skips of
 // zero entries. Each tile row is evaluated into buf as in BlockMulAdd and
 // scattered into C's rows. C is len(cols) x B.Cols and B is
-// len(rows) x B.Cols.
+// len(rows) x B.Cols. A one-column B runs BlockTVecAdd itself, whose zero
+// skips give the same bits on finite inputs (see mat.MulTAddTo).
 func BlockTMulAdd(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, b *mat.Dense, buf *mat.Dense) {
+	if b.Cols == 1 {
+		BlockTVecAdd(c.Data, pk, x, rows, y, cols, b.Data, buf)
+		return
+	}
 	e := newEvaluator(pk)
 	row, p := colScratch(buf, 1, y, cols)
 	d := x.Dim
@@ -434,8 +444,13 @@ func BlockTMulAdd(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *
 // right-hand sides while evaluating each entry once: CR += K·BC and
 // CC += Kᵀ·BR with K = K(x[rows], y[cols]). It is the batch counterpart of
 // BlockVecAddTwin, bitwise-identical to BlockMulAdd(CR, …, BC) followed by
-// BlockTMulAdd(CC, …, BR). CR and CC must not overlap.
+// BlockTMulAdd(CC, …, BR). One-column panels run BlockVecAddTwin itself. CR
+// and CC must not overlap.
 func BlockMulAddTwin(cR, cC *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, bC, bR *mat.Dense, buf *mat.Dense) {
+	if bC.Cols == 1 && bR.Cols == 1 {
+		BlockVecAddTwin(cR.Data, cC.Data, pk, x, rows, y, cols, bC.Data, bR.Data, buf)
+		return
+	}
 	e := newEvaluator(pk)
 	row, p := colScratch(buf, 1, y, cols)
 	d := x.Dim

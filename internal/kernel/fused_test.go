@@ -261,6 +261,73 @@ func TestBlockMulAddTwinBitwise(t *testing.T) {
 	}
 }
 
+// TestBlockWidthOneMatchesVectorForms pins the width-1 dispatch of the
+// fused panel products: BlockMulAdd, BlockTMulAdd and BlockMulAddTwin with a
+// one-column panel must equal BlockVecAdd, BlockTVecAdd and BlockVecAddTwin
+// bit for bit, and so must column 0 of the same call at width 3, which
+// evaluates every row and skips zero kernel entries where the vector forms
+// skip zero multipliers. Rows and columns share points, so the singular
+// kernels produce exact zero entries; the multipliers carry +0 and -0; the
+// accumulators start at +0.
+func TestBlockWidthOneMatchesVectorForms(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	buf := mat.NewDense(0, 0)
+	multipliers := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		v = withZeros(v)
+		for i := 2; i < n; i += 7 {
+			v[i] = math.Copysign(0, -1)
+		}
+		return v
+	}
+	panelOf := func(v []float64, k int) *mat.Dense {
+		p := mat.NewDense(len(v), k)
+		for i := range p.Data {
+			p.Data[i] = rng.NormFloat64()
+		}
+		for i, x := range v {
+			p.Data[i*k] = x
+		}
+		return p
+	}
+	col0 := func(p *mat.Dense) []float64 {
+		c := make([]float64, p.Rows)
+		for i := range c {
+			c[i] = p.Data[i*p.Cols]
+		}
+		return c
+	}
+	x := pointset.Cube(150, 3, 60)
+	for _, k := range fusedKernels() {
+		for _, sh := range fusedShapes {
+			rows := randIdx(rng, x.Len(), sh.rows)
+			cols := randIdx(rng, x.Len(), sh.cols)
+			copy(cols, rows) // coincident points: exact zero entries
+			vc, vr := multipliers(sh.cols), multipliers(sh.rows)
+			wantR, wantC := make([]float64, sh.rows), make([]float64, sh.cols)
+			BlockVecAdd(wantR, k, x, rows, x, cols, vc, buf)
+			BlockTVecAdd(wantC, k, x, rows, x, cols, vr, buf)
+			twinR, twinC := make([]float64, sh.rows), make([]float64, sh.cols)
+			BlockVecAddTwin(twinR, twinC, k, x, rows, x, cols, vc, vr, buf)
+			for _, nrhs := range []int{1, 3} {
+				tag := fmt.Sprintf("%s %dx%d k=%d", k.Name(), sh.rows, sh.cols, nrhs)
+				cR, cC := panelOf(make([]float64, sh.rows), nrhs), panelOf(make([]float64, sh.cols), nrhs)
+				BlockMulAdd(cR, k, x, rows, x, cols, panelOf(vc, nrhs), buf)
+				BlockTMulAdd(cC, k, x, rows, x, cols, panelOf(vr, nrhs), buf)
+				bitsEqual(t, tag+" BlockMulAdd", col0(cR), wantR)
+				bitsEqual(t, tag+" BlockTMulAdd", col0(cC), wantC)
+				cR, cC = panelOf(make([]float64, sh.rows), nrhs), panelOf(make([]float64, sh.cols), nrhs)
+				BlockMulAddTwin(cR, cC, k, x, rows, x, cols, panelOf(vc, nrhs), panelOf(vr, nrhs), buf)
+				bitsEqual(t, tag+" BlockMulAddTwin rows", col0(cR), twinR)
+				bitsEqual(t, tag+" BlockMulAddTwin cols", col0(cC), twinC)
+			}
+		}
+	}
+}
+
 // TestApplyBlockBitwiseFused pins the fused BlockVecAdd, fed a gathered
 // multiplier, against the seed streaming product ApplyBlock over the same
 // index sets.

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -70,59 +71,115 @@ func TestMulTRangeAddToMatchesSubmatrix(t *testing.T) {
 	}
 }
 
-func TestBatchKernelsMatchVectorKernelsBitwise(t *testing.T) {
-	// The batched sweeps promise results identical to the per-vector sweeps,
-	// which requires each k=1 GEMM to reproduce the vector kernel bitwise
-	// (same per-element summation order).
+// zeroed returns a copy of v with exact +0 and -0 entries injected: a
+// leading all-zero quad, a zero in every third slot, a -0 in every fifth,
+// and a zero last element — every zero-skip case of the transposed
+// products.
+func zeroed(v []float64) []float64 {
+	w := append([]float64(nil), v...)
+	for i := range w {
+		switch {
+		case i < 4 || i%3 == 2 || i == len(w)-1:
+			w[i] = 0
+		case i%5 == 1:
+			w[i] = math.Copysign(0, -1)
+		}
+	}
+	return w
+}
+
+// rngVec returns n standard normal draws.
+func rngVec(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = rng.NormFloat64()
+	}
+	return v
+}
+
+// panelOf returns an n-by-k panel whose column 0 is v and whose other
+// columns are random.
+func panelOf(rng *rand.Rand, v []float64, k int) *Dense {
+	p := NewDenseData(len(v), k, rngVec(rng, len(v)*k))
+	for i, x := range v {
+		p.Data[i*k] = x
+	}
+	return p
+}
+
+// col0 returns a copy of column 0 of p.
+func col0(p *Dense) []float64 {
+	c := make([]float64, p.Rows)
+	for i := range c {
+		c[i] = p.Data[i*p.Cols]
+	}
+	return c
+}
+
+// TestWidthOneMatchesVectorForms pins the width-1 dispatch of the panel
+// products. Each one-column call must equal its vector form bit for bit,
+// and so must column 0 of the same call at width 3, which runs the strided
+// panel loops and skips zero block entries where the vector forms skip
+// zero multipliers. The table covers zero and -0 multipliers, zero and -0
+// block entries, and accumulators that start at +0 or random values (never
+// -0, the precondition of MulTAddTo's zero-skip argument), with the AVX
+// path on and off.
+func TestWidthOneMatchesVectorForms(t *testing.T) {
+	defer SetSIMD(SetSIMD(true))
 	rng := rand.New(rand.NewSource(11))
-	a := randDense(rng, 9, 7)
-	x := make([]float64, 7)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	yv := make([]float64, 9)
-	MulVecAdd(yv, a, x)
-	yb := NewDense(9, 1)
-	MulAddTo(yb, a, NewDenseData(7, 1, append([]float64(nil), x...)))
-	for i := range yv {
-		if yb.Data[i] != yv[i] {
-			t.Fatalf("MulAddTo k=1 not bitwise equal to MulVecAdd at %d", i)
-		}
-	}
-	xt := make([]float64, 9)
-	for i := range xt {
-		xt[i] = rng.NormFloat64()
-	}
-	ytv := make([]float64, 7)
-	MulTVecAdd(ytv, a, xt)
-	ytb := NewDense(7, 1)
-	MulTAddTo(ytb, a, NewDenseData(9, 1, append([]float64(nil), xt...)))
-	for i := range ytv {
-		if ytb.Data[i] != ytv[i] {
-			t.Fatalf("MulTAddTo k=1 not bitwise equal to MulTVecAdd at %d", i)
-		}
-	}
-	r0, r1 := 2, 7
-	yv2 := make([]float64, r1-r0)
-	MulVecAddRange(yv2, a, r0, r1, x)
-	yb2 := NewDense(r1-r0, 1)
-	MulRangeAddTo(yb2, a, r0, r1, NewDenseData(7, 1, append([]float64(nil), x...)))
-	for i := range yv2 {
-		if yb2.Data[i] != yv2[i] {
-			t.Fatalf("MulRangeAddTo k=1 not bitwise equal at %d", i)
-		}
-	}
-	xr := make([]float64, r1-r0)
-	for i := range xr {
-		xr[i] = rng.NormFloat64()
-	}
-	ytv2 := make([]float64, 7)
-	MulTVecAddRange(ytv2, a, r0, r1, xr)
-	ytb2 := NewDense(7, 1)
-	MulTRangeAddTo(ytb2, a, r0, r1, NewDenseData(r1-r0, 1, append([]float64(nil), xr...)))
-	for i := range ytv2 {
-		if ytb2.Data[i] != ytv2[i] {
-			t.Fatalf("MulTRangeAddTo k=1 not bitwise equal at %d", i)
+	for _, simd := range []bool{true, false} {
+		SetSIMD(simd)
+		for _, sh := range [][2]int{{1, 1}, {3, 5}, {9, 7}, {17, 4}, {64, 65}} {
+			rows, cols := sh[0], sh[1]
+			r0, r1 := rows/3, rows
+			for _, zeros := range []bool{false, true} {
+				a := randDense(rng, rows, cols)
+				inputs := func(n int) []float64 {
+					if zeros {
+						return zeroed(rngVec(rng, n))
+					}
+					return rngVec(rng, n)
+				}
+				if zeros {
+					a.Data = zeroed(a.Data)
+				}
+				tag := fmt.Sprintf("simd=%v %dx%d zeros=%v", simd, rows, cols, zeros)
+				for _, tc := range []struct {
+					name       string
+					yLen, xLen int
+					vec        func(y, x []float64)
+					wide       func(c, b *Dense)
+				}{
+					{"MulAddTo", rows, cols,
+						func(y, x []float64) { MulVecAdd(y, a, x) }, func(c, b *Dense) { MulAddTo(c, a, b) }},
+					{"MulTAddTo", cols, rows,
+						func(y, x []float64) { MulTVecAdd(y, a, x) }, func(c, b *Dense) { MulTAddTo(c, a, b) }},
+					{"MulRangeAddTo", r1 - r0, cols,
+						func(y, x []float64) { MulVecAddRange(y, a, r0, r1, x) }, func(c, b *Dense) { MulRangeAddTo(c, a, r0, r1, b) }},
+					{"MulTRangeAddTo", cols, r1 - r0,
+						func(y, x []float64) { MulTVecAddRange(y, a, r0, r1, x) }, func(c, b *Dense) { MulTRangeAddTo(c, a, r0, r1, b) }},
+				} {
+					for _, acc := range [][]float64{make([]float64, tc.yLen), rngVec(rng, tc.yLen)} {
+						x := inputs(tc.xLen)
+						want := append([]float64(nil), acc...)
+						tc.vec(want, x)
+						for _, k := range []int{1, 3} {
+							c := panelOf(rng, acc, k)
+							tc.wide(c, panelOf(rng, x, k))
+							twinBitsEqual(t, fmt.Sprintf("%s %s k=%d", tc.name, tag, k), col0(c), want)
+						}
+					}
+				}
+				xc, xr := inputs(cols), inputs(rows)
+				wantR, wantC := make([]float64, rows), make([]float64, cols)
+				MulVecAddTwin(wantR, wantC, a, xc, xr)
+				for _, k := range []int{1, 3} {
+					cR, cC := panelOf(rng, make([]float64, rows), k), panelOf(rng, make([]float64, cols), k)
+					MulAddToTwin(cR, cC, a, panelOf(rng, xc, k), panelOf(rng, xr, k))
+					twinBitsEqual(t, fmt.Sprintf("MulAddToTwin rows %s k=%d", tag, k), col0(cR), wantR)
+					twinBitsEqual(t, fmt.Sprintf("MulAddToTwin cols %s k=%d", tag, k), col0(cC), wantC)
+				}
+			}
 		}
 	}
 }

@@ -532,11 +532,15 @@ func axpyPair(y []float64, a *Dense, i int, x0, x1 float64) {
 // must not alias a or b. Each output element accumulates its dot product in
 // a scalar before the single in-place add, mirroring MulVecAdd's summation
 // order so that applying a block to k stacked vectors reproduces the k
-// vector products digit for digit.
+// vector products digit for digit. A one-column b runs MulVecAdd itself.
 func MulAddTo(c, a, b *Dense) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: muladdto shape mismatch c=%dx%d a=%dx%d b=%dx%d",
 			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	if b.Cols == 1 {
+		MulVecAdd(c.Data, a, b.Data)
+		return
 	}
 	n := b.Cols
 	for i := 0; i < a.Rows; i++ {
@@ -550,11 +554,21 @@ func MulAddTo(c, a, b *Dense) {
 
 // MulTAddTo computes c += aᵀ*b without materializing the transpose. c is
 // a.Cols x b.Cols and must not alias a or b. Accumulation runs over a's rows
-// directly into c, mirroring MulTVecAdd's summation order.
+// directly into c, mirroring MulTVecAdd's summation order. A one-column b
+// runs MulTVecAdd itself. The two skip different zeros (zero entries of a
+// here, zero multipliers there), which changes no bit for finite operands
+// and a c free of -0 (every sweep zeroes its outputs first): under
+// round-to-nearest such a sum never becomes -0, so adding a ±0 product
+// leaves it unchanged. They can differ only where a skipped zero meets an
+// Inf or NaN.
 func MulTAddTo(c, a, b *Dense) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: multaddto shape mismatch c=%dx%d a=%dx%d b=%dx%d",
 			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	if b.Cols == 1 {
+		MulTVecAdd(c.Data, a, b.Data)
+		return
 	}
 	n := b.Cols
 	for i := 0; i < a.Rows; i++ {
@@ -571,11 +585,16 @@ func MulTAddTo(c, a, b *Dense) {
 
 // MulRangeAddTo computes c += a[r0:r1, :]*b for the contiguous row block
 // [r0, r1) of a; c is (r1-r0) x b.Cols. It is MulVecAddRange lifted to k
-// columns, with the same per-element summation order.
+// columns, with the same per-element summation order. A one-column b runs
+// MulVecAddRange itself.
 func MulRangeAddTo(c, a *Dense, r0, r1 int, b *Dense) {
 	if a.Cols != b.Rows || c.Rows != r1-r0 || c.Cols != b.Cols || r0 < 0 || r1 > a.Rows {
 		panic(fmt.Sprintf("mat: mulrangeaddto shape mismatch rows [%d,%d) of %dx%d, b %dx%d, c %dx%d",
 			r0, r1, a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
+	}
+	if b.Cols == 1 {
+		MulVecAddRange(c.Data, a, r0, r1, b.Data)
+		return
 	}
 	n := b.Cols
 	for i := r0; i < r1; i++ {
@@ -589,11 +608,16 @@ func MulRangeAddTo(c, a *Dense, r0, r1 int, b *Dense) {
 
 // MulTRangeAddTo computes c += a[r0:r1, :]ᵀ*b for the contiguous row block
 // [r0, r1) of a; c is a.Cols x b.Cols and b is (r1-r0) x b.Cols. It is
-// MulTVecAddRange lifted to k columns.
+// MulTVecAddRange lifted to k columns; a one-column b runs MulTVecAddRange
+// itself, under MulTAddTo's zero-skip argument.
 func MulTRangeAddTo(c, a *Dense, r0, r1 int, b *Dense) {
 	if b.Rows != r1-r0 || c.Rows != a.Cols || c.Cols != b.Cols || r0 < 0 || r1 > a.Rows {
 		panic(fmt.Sprintf("mat: multrangeaddto shape mismatch rows [%d,%d) of %dx%d, b %dx%d, c %dx%d",
 			r0, r1, a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
+	}
+	if b.Cols == 1 {
+		MulTVecAddRange(c.Data, a, r0, r1, b.Data)
+		return
 	}
 	n := b.Cols
 	for i := r0; i < r1; i++ {

@@ -283,7 +283,8 @@ func (s *Batcher) answer(r *request, res result) {
 // of batch matrices for its lifetime, so steady-state flushes reuse every
 // buffer. Requests whose context has expired are dropped here, at pack
 // time; live requests are packed column-wise and answered from the batched
-// product (single-request batches take the cheaper vector path).
+// product. A single-request flush is width 1, which runs the vector
+// arithmetic.
 func (s *Batcher) flushWorker() {
 	defer s.workers.Done()
 	ws := s.m.NewWorkspace()
@@ -311,27 +312,20 @@ func (s *Batcher) flushWorker() {
 		}
 		n, k := s.m.N, len(live)
 		t0 := time.Now()
-		if k == 1 {
+		B.Reshape(n, k)
+		for j, r := range live {
+			for i, v := range r.b {
+				B.Data[i*k+j] = v
+			}
+		}
+		s.m.ApplyBatchToWith(ws, Y, B)
+		s.st.flushed(k, time.Since(t0))
+		for j, r := range live {
 			y := make([]float64, n)
-			s.m.ApplyToWith(ws, y, live[0].b)
-			s.st.flushed(k, time.Since(t0))
-			s.answer(live[0], result{y: y})
-		} else {
-			B.Reshape(n, k)
-			for j, r := range live {
-				for i, v := range r.b {
-					B.Data[i*k+j] = v
-				}
+			for i := range y {
+				y[i] = Y.Data[i*k+j]
 			}
-			s.m.ApplyBatchToWith(ws, Y, B)
-			s.st.flushed(k, time.Since(t0))
-			for j, r := range live {
-				y := make([]float64, n)
-				for i := range y {
-					y[i] = Y.Data[i*k+j]
-				}
-				s.answer(r, result{y: y})
-			}
+			s.answer(r, result{y: y})
 		}
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -56,15 +57,75 @@ func maxRelDiff(a, b []float64) float64 {
 	return d
 }
 
-// TestBatcherMatchesSequential hammers the batcher from many goroutines and
-// checks every coalesced result against the sequential reference product.
-func TestBatcherMatchesSequential(t *testing.T) {
-	m := testMatrix(t)
-	const vecs, perG = 8, 12
-	refs := make([][]float64, vecs)
+// driftKernel is an unsymmetric kernel, K(x, y) = exp(-||x - y - shift||),
+// so a batcher can serve the general U/V, R/W factorization.
+type driftKernel struct{}
+
+func (driftKernel) EvalPair(x, y []float64) float64 {
+	shift := [3]float64{0.15, -0.08, 0.05}
+	s := 0.0
+	for i := range x {
+		v := x[i] - y[i] - shift[i]
+		s += v * v
+	}
+	return math.Exp(-math.Sqrt(s))
+}
+
+func (driftKernel) Symmetric() bool { return false }
+func (driftKernel) Name() string    { return "drift-exp" }
+
+// batcherInputs returns vecs request vectors of length n cycling through a
+// random vector, a unit vector, and a half-zeroed random vector with exact
+// +0 and -0 entries.
+func batcherInputs(n, vecs int) [][]float64 {
 	ins := make([][]float64, vecs)
-	for v := 0; v < vecs; v++ {
-		ins[v] = randVec(m.N, int64(100+v))
+	for v := range ins {
+		in := randVec(n, int64(100+v))
+		switch v % 3 {
+		case 1:
+			clear(in)
+			in[(v*37)%n] = 1
+		case 2:
+			for i := n / 2; i < n; i++ {
+				in[i] = 0
+				if i%2 == 1 {
+					in[i] = math.Copysign(0, -1)
+				}
+			}
+		}
+		ins[v] = in
+	}
+	return ins
+}
+
+// TestBatcherMatchesSequential hammers the batcher from many goroutines and
+// checks every coalesced result against the sequential reference product
+// bit for bit, whatever width its flush ran at: on the shared on-the-fly
+// Coulomb matrix and on an unsymmetric Hybrid matrix at half its full
+// block footprint.
+func TestBatcherMatchesSequential(t *testing.T) {
+	pts := pointset.Cube(600, 3, 12)
+	cfg := core.Config{Kind: core.DataDriven, Mode: core.Normal, Tol: 1e-6, LeafSize: 50}
+	norm, err := core.Build(pts, driftKernel{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := norm.Memory()
+	cfg.Mode, cfg.StorageBudget = core.Hybrid, (mem.Coupling+mem.Nearfield)/2
+	hybrid, err := core.Build(pts, driftKernel{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]*core.Matrix{"coulomb-otf": testMatrix(t), "drift-hybrid50": hybrid} {
+		t.Run(name, func(t *testing.T) { batcherMatchesSequential(t, m) })
+	}
+}
+
+func batcherMatchesSequential(t *testing.T, m *core.Matrix) {
+	const vecs, perG = 8, 12
+	ins := batcherInputs(m.N, vecs)
+	refs := make([][]float64, vecs)
+	for v := range ins {
 		refs[v] = m.Apply(ins[v])
 	}
 
@@ -88,9 +149,11 @@ func TestBatcherMatchesSequential(t *testing.T) {
 					errCh <- err
 					return
 				}
-				if d := maxRelDiff(refs[v], y); d > 1e-14 {
-					errCh <- errors.New("batched result diverges from sequential reference")
-					return
+				for i, want := range refs[v] {
+					if math.Float64bits(y[i]) != math.Float64bits(want) {
+						errCh <- fmt.Errorf("input %d: batched result differs from sequential at %d: %v vs %v", v, i, y[i], want)
+						return
+					}
 				}
 			}
 		}(g)
@@ -469,8 +532,8 @@ func TestDeadlineExpiresBetweenPackAndFlush(t *testing.T) {
 
 // TestStatsCountBeforeAnswer checks that a request's flush is already
 // counted when its caller sees the answer: a Stats snapshot taken right
-// after Apply returns must include it in Served and Batches, on both the
-// single-request vector branch and the batched branch. Answering first and
+// after Apply returns must include it in Served and Batches, for
+// single-request and two-request flushes alike. Answering first and
 // counting after lets a snapshot read Pending 0 with Served still 0.
 func TestStatsCountBeforeAnswer(t *testing.T) {
 	m := testMatrix(t)
