@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"time"
 
@@ -16,13 +17,17 @@ import (
 // BENCH_matvec.json. Mode names the build path: "blocked" (blocked CPQR +
 // fused panel assembly) is the only one measured; "seed" rows (unblocked
 // CPQR, per-entry assembly) in older reports are a frozen historical record
-// of the pre-acceleration baseline. Build time is the median over Samples
-// full builds; PeakRSSKiB is the process high-water mark after the row's builds (ru_maxrss
-// is monotone over the process lifetime, so rows only ever raise it).
+// of the pre-acceleration baseline, kept when the experiment re-records the
+// section. Build time is the median over Samples full builds; PeakRSSKiB is
+// the process high-water mark after the row's builds (ru_maxrss is monotone
+// over the process lifetime, so rows only ever raise it). HostCPUs and
+// GOMAXPROCS record the host each measured row ran on.
 type BuildRun struct {
 	N             int     `json:"n"`
 	Leaf          int     `json:"leaf"`
 	Workers       int     `json:"workers"`
+	HostCPUs      int     `json:"host_cpus,omitempty"`
+	GOMAXPROCS    int     `json:"gomaxprocs,omitempty"`
 	Mode          string  `json:"mode"`
 	RelTol        float64 `json:"reltol"`
 	Samples       int     `json:"samples"`
@@ -109,6 +114,7 @@ func BuildBench(opt Options) error {
 		y := m.Apply(b)
 		run := BuildRun{
 			N: n, Leaf: leaf, Workers: workers, Mode: "blocked", RelTol: reltol,
+			HostCPUs: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
 			Samples:       samples,
 			MedianBuildNS: times[len(times)/2],
 			PeakRSSKiB:    peakRSSKiB(),
@@ -145,8 +151,9 @@ func BuildBench(opt Options) error {
 	}
 	tb.flush()
 
-	// Merge into BENCH_matvec.json: this experiment owns the build section,
-	// every other experiment's rows are preserved.
+	// Merge into BENCH_matvec.json: this experiment owns the build section
+	// except its frozen seed rows; every other experiment's rows are
+	// preserved.
 	path := opt.JSONOut
 	if path == "" {
 		path = "BENCH_matvec.json"
@@ -155,7 +162,13 @@ func BuildBench(opt Options) error {
 	if buf, err := os.ReadFile(path); err == nil {
 		json.Unmarshal(buf, &rep)
 	}
-	rep.Build = runs
+	var seed []BuildRun
+	for _, r := range rep.Build {
+		if r.Mode == "seed" {
+			seed = append(seed, r)
+		}
+	}
+	rep.Build = append(seed, runs...)
 	buf, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err

@@ -1,21 +1,23 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"h2ds/internal/mat"
 )
 
 // BlockStore is the paper's coupling-block container (§III-A): a sparse
 // integer index ("the value of the element at (i,j) providing the linear
-// index into a vector of dense matrices") plus the dense block slab.
+// index into a vector of dense matrices") plus the dense block payloads.
 //
 // The index is a CSR layout: a per-node offset array (rowPtr) over sorted
 // column ids (colIdx) resolving each (i, j) to a block header in one
-// contiguous header array, with every block payload in a single []float64
-// slab in row-major (i, j) order. Reads do no map lookups and no per-block
-// pointer-chases, and the coupling sweep streams the slab in apply order.
+// contiguous header array. The payloads of one CSR row — every block (i, ·)
+// — share one []float64 in (i, j) order, so the coupling sweep streams each
+// row in apply order, and reads do no map lookups and no per-block
+// pointer-chases.
 //
 // A triangular store (symmetric kernels) keeps only keys with i <= j: block
 // (j, i) is the transpose of block (i, j), and every apply multiplies the
@@ -25,18 +27,21 @@ import (
 // selection (Hybrid); the sweeps evaluate a missing block on the fly in the
 // same orientation, so the subset never changes a result.
 //
-// Preallocate lays the store out once; the views it returns are filled
-// during construction, after which the store is read-only and safe for
-// concurrent use without locks.
+// Preallocate lays out the index and the block headers once, and allocRow
+// then gives each row its payload: construction calls it from the parallel
+// task that assembles the row, so the zeroing and first touch of a row's
+// pages run on the worker that writes them, on every worker at once. After
+// construction the store is read-only and safe for concurrent use without
+// locks.
 type BlockStore struct {
 	directed bool
 
-	// CSR form (empty until Preallocate). hdr[k]'s Data aliases slab; the
-	// block for (i, j) is hdr[blockAt(i, j)].
+	// CSR form (empty until Preallocate). The block for (i, j) is
+	// hdr[blockAt(i, j)]; row i's headers hdr[rowPtr[i]:rowPtr[i+1]] alias
+	// one payload (allocRow, or the stream's slab after readBlockStore).
 	rowPtr []int32
 	colIdx []int32
 	hdr    []mat.Dense
-	slab   []float64
 
 	// Byte accounting memoized at layout time (MemoryStats reads it
 	// repeatedly).
@@ -68,70 +73,83 @@ type PutSpec struct {
 	Rows, Cols int
 }
 
-// Preallocate lays out the CSR form for exactly the given blocks and returns
-// one slab-backed view per spec, parallel to specs: callers assemble each
-// payload directly into its view (the views are write-disjoint, so parallel
-// assembly is safe). Blocks are sorted by (i, j) in one contiguous slab.
+// Preallocate lays out the CSR index for exactly the given blocks, sorted by
+// (i, j), with one Rows x Cols header per block and no payload yet: allocRow
+// allocates each row's.
 //
 // Must be called once, on an empty store.
-func (s *BlockStore) Preallocate(specs []PutSpec) []*mat.Dense {
+func (s *BlockStore) Preallocate(specs []PutSpec) {
 	if s.rowPtr != nil {
 		panic("core: BlockStore.Preallocate on a non-empty store")
 	}
-	ord := make([]int, len(specs))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.Slice(ord, func(a, b int) bool {
-		sa, sb := specs[ord[a]], specs[ord[b]]
-		if sa.I != sb.I {
-			return sa.I < sb.I
+	ord := slices.Clone(specs)
+	slices.SortFunc(ord, func(a, b PutSpec) int {
+		if c := cmp.Compare(a.I, b.I); c != 0 {
+			return c
 		}
-		return sa.J < sb.J
+		return cmp.Compare(a.J, b.J)
 	})
 	maxI := -1
-	var slabLen int64
-	for _, sp := range specs {
+	for _, sp := range ord {
 		if !s.directed && sp.I > sp.J {
 			panic("core: BlockStore.Preallocate requires i <= j (symmetric storage)")
 		}
-		if sp.I > maxI {
-			maxI = sp.I
-		}
-		slabLen += int64(sp.Rows) * int64(sp.Cols)
+		maxI = max(maxI, sp.I)
 	}
 
 	s.rowPtr = make([]int32, maxI+2)
-	s.colIdx = make([]int32, len(specs))
-	s.hdr = make([]mat.Dense, len(specs))
-	s.slab = make([]float64, slabLen)
-	out := make([]*mat.Dense, len(specs))
-	var off int64
-	for k, oi := range ord {
-		sp := specs[oi]
-		sz := int64(sp.Rows) * int64(sp.Cols)
-		s.hdr[k] = mat.Dense{Rows: sp.Rows, Cols: sp.Cols, Data: s.slab[off : off+sz]}
+	s.colIdx = make([]int32, len(ord))
+	s.hdr = make([]mat.Dense, len(ord))
+	for k, sp := range ord {
+		s.hdr[k] = mat.Dense{Rows: sp.Rows, Cols: sp.Cols}
 		s.colIdx[k] = int32(sp.J)
 		s.rowPtr[sp.I+1]++
-		out[oi] = &s.hdr[k]
-		off += sz
 	}
 	for i := 1; i < len(s.rowPtr); i++ {
 		s.rowPtr[i] += s.rowPtr[i-1]
 	}
 	s.account()
-	return out
 }
 
-// account memoizes the footprint: slab payload, header array, and index
-// arrays.
+// numRows returns the number of CSR rows: node ids 0 .. numRows()-1 may
+// own blocks.
+func (s *BlockStore) numRows() int { return max(len(s.rowPtr)-1, 0) }
+
+// allocRow allocates one payload for all of row i's blocks, aliases their
+// headers into it in (i, j) order, and returns the headers with their column
+// ids. Rows are disjoint, so distinct rows may be allocated and filled in
+// parallel.
+func (s *BlockStore) allocRow(i int) ([]mat.Dense, []int32) {
+	lo, hi := s.rowPtr[i], s.rowPtr[i+1]
+	hdr := s.hdr[lo:hi]
+	n := 0
+	for k := range hdr {
+		n += hdr[k].Rows * hdr[k].Cols
+	}
+	alias(hdr, make([]float64, n))
+	return hdr, s.colIdx[lo:hi]
+}
+
+// alias points each header's Data at the next Rows*Cols values of buf, in
+// order.
+func alias(hdr []mat.Dense, buf []float64) {
+	off := 0
+	for k := range hdr {
+		sz := hdr[k].Rows * hdr[k].Cols
+		hdr[k].Data = buf[off : off+sz : off+sz]
+		off += sz
+	}
+}
+
+// account memoizes the footprint from the header shapes: payload, header
+// array, and index arrays.
 func (s *BlockStore) account() {
-	s.bytes = int64(len(s.slab))*8 + int64(len(s.hdr))*40 + int64(len(s.rowPtr)+len(s.colIdx))*4
+	s.bytes = int64(len(s.hdr))*40 + int64(len(s.rowPtr)+len(s.colIdx))*4
 	s.maxBlk = 0
 	for k := range s.hdr {
-		if bb := int64(len(s.hdr[k].Data)) * 8; bb > s.maxBlk {
-			s.maxBlk = bb
-		}
+		bb := int64(s.hdr[k].Rows) * int64(s.hdr[k].Cols) * 8
+		s.bytes += bb
+		s.maxBlk = max(s.maxBlk, bb)
 	}
 }
 
@@ -183,7 +201,7 @@ func (s *BlockStore) checkIndex(nNodes int) error {
 }
 
 // Get returns the block stored for exactly (i, j), or nil. The returned
-// header aliases the slab.
+// header aliases its row's payload.
 func (s *BlockStore) Get(i, j int) *mat.Dense {
 	if k := s.blockAt(i, j); k >= 0 {
 		return &s.hdr[k]
@@ -194,7 +212,7 @@ func (s *BlockStore) Get(i, j int) *mat.Dense {
 // Len returns the number of stored blocks.
 func (s *BlockStore) Len() int { return len(s.hdr) }
 
-// Bytes returns the memory footprint: slab payload, header array, and CSR
+// Bytes returns the memory footprint: block payloads, header array, and CSR
 // index.
 func (s *BlockStore) Bytes() int64 { return s.bytes }
 

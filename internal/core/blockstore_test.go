@@ -5,8 +5,11 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 
+	"h2ds/internal/kernel"
 	"h2ds/internal/mat"
+	"h2ds/internal/pointset"
 )
 
 // blockKey identifies a block of a seedStore by its node-id pair.
@@ -37,7 +40,8 @@ func (s *seedStore) Put(i, j int, b *mat.Dense) {
 }
 
 // freeze copies every block into a fresh BlockStore laid out by
-// Preallocate.
+// Preallocate, allocating each row's payload through allocRow as
+// construction does.
 func (s *seedStore) freeze() *BlockStore {
 	keys := make([]blockKey, 0, len(s.blocks))
 	for k := range s.blocks {
@@ -55,10 +59,38 @@ func (s *seedStore) freeze() *BlockStore {
 		specs[n] = PutSpec{I: k.I, J: k.J, Rows: b.Rows, Cols: b.Cols}
 	}
 	bs := &BlockStore{directed: s.directed}
-	for n, dst := range bs.Preallocate(specs) {
-		copy(dst.Data, s.blocks[keys[n]].Data)
+	bs.Preallocate(specs)
+	for i := range bs.numRows() {
+		hdr, js := bs.allocRow(i)
+		for k, j := range js {
+			copy(hdr[k].Data, s.blocks[blockKey{i, int(j)}].Data)
+		}
 	}
 	return bs
+}
+
+// fillRows allocates every row of a laid-out store of 1-row blocks from
+// the given number of goroutines, each claiming every workers-th row, and
+// sets block (i, j)'s payload to i, -i, i, … as the parallel construction
+// assembles rows.
+func fillRows(s *BlockStore, rows []int, workers int) {
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := w; n < len(rows); n += workers {
+				i := rows[n]
+				hdr, _ := s.allocRow(i)
+				for k := range hdr {
+					for e := range hdr[k].Data {
+						hdr[k].Data[e] = float64(i) * float64(1-2*(e%2))
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // storeOf lays out a store holding exactly the given blocks.
@@ -161,28 +193,19 @@ func TestBlockStoreApplyDirectAndTransposed(t *testing.T) {
 	}
 }
 
-// TestBlockStoreConcurrentPut fills a laid-out store's views from eight
-// goroutines, as the parallel construction does: the views are
-// write-disjoint, so every block must hold exactly its writer's payload.
+// TestBlockStoreConcurrentPut allocates and fills a laid-out store's rows
+// from eight goroutines, as the parallel construction does: the rows are
+// disjoint, so every block must hold exactly its writer's payload.
 func TestBlockStoreConcurrentPut(t *testing.T) {
 	specs := make([]PutSpec, 400)
+	rows := make([]int, 400)
 	for i := range specs {
 		specs[i] = PutSpec{I: i, J: i + 1, Rows: 1, Cols: 2}
+		rows[i] = i
 	}
 	s := &BlockStore{}
-	views := s.Preallocate(specs)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for k := 0; k < 50; k++ {
-				i := w*50 + k
-				views[i].Data[0], views[i].Data[1] = float64(i), -float64(i)
-			}
-		}(w)
-	}
-	wg.Wait()
+	s.Preallocate(specs)
+	fillRows(s, rows, 8)
 	if s.Len() != 400 {
 		t.Fatalf("Len %d want 400", s.Len())
 	}
@@ -194,31 +217,30 @@ func TestBlockStoreConcurrentPut(t *testing.T) {
 }
 
 // TestBlockStoreConcurrentPutGet overlaps readers of the index with writers
-// filling other blocks' views — construction and lookups share no memory
-// but the payloads each writer owns; run with -race to verify.
+// allocating and filling other rows — construction and lookups share no
+// memory but the rows each writer owns; run with -race to verify.
 func TestBlockStoreConcurrentPutGet(t *testing.T) {
 	const writers, perWriter = 4, 100
 	const n = 2 * writers * perWriter
 	specs := make([]PutSpec, n)
+	var first, second []int
 	for i := range specs {
 		specs[i] = PutSpec{I: i, J: i + 1, Rows: 1, Cols: 1}
+		if i < n/2 {
+			first = append(first, i)
+		} else {
+			second = append(second, i)
+		}
 	}
 	s := &BlockStore{}
-	views := s.Preallocate(specs)
-	for i := n / 2; i < n; i++ {
-		views[i].Data[0] = float64(i)
-	}
+	s.Preallocate(specs)
+	fillRows(s, second, 1)
 	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for k := 0; k < perWriter; k++ {
-				i := w*perWriter + k
-				views[i].Data[0] = float64(i)
-			}
-		}(w)
-	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		fillRows(s, first, writers)
+	}()
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
@@ -302,5 +324,90 @@ func TestBlockStoreBytes(t *testing.T) {
 	}
 	if s.MaxBlockBytes() != 100*8 {
 		t.Fatalf("MaxBlockBytes %d want %d", s.MaxBlockBytes(), 100*8)
+	}
+}
+
+// checkStoreLayout fails unless s is laid out as allocRow lays it out: every
+// header holds exactly Rows*Cols values, no two payloads overlap, and each
+// row's blocks are one contiguous run in ascending column order.
+func checkStoreLayout(t *testing.T, tag string, s *BlockStore) {
+	t.Helper()
+	type span struct{ lo, hi uintptr }
+	addr := func(d []float64) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(d))) }
+	var spans []span
+	for i := range s.numRows() {
+		lo, hi := s.rowPtr[i], s.rowPtr[i+1]
+		for k := lo; k < hi; k++ {
+			h := &s.hdr[k]
+			if len(h.Data) != h.Rows*h.Cols {
+				t.Fatalf("%s: block (%d,%d) is %dx%d with %d values", tag, i, s.colIdx[k], h.Rows, h.Cols, len(h.Data))
+			}
+			if len(h.Data) == 0 {
+				continue
+			}
+			if k > lo {
+				p := &s.hdr[k-1]
+				if s.colIdx[k] <= s.colIdx[k-1] {
+					t.Fatalf("%s: row %d columns out of order at %d", tag, i, k)
+				}
+				if len(p.Data) > 0 && addr(p.Data)+uintptr(8*len(p.Data)) != addr(h.Data) {
+					t.Fatalf("%s: row %d block %d does not follow block %d in memory", tag, i, s.colIdx[k], s.colIdx[k-1])
+				}
+			}
+			spans = append(spans, span{addr(h.Data), addr(h.Data) + uintptr(8*len(h.Data))})
+		}
+	}
+	sort.Slice(spans, func(a, b int) bool { return spans[a].lo < spans[b].lo })
+	for k := 1; k < len(spans); k++ {
+		if spans[k].lo < spans[k-1].hi {
+			t.Fatalf("%s: payloads overlap", tag)
+		}
+	}
+}
+
+// TestBlockStoreLayout checks the per-row payload layout of a Normal and a
+// Hybrid build at half the Normal block footprint, and pins their byte
+// accounting — each store's Bytes and MaxBlockBytes and the whole Memory()
+// breakdown — to the values of the single-slab layout this one replaced:
+// where the payloads live must not change what is counted.
+func TestBlockStoreLayout(t *testing.T) {
+	pts := pointset.Cube(2000, 3, 7)
+	cfg := Config{Kind: DataDriven, Mode: Normal, Tol: 1e-6, LeafSize: 60, Workers: 2}
+	norm, err := Build(pts, kernel.Coulomb{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Mode, cfg.StorageBudget = Hybrid, (norm.Memory().Coupling+norm.Memory().Nearfield)/2
+	hyb, err := Build(pts, kernel.Coulomb{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := MemoryStats{Basis: 501632, Transfer: 715792, Skeletons: 161664, Tree: 124168, Workspace: 86224, Workers: 2}
+	pins := []struct {
+		tag                  string
+		m                    *Matrix
+		coupLen, nearLen     int
+		coupMax, nearMax     int64
+		coupBytes, nearBytes int64
+		scratch              int64
+	}{
+		{"normal", norm, 755, 990, 18424, 8192, 6728692, 7773768, 0},
+		{"hybrid-50", hyb, 755, 66, 18424, 7936, 6728692, 513560, 18424},
+	}
+	for _, p := range pins {
+		checkStoreLayout(t, p.tag+" coupling", p.m.coup)
+		checkStoreLayout(t, p.tag+" nearfield", p.m.near)
+		c, n := p.m.coup, p.m.near
+		if c.Len() != p.coupLen || c.Bytes() != p.coupBytes || c.MaxBlockBytes() != p.coupMax ||
+			n.Len() != p.nearLen || n.Bytes() != p.nearBytes || n.MaxBlockBytes() != p.nearMax {
+			t.Fatalf("%s: coupling %d/%d/%d nearfield %d/%d/%d, want %d/%d/%d and %d/%d/%d", p.tag,
+				c.Len(), c.Bytes(), c.MaxBlockBytes(), n.Len(), n.Bytes(), n.MaxBlockBytes(),
+				p.coupLen, p.coupBytes, p.coupMax, p.nearLen, p.nearBytes, p.nearMax)
+		}
+		want := base
+		want.Coupling, want.Nearfield, want.ScratchPerWorker = p.coupBytes, p.nearBytes, p.scratch
+		if got := p.m.Memory(); got != want {
+			t.Fatalf("%s: Memory() %+v\nwant %+v", p.tag, got, want)
+		}
 	}
 }

@@ -404,8 +404,10 @@ func (c Config) blockBudget() int64 {
 // no longer fit.
 //
 // Block shapes are known before assembly, so the stores lay out their CSR
-// slabs first and every payload is assembled in place through the fused
-// tile path, in parallel over blocks.
+// index first. Assembly then runs one parallel task per CSR row, which
+// allocates the row's payload and assembles its blocks into it in place
+// through the fused tile path: the row's pages are zeroed and first touched
+// by the worker that writes them, while they are still in its cache.
 func (m *Matrix) storeBlocks(budget int64) {
 	m.coup, m.near = newBlockStores(m.Kern.Symmetric())
 	if budget == 0 {
@@ -427,12 +429,15 @@ func (m *Matrix) storeBlocks(budget int64) {
 	}
 	for f, phase := range [2]string{"coupling", "nearfield"} {
 		near := f == 1
-		dst := m.store(near).Preallocate(specs[f])
+		s := m.store(near)
+		s.Preallocate(specs[f])
 		buildPhase(phase, func() {
-			m.parFor(len(dst), func(k int) {
-				p := specs[f][k]
-				x, rows, y, cols := m.blockPoints(near, p.I, p.J)
-				kernel.Assemble(dst[k], m.Kern, x, rows, y, cols)
+			m.parFor(s.numRows(), func(i int) {
+				hdr, js := s.allocRow(i)
+				for k, j := range js {
+					x, rows, y, cols := m.blockPoints(near, i, int(j))
+					kernel.Assemble(&hdr[k], m.Kern, x, rows, y, cols)
+				}
 			})
 		})
 	}

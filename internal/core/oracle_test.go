@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 
 	"h2ds/internal/kernel"
@@ -237,5 +238,54 @@ func TestKernelLessHybridWriteRejected(t *testing.T) {
 	h := m.WithStorageBudget(1024)
 	if _, err := h.WriteTo(&bytes.Buffer{}); err == nil {
 		t.Fatal("hybrid kernel-less stream accepted")
+	}
+}
+
+// TestKernelLessStreamBytesStable pins the v5 byte layout of stored blocks:
+// testdata/kernel-less-v5.bin was written by the single-slab block store
+// that per-row payloads replaced. It must load and re-write byte for byte,
+// and the same kernel-less Normal build must write those bytes again and
+// survive WriteTo → Read → WriteTo unchanged.
+func TestKernelLessStreamBytesStable(t *testing.T) {
+	golden, err := os.ReadFile("testdata/kernel-less-v5.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewrite := func(tag string, m *Matrix) []byte {
+		t.Helper()
+		checkStoreLayout(t, tag+" coupling", m.coup)
+		checkStoreLayout(t, tag+" nearfield", m.near)
+		var buf bytes.Buffer
+		if _, err := m.WriteTo(&buf); err != nil {
+			t.Fatalf("%s: write: %v", tag, err)
+		}
+		return buf.Bytes()
+	}
+	loaded, err := ReadAny(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatalf("load the checked-in stream: %v", err)
+	}
+	if !bytes.Equal(rewrite("loaded", loaded), golden) {
+		t.Fatal("the checked-in stream does not re-write byte for byte")
+	}
+
+	const n = 64
+	pts := pointset.Cube(n, 3, 41)
+	_, data := testGram(t, pts, "coulomb")
+	src, _ := oracle.NewDense(n, data, true)
+	m, err := BuildOracle(src, Config{Tol: 1e-4, LeafSize: 8, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := rewrite("built", m)
+	if !bytes.Equal(stream, golden) {
+		t.Fatal("a fresh kernel-less build no longer writes the checked-in bytes")
+	}
+	again, err := ReadAny(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if !bytes.Equal(rewrite("reloaded", again), stream) {
+		t.Fatal("WriteTo → Read → WriteTo changed the bytes")
 	}
 }

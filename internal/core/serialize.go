@@ -261,7 +261,8 @@ func (s *serialReader) readDense() *mat.Dense {
 }
 
 // writeBlockStore serializes a store's CSR form: the index arrays,
-// per-block shapes, and the contiguous payload slab.
+// per-block shapes, and every payload in (i, j) order as one length-prefixed
+// float64 run, whatever the rows' allocation in memory.
 func writeBlockStore(s *serialWriter, bs *BlockStore) {
 	if bs == nil || bs.rowPtr == nil {
 		s.write(false)
@@ -279,13 +280,23 @@ func writeBlockStore(s *serialWriter, bs *BlockStore) {
 		s.writeI64(bs.hdr[k].Rows)
 		s.writeI64(bs.hdr[k].Cols)
 	}
-	s.writeF64Slice(bs.slab)
+	total := 0
+	for k := range bs.hdr {
+		total += len(bs.hdr[k].Data)
+	}
+	s.writeI64(total)
+	for k := range bs.hdr {
+		if len(bs.hdr[k].Data) > 0 {
+			s.write(bs.hdr[k].Data)
+		}
+	}
 }
 
-// readBlockStore reconstructs a store from writeBlockStore's layout,
-// re-aliasing each block header into the single payload slab exactly as
-// Preallocate lays it out. The index is checked by checkIndex and the
-// block set by validateStores once the tree is known.
+// readBlockStore reconstructs a store from writeBlockStore's layout. The
+// payloads arrive as one run, so the loaded store keeps them in one slab and
+// aliases every header into it in (i, j) order — rows stay contiguous, as
+// allocRow lays them out. The index is checked by checkIndex and the block
+// set by validateStores once the tree is known.
 func readBlockStore(s *serialReader) *BlockStore {
 	var present bool
 	s.read(&present)
@@ -322,20 +333,15 @@ func readBlockStore(s *serialReader) *BlockStore {
 		bs.hdr = append(bs.hdr, mat.Dense{Rows: rows, Cols: cols})
 		need += int64(rows) * int64(cols)
 	}
-	bs.slab = s.readF64Slice()
+	slab := s.readF64Slice()
 	if s.err != nil {
 		return nil
 	}
-	if int64(len(bs.slab)) != need {
-		s.err = fmt.Errorf("core: corrupt block store section (%d blocks, slab %d, need %d)", nBlocks, len(bs.slab), need)
+	if int64(len(slab)) != need {
+		s.err = fmt.Errorf("core: corrupt block store section (%d blocks, slab %d, need %d)", nBlocks, len(slab), need)
 		return nil
 	}
-	var off int64
-	for k := range bs.hdr {
-		sz := int64(bs.hdr[k].Rows) * int64(bs.hdr[k].Cols)
-		bs.hdr[k].Data = bs.slab[off : off+sz]
-		off += sz
-	}
+	alias(bs.hdr, slab)
 	bs.account()
 	return bs
 }

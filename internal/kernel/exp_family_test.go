@@ -108,3 +108,43 @@ func TestExpFamilyTilesBitwise(t *testing.T) {
 		}
 	}
 }
+
+// TestExponentialTilesFusedBitwise pins the 3-D Exponential tiles, whose
+// exponent comes from mat.NegSqrtDist3Chunk, against per-entry EvalDist:
+// Assemble over every column count 0..67 (every tail of the 4-point step,
+// the dispatch threshold and the 64-entry chunk) and panelEval on the same
+// panels, with the AVX path on and off, and rows that coincide with a column
+// point, where the exponent is -0 and the entry exactly 1.
+func TestExponentialTilesFusedBitwise(t *testing.T) {
+	defer mat.SetSIMD(mat.SetSIMD(true))
+	k := Exponential{}
+	rng := rand.New(rand.NewSource(47))
+	x := pointset.Cube(300, 3, 47)
+	for _, simd := range []bool{true, false} {
+		mat.SetSIMD(simd)
+		for L := 0; L <= 67; L++ {
+			cols := randIdx(rng, x.Len(), L)
+			rows := []int{rng.Intn(x.Len()), rng.Intn(x.Len())}
+			if L > 0 {
+				rows = append(rows, cols[0], cols[L-1]) // coincident points
+			}
+			want := make([]float64, len(rows)*L)
+			for a, i := range rows {
+				for b, j := range cols {
+					want[a*L+b] = k.EvalDist(pointset.Dist(x.Coords[3*i:3*i+3], x.Coords[3*j:3*j+3]))
+				}
+			}
+			tag := fmt.Sprintf("simd=%v L=%d", simd, L)
+			bitsEqual(t, tag+" Assemble", NewBlock(k, x, rows, x, cols).Data, want)
+			p := colPanel(x, cols, make([]float64, 3*L))
+			for a, i := range rows {
+				got := make([]float64, L)
+				panelEval(k, got, make([]float64, L), x.Coords[3*i:3*i+3], p)
+				bitsEqual(t, tag+" panelEval", got, want[a*L:(a+1)*L])
+			}
+			if L > 0 && (want[2*L] != 1 || want[3*L+L-1] != 1) {
+				t.Fatalf("%s: coincident entries %v, %v; want 1", tag, want[2*L], want[3*L+L-1])
+			}
+		}
+	}
+}

@@ -111,8 +111,10 @@ func panelDist(r2, xi, p []float64) {
 
 // panelEval fills dst[t] = K(xi, p_t) for the len(dst) points of the panel
 // p; r2 is distance scratch of at least len(dst) entries. In 3-D the Coulomb
-// kernels evaluate in the distance pass itself; every other case takes
-// panelDist then evalChunk.
+// kernels evaluate in the distance pass itself, and Exponential forms its
+// exponent there (-sqrt(r2), which is Exponential.arg(math.Sqrt(r2)) bit for
+// bit) and exponentiates it in place; every other case takes panelDist then
+// evalChunk.
 func panelEval(k Kernel, dst, r2, xi, p []float64) {
 	if len(xi) == 3 {
 		switch k.(type) {
@@ -121,6 +123,10 @@ func panelEval(k Kernel, dst, r2, xi, p []float64) {
 			return
 		case CoulombCubed:
 			mat.RecipCubeDist3Chunk(dst, xi, p)
+			return
+		case Exponential:
+			mat.NegSqrtDist3Chunk(dst, xi, p)
+			mat.ExpChunk(dst, dst)
 			return
 		}
 	}

@@ -110,7 +110,10 @@ func (CoulombCubed) Name() string { return "coulomb3" }
 // Matérn, the prefactor with its a > 700 guard. Parameter defaults resolve
 // through withDefaults, once per chunk on the chunk path. The chunk loops
 // write the exponents into the chunk and exponentiate it with mat.ExpChunk,
-// which is math.Exp bit for bit, so both paths give the same values.
+// which is math.Exp bit for bit, so both paths give the same values. One
+// exception: in 3-D, Exponential's exponent -r comes from the fused distance
+// pass mat.NegSqrtDist3Chunk (see panelEval); TestExponentialTilesFusedBitwise
+// pins it to EvalDist.
 
 // Exponential is the kernel exp(-r).
 type Exponential struct{}

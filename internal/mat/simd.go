@@ -20,10 +20,12 @@ import "math"
 //     roundings in the identical order.
 //   - RecipSqrtChunk/RecipCubeChunk use VSQRTPD and VDIVPD, which IEEE-754
 //     requires to be correctly rounded exactly like math.Sqrt and scalar
-//     division.
-//   - the 3-D panel distance (Dist3Chunk and its fused Coulomb forms)
-//     transposes four points with AVX1 lane moves and then subtracts,
-//     squares and adds per axis in the scalar order, again without FMA.
+//     division; NegSqrtDist3Chunk flips VSQRTPD's sign bit, exactly as Go's
+//     negation does.
+//   - the 3-D panel distance (Dist3Chunk and its fused Coulomb and
+//     Exponential forms) transposes four points with AVX1 lane moves and
+//     then subtracts, squares and adds per axis in the scalar order, again
+//     without FMA.
 //   - ExpChunk transcribes the Go runtime's amd64 math.Exp four lanes at a
 //     time. math.Exp itself has two bodies, FMA and mul/add, chosen per CPU,
 //     so ExpChunk has both and enables one only after an init self-check
@@ -162,6 +164,22 @@ func RecipCubeDist3Chunk(dst, xi, p []float64) {
 	recipCubeGo(tail, tail)
 }
 
+// NegSqrtDist3Chunk fills dst[t] = -r for the Dist3Chunk distance r of panel
+// point t: the Exponential kernel's exponent formed in the distance pass,
+// bitwise-equal to Dist3Chunk then dst[t] = -math.Sqrt(r2[t]) (VSQRTPD is
+// correctly rounded and the sign flip is exact, so a coincident point gives
+// -0 and exp(-0) = 1 in both).
+func NegSqrtDist3Chunk(dst, xi, p []float64) {
+	t := 0
+	if simdEnabled && len(dst) >= simdMinAxpy {
+		t = len(dst) &^ 3
+		negSqrtDist3Body(dst[:t], p[:3*t], xi[:3])
+	}
+	tail := dst[t:]
+	dist3Go(tail, xi, p[3*t:])
+	negSqrtGo(tail, tail)
+}
+
 // ExpChunk fills dst[t] = math.Exp(x[t]), bit for bit; dst may be x itself.
 // With AVX on, whole quads run through the AVX transcription of math.Exp's
 // body that passed the init self-check (ExpBody), as long as every lane lies
@@ -274,6 +292,14 @@ func dist3Go(r2, xi, p []float64) {
 		d1 := x1 - q[1]
 		d2 := x2 - q[2]
 		r2[t] = d0*d0 + d1*d1 + d2*d2
+	}
+}
+
+// negSqrtGo is the scalar NegSqrtDist3Chunk evaluation; dst may alias r2.
+func negSqrtGo(dst, r2 []float64) {
+	dst = dst[:len(r2)]
+	for t, v := range r2 {
+		dst[t] = -math.Sqrt(v)
 	}
 }
 

@@ -70,6 +70,9 @@ func recipSqrtDist3Body(dst, p, xi []float64)
 //go:noescape
 func recipCubeDist3Body(dst, p, xi []float64)
 
+//go:noescape
+func negSqrtDist3Body(dst, p, xi []float64)
+
 // The exp bodies evaluate whole quads of x and return how many elements
 // they wrote, stopping at the first quad with a lane outside [-708, 709];
 // see ExpChunk.

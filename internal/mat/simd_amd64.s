@@ -11,6 +11,9 @@
 DATA onef64<>+0(SB)/8, $0x3FF0000000000000 // 1.0
 GLOBL onef64<>(SB), RODATA|NOPTR, $8
 
+DATA signf64<>+0(SB)/8, $0x8000000000000000 // -0.0: the sign bit
+GLOBL signf64<>(SB), RODATA|NOPTR, $8
+
 // The dist3 bodies read a 3-D coordinate panel — points stored one after
 // another as (x, y, z) — four points (three 32-byte loads) per iteration.
 // DIST3 transposes the loads into per-axis vectors with AVX1 lane moves
@@ -373,6 +376,35 @@ rcd3loop:
 	JMP     rcd3loop
 
 rcd3done:
+	VZEROUPPER
+	RET
+
+// func negSqrtDist3Body(dst, p, xi []float64)
+// dst[t] = -sqrt(r2) of the panel distance — DIST3, VSQRTPD, then a sign-bit
+// flip, which is exactly Go's float negation.
+TEXT ·negSqrtDist3Body(SB), NOSPLIT, $0-72
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         p_base+24(FP), SI
+	MOVQ         xi_base+48(FP), DX
+	VBROADCASTSD 0(DX), Y13
+	VBROADCASTSD 8(DX), Y14
+	VBROADCASTSD 16(DX), Y15
+	XORQ         AX, AX
+	VBROADCASTSD signf64<>(SB), Y12
+
+nsd3loop:
+	CMPQ AX, CX
+	JGE  nsd3done
+	DIST3
+	VSQRTPD Y0, Y1
+	VXORPD  Y12, Y1, Y1     // -sqrt(r2)
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ    $96, SI
+	ADDQ    $4, AX
+	JMP     nsd3loop
+
+nsd3done:
 	VZEROUPPER
 	RET
 

@@ -92,6 +92,11 @@ func recipCubeDist3Body(dst, p, xi []float64) {
 	recipCubeGo(dst, dst)
 }
 
+func negSqrtDist3Body(dst, p, xi []float64) {
+	dist3Go(dst, xi, p)
+	negSqrtGo(dst, dst)
+}
+
 // The exp bodies write nothing, which ExpChunk reads as "evaluate this quad
 // with math.Exp".
 

@@ -189,3 +189,41 @@ func TestSIMDDist3Bitwise(t *testing.T) {
 		}
 	}
 }
+
+// TestNegSqrtDist3Bitwise pins the Exponential kernel's fused distance pass
+// against Dist3Chunk followed by the scalar -math.Sqrt, with the AVX path on
+// and off, for every length 0..67 (every tail around the 4-point step, the
+// dispatch threshold and the 64-entry chunk). Coincident points must give
+// -0, which ExpChunk must turn into exactly 1.
+func TestNegSqrtDist3Bitwise(t *testing.T) {
+	defer SetSIMD(SetSIMD(true))
+	xi := []float64{0.25, -0.5, 0.75}
+	for n := 0; n <= 67; n++ {
+		p := simdVec(3*n, int64(9700+n))
+		for i := 0; i < n; i += 5 {
+			copy(p[3*i:3*i+3], xi) // r2 == 0
+		}
+		for _, simd := range []bool{true, false} {
+			SetSIMD(simd)
+			want := make([]float64, n)
+			Dist3Chunk(want, xi, p)
+			for i, v := range want {
+				want[i] = -math.Sqrt(v)
+			}
+			got := make([]float64, n)
+			NegSqrtDist3Chunk(got, xi, p)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("simd=%v n=%d point %d: got %v (%#x) want %v (%#x)",
+						simd, n, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+			ExpChunk(got, got)
+			for i := 0; i < n; i += 5 {
+				if math.Float64bits(want[i]) != math.Float64bits(math.Copysign(0, -1)) || got[i] != 1 {
+					t.Fatalf("simd=%v n=%d coincident point %d: exponent %v, exp %v; want -0 and 1", simd, n, i, want[i], got[i])
+				}
+			}
+		}
+	}
+}
