@@ -1,10 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
+	"runtime/metrics"
 	"sort"
 	"time"
 
@@ -18,10 +17,12 @@ import (
 // fused panel assembly) is the only one measured; "seed" rows (unblocked
 // CPQR, per-entry assembly) in older reports are a frozen historical record
 // of the pre-acceleration baseline, kept when the experiment re-records the
-// section. Build time is the median over Samples full builds; PeakRSSKiB is
-// the process high-water mark after the row's builds (ru_maxrss is monotone
-// over the process lifetime, so rows only ever raise it). HostCPUs and
-// GOMAXPROCS record the host each measured row ran on.
+// section. Build time is the median over Samples full builds. LiveHeapKiB is
+// the row's own footprint: the live heap after forced collections with the
+// row's last matrix still reachable, minus the same reading before the row.
+// PeakRSSKiB, the process-wide resident high-water mark, is recorded only on
+// the frozen seed rows. HostCPUs and GOMAXPROCS record the host each
+// measured row ran on.
 type BuildRun struct {
 	N             int     `json:"n"`
 	Leaf          int     `json:"leaf"`
@@ -32,7 +33,8 @@ type BuildRun struct {
 	RelTol        float64 `json:"reltol"`
 	Samples       int     `json:"samples"`
 	MedianBuildNS int64   `json:"median_build_ns"`
-	PeakRSSKiB    int64   `json:"peak_rss_kib"`
+	LiveHeapKiB   int64   `json:"live_heap_kib,omitempty"`
+	PeakRSSKiB    int64   `json:"peak_rss_kib,omitempty"`
 	EstRelErr     float64 `json:"est_relerr"`
 	RelErr        float64 `json:"relerr"`
 }
@@ -91,11 +93,12 @@ func BuildBench(opt Options) error {
 	}
 	fmt.Fprintf(out, "\n# build: construction-time trajectory (kernel=%s reltol=%.0e scale=%s samples=%d)\n",
 		k.Name(), reltol, opt.Scale, samples)
-	tb := newTable(out, "median build time and peak RSS",
-		"n", "leaf", "workers", "mode", "build_ms", "peak_rss_MiB", "est err", "relerr")
+	tb := newTable(out, "median build time and live heap",
+		"n", "leaf", "workers", "mode", "build_ms", "live_heap_MiB", "est err", "relerr")
 
 	var runs []BuildRun
 	measure := func(n, leaf, workers int, cfg core.Config) error {
+		before := liveHeapBytes()
 		pts := pointset.Cube(n, 3, opt.seed())
 		times := make([]int64, samples)
 		var m *core.Matrix
@@ -108,6 +111,7 @@ func BuildBench(opt Options) error {
 			times[s] = time.Since(t0).Nanoseconds()
 			m = mm
 		}
+		live := liveHeapBytes() - before // m is used below, so still reachable
 		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
 
 		b := randVec(n, opt.seed()+7)
@@ -117,7 +121,7 @@ func BuildBench(opt Options) error {
 			HostCPUs: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
 			Samples:       samples,
 			MedianBuildNS: times[len(times)/2],
-			PeakRSSKiB:    peakRSSKiB(),
+			LiveHeapKiB:   live / 1024,
 			EstRelErr:     m.Stats().EstRelErr,
 			RelErr:        m.RelErrorVs(b, y, core.DefaultErrorRows, opt.seed()+13),
 		}
@@ -128,7 +132,7 @@ func BuildBench(opt Options) error {
 		runs = append(runs, run)
 		tb.row(fmt.Sprintf("%d", n), fmt.Sprintf("%d", leaf), fmt.Sprintf("%d", workers), run.Mode,
 			fmt.Sprintf("%.1f", float64(run.MedianBuildNS)/1e6),
-			fmt.Sprintf("%.1f", float64(run.PeakRSSKiB)/1024),
+			fmt.Sprintf("%.1f", float64(run.LiveHeapKiB)/1024),
 			fmt.Sprintf("%.2e", run.EstRelErr), fmt.Sprintf("%.2e", run.RelErr))
 		return nil
 	}
@@ -151,31 +155,26 @@ func BuildBench(opt Options) error {
 	}
 	tb.flush()
 
-	// Merge into BENCH_matvec.json: this experiment owns the build section
-	// except its frozen seed rows; every other experiment's rows are
-	// preserved.
-	path := opt.JSONOut
-	if path == "" {
-		path = "BENCH_matvec.json"
-	}
-	rep := MatvecReport{Experiment: "matvec", Scale: opt.Scale, Kernel: k.Name(), Workers: resolved}
-	if buf, err := os.ReadFile(path); err == nil {
-		json.Unmarshal(buf, &rep)
-	}
-	var seed []BuildRun
-	for _, r := range rep.Build {
-		if r.Mode == "seed" {
-			seed = append(seed, r)
+	// This experiment owns the build section except its frozen seed rows.
+	return mergeReport(opt, k.Name(), resolved, "build", func(rep *MatvecReport) {
+		var seed []BuildRun
+		for _, r := range rep.Build {
+			if r.Mode == "seed" {
+				seed = append(seed, r)
+			}
 		}
-	}
-	rep.Build = append(seed, runs...)
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "\nwrote %s (build section)\n", path)
-	return nil
+		rep.Build = append(seed, runs...)
+	})
+}
+
+// liveHeapBytes forces two collections and returns the live heap the
+// second one marked. It takes two because a sync.Pool keeps its contents,
+// and so the matrices whose workspace pools they sit in, through one
+// collection as victims.
+func liveHeapBytes() int64 {
+	runtime.GC()
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return int64(s[0].Value.Uint64())
 }

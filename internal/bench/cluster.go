@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -137,24 +136,7 @@ func ClusterBench(opt Options) error {
 	}
 	tb.flush()
 
-	path := opt.JSONOut
-	if path == "" {
-		path = "BENCH_matvec.json"
-	}
-	rep := MatvecReport{Experiment: "matvec", Scale: opt.Scale, Kernel: k.Name(), Workers: workers}
-	if buf, err := os.ReadFile(path); err == nil {
-		json.Unmarshal(buf, &rep)
-	}
-	rep.Cluster = runs
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "\nwrote %s\n", path)
-	return nil
+	return mergeReport(opt, k.Name(), workers, "cluster", func(rep *MatvecReport) { rep.Cluster = runs })
 }
 
 // waitReplicated polls the router until the named instance has the wanted

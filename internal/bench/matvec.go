@@ -103,9 +103,39 @@ type MatvecReport struct {
 	Oracle []OracleRun `json:"oracle,omitempty"`
 
 	// Build is the construction-time trajectory (the build experiment):
-	// median build time and peak RSS across problem sizes and worker counts.
-	// Owned by BuildBench; MatvecJSON preserves it.
+	// median build time and live heap across problem sizes and worker
+	// counts. Owned by BuildBench; MatvecJSON preserves it.
 	Build []BuildRun `json:"build,omitempty"`
+
+	// RHS is the batch-versus-sequential multi-RHS comparison (the rhs
+	// experiment) per memory mode and width. Owned by MultiRHS; MatvecJSON
+	// preserves it.
+	RHS []RHSRun `json:"rhs,omitempty"`
+}
+
+// mergeReport rewrites one section of the JSON report at opt.JSONOut
+// (BENCH_matvec.json by default): it reads the existing report, lets set
+// replace the section, and writes it back, so every other experiment's
+// rows are preserved.
+func mergeReport(opt Options, kernelName string, workers int, section string, set func(*MatvecReport)) error {
+	path := opt.JSONOut
+	if path == "" {
+		path = "BENCH_matvec.json"
+	}
+	rep := MatvecReport{Experiment: "matvec", Scale: opt.Scale, Kernel: kernelName, Workers: workers}
+	if buf, err := os.ReadFile(path); err == nil {
+		json.Unmarshal(buf, &rep)
+	}
+	set(&rep)
+	buf, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(opt.out(), "\nwrote %s (%s section)\n", path, section)
+	return nil
 }
 
 // matvecCases returns the (n, leaf) grid for the given scale. The small-n
@@ -226,6 +256,7 @@ func MatvecJSON(opt Options) error {
 			rep.Cluster = old.Cluster
 			rep.Oracle = old.Oracle
 			rep.Build = old.Build
+			rep.RHS = old.RHS
 		}
 	}
 	buf, err := json.MarshalIndent(rep, "", "  ")

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"time"
 
@@ -182,24 +180,5 @@ func OracleBench(opt Options) error {
 		return fmt.Errorf("oracle bench: paths disagree by %.3e (limit %g)", oracleRun.AgreeErr, 20*reltol)
 	}
 
-	// Merge into BENCH_matvec.json: this experiment owns the oracle section,
-	// every other experiment's rows are preserved.
-	path := opt.JSONOut
-	if path == "" {
-		path = "BENCH_matvec.json"
-	}
-	rep := MatvecReport{Experiment: "matvec", Scale: opt.Scale, Kernel: k.Name(), Workers: workers}
-	if buf, err := os.ReadFile(path); err == nil {
-		json.Unmarshal(buf, &rep)
-	}
-	rep.Oracle = runs
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "\nwrote %s (oracle section)\n", path)
-	return nil
+	return mergeReport(opt, k.Name(), workers, "oracle", func(rep *MatvecReport) { rep.Oracle = runs })
 }

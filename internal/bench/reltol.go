@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -142,24 +140,6 @@ func RelTolSweep(opt Options) error {
 		}
 	}
 
-	// Merge into BENCH_matvec.json: the sweep owns the reltol_sweep section,
-	// the matvec experiment owns the rest; each preserves the other's rows.
-	path := opt.JSONOut
-	if path == "" {
-		path = "BENCH_matvec.json"
-	}
-	rep := MatvecReport{Experiment: "matvec", Scale: opt.Scale, Kernel: k.Name(), Workers: workers}
-	if buf, err := os.ReadFile(path); err == nil {
-		json.Unmarshal(buf, &rep)
-	}
-	rep.RelTolSweep = runs
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "\nwrote %s (reltol_sweep: %d rows, all within 10x of request)\n", path, len(runs))
-	return nil
+	fmt.Fprintf(out, "\nreltol_sweep: %d rows, all within 10x of request\n", len(runs))
+	return mergeReport(opt, k.Name(), workers, "reltol_sweep", func(rep *MatvecReport) { rep.RelTolSweep = runs })
 }

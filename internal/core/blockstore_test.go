@@ -119,19 +119,14 @@ func applyStored(s *BlockStore, g []float64, i, j int, q []float64) bool {
 	return true
 }
 
-// applyStoredBatch is applyStored for a block of right-hand sides.
+// applyStoredBatch is applyStored for a column-major panel of right-hand
+// sides (one per row of q and g), one column at a time as the sweeps run it.
 func applyStoredBatch(s *BlockStore, g *mat.Dense, i, j int, q *mat.Dense) bool {
-	a, b, trans := s.key(i, j)
-	blk := s.Get(a, b)
-	switch {
-	case blk == nil:
-		return false
-	case trans:
-		mat.MulTAddTo(g, blk, q)
-	default:
-		mat.MulAddTo(g, blk, q)
+	stored := false
+	for t := range q.Rows {
+		stored = applyStored(s, g.Row(t), i, j, q.Row(t))
 	}
-	return true
+	return stored
 }
 
 func TestBlockStorePutGet(t *testing.T) {
@@ -287,10 +282,10 @@ func TestBlockStoreApplyBatch(t *testing.T) {
 	s := storeOf(false, map[blockKey]*mat.Dense{{1, 5}: b})
 	q := mat.NewDenseData(3, 2, []float64{1, 0, -1, 1, 2, -2})
 	g := mat.NewDense(2, 2)
-	if !applyStoredBatch(s, g, 1, 5, q) {
+	if !applyStoredBatch(s, g, 1, 5, q.T()) {
 		t.Fatal("batch apply missed stored block")
 	}
-	want := mat.Mul(b, q)
+	want := mat.Mul(b, q).T()
 	for i := range want.Data {
 		if math.Abs(g.Data[i]-want.Data[i]) > 1e-15 {
 			t.Fatalf("batch apply wrong: %v want %v", g.Data, want.Data)
@@ -298,11 +293,11 @@ func TestBlockStoreApplyBatch(t *testing.T) {
 	}
 	// Transposed direction.
 	q2 := mat.NewDenseData(2, 2, []float64{1, -1, 1, 2})
-	g2 := mat.NewDense(3, 2)
-	if !applyStoredBatch(s, g2, 5, 1, q2) {
+	g2 := mat.NewDense(2, 3)
+	if !applyStoredBatch(s, g2, 5, 1, q2.T()) {
 		t.Fatal("transposed batch apply missed")
 	}
-	wantT := mat.Mul(b.T(), q2)
+	wantT := mat.Mul(b.T(), q2).T()
 	for i := range wantT.Data {
 		if math.Abs(g2.Data[i]-wantT.Data[i]) > 1e-15 {
 			t.Fatalf("transposed batch apply wrong: %v want %v", g2.Data, wantT.Data)

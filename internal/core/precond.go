@@ -66,7 +66,7 @@ func (bj *BlockJacobi) ApplyTo(y, b []float64) {
 	ws := m.getWorkspace()
 	ws.check(m, par.Resolve(bj.workers))
 	ws.ensureWidth(1)
-	bp, yp := ws.bp.Data, ws.yp.Data
+	bp, yp := ws.bp, ws.yp
 	m.Tree.PermuteVec(bp, b)
 	ws.pool.ForWorker(len(bj.leaves), func(_, k int) {
 		nd := &m.Tree.Nodes[bj.leaves[k]]

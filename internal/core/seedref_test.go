@@ -65,7 +65,7 @@ func refSweeps(ws *Workspace, ks refKernels) {
 func refApplyTo(m *Matrix, ws *Workspace, y, b []float64, transpose, assemble bool) {
 	ws.bindVec(m, b, transpose)
 	refSweeps(ws, refKernelsFor(assemble))
-	m.Tree.UnpermuteVec(y, ws.yp.Data)
+	m.Tree.UnpermuteVec(y, ws.yp)
 }
 
 // refApplyBatchTo computes Y = Â B on the reference sweeps using ws's
@@ -122,21 +122,24 @@ func assembledMul(ws *Workspace, w int, near bool, y *mat.Dense, i, j int, v *ma
 	if ws.transposed {
 		i, j = j, i
 	}
-	if tile, trans := assembledTile(ws, w, near, i, j); trans != ws.transposed {
-		mat.MulTAddTo(y, tile, v)
-	} else {
-		mat.MulAddTo(y, tile, v)
+	tile, trans := assembledTile(ws, w, near, i, j)
+	for t := range y.Rows {
+		if trans != ws.transposed {
+			mat.MulTVecAdd(y.Row(t), tile, v.Row(t))
+		} else {
+			mat.MulVecAdd(y.Row(t), tile, v.Row(t))
+		}
 	}
 }
 
 func coupAssembled(ws *Workspace, w, id int) {
 	gi := ws.out.panel[id]
 	zero(gi.Data)
-	if gi.Rows == 0 {
+	if gi.Cols == 0 {
 		return
 	}
 	for _, j := range ws.m.Tree.Nodes[id].Interaction {
-		if qj := ws.in.panel[j]; qj.Rows > 0 {
+		if qj := ws.in.panel[j]; qj.Cols > 0 {
 			assembledMul(ws, w, false, gi, id, j, qj)
 		}
 	}
@@ -145,8 +148,10 @@ func coupAssembled(ws *Workspace, w, id int) {
 func leafAssembled(ws *Workspace, w, id int) {
 	yi := ws.outRows(id)
 	zero(yi.Data)
-	if gi := ws.out.panel[id]; gi.Rows > 0 {
-		mat.MulAddTo(yi, ws.out.basis[id], gi)
+	if gi := ws.out.panel[id]; gi.Cols > 0 {
+		for t := range gi.Rows {
+			mat.MulVecAdd(yi.Row(t), ws.out.basis[id], gi.Row(t))
+		}
 	}
 	for _, j := range ws.m.Tree.Nodes[id].Near {
 		assembledMul(ws, w, true, yi, id, j, ws.inRows(j))

@@ -221,6 +221,6 @@ func (m *Matrix) applyGatherWith(ws *Workspace, y, b []float64, p *ShardPlan, pa
 		}
 	}
 	ws.runScheduled()
-	m.Tree.UnpermuteVec(y, ws.yp.Data)
+	m.Tree.UnpermuteVec(y, ws.yp)
 	return nil
 }

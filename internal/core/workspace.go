@@ -14,7 +14,12 @@ import (
 // width k: two N-by-k permutation panels and two rank-by-k slabs, one per
 // rank side, carved into per-node panels via prefix sums over the node
 // ranks (contiguous by construction, one cache-friendly block per level).
-// A vector is width 1; a batch reshapes the set to its width, growing it
+// Every panel is stored column by column, so a width-k product is k calls
+// to the vector primitives, one per contiguous column: a node's rank panel
+// is one contiguous run of its slab, and the permutation panels are laid
+// out leaf by leaf, leaf ℓ owning [Start·k, End·k) with column t at
+// Start·k + t·(End−Start). A vector is width 1, where the layout is the
+// plain permuted vector; a batch reshapes the set to its width, growing it
 // only past the widest width seen. It also owns the per-worker scratch
 // tiles of the on-the-fly mode.
 //
@@ -55,16 +60,20 @@ type Workspace struct {
 
 	// ---- the slab set, shaped for width k ----
 	k      int
-	bp, yp *mat.Dense // N-by-k permuted input and output panels
+	bp, yp []float64 // N-by-k permuted input and output panels, leaf by leaf
 
 	// Prefix sums over the row-side and column-side ranks, indexed by node
-	// id: node i's panel is rows [off[i], off[i+1]) of its side's slab. For
+	// id: node i's panel is [off[i]·k, off[i+1]·k) of its side's slab. For
 	// shared bases the two offset tables are the same slice; the slabs are
 	// always distinct because q and g live simultaneously.
+	//
+	// Every panel header is a k-by-len mat.Dense whose row t is column t of
+	// the panel: the per-node rank panels, and the per-leaf views of bp and
+	// yp (inRows, outRows; internal nodes have none).
 	rowOff, colOff     []int
 	rowSlab, colSlab   []float64
 	rowPanel, colPanel []*mat.Dense // per-node headers re-pointed into the slabs
-	bpRows, ypRows     []mat.Dense  // per-node row-range views of bp and yp (inRows, outRows)
+	bpRows, ypRows     []mat.Dense  // per-leaf views of bp and yp, indexed by node id
 
 	// ---- per-call role binding read by the task kernels ----
 	// in is the input side (its panels are the upward sweep's q), out the
@@ -88,7 +97,7 @@ type Workspace struct {
 
 // side is one side of the factorization as a sweep reads it: per node, the
 // leaf basis, the stacked children transfer blocks, and the rank-by-k
-// coefficient panel.
+// coefficient panel (k-by-rank, one column per row).
 type side struct {
 	basis, trans []*mat.Dense
 	panel        []*mat.Dense
@@ -123,7 +132,6 @@ func (m *Matrix) NewWorkspace() *Workspace {
 			ws.colOff[i+1] = ws.colOff[i] + m.colRank(i)
 		}
 	}
-	ws.bp, ws.yp = mat.NewDense(0, 0), mat.NewDense(0, 0)
 	ws.bpRows, ws.ypRows = make([]mat.Dense, nNodes), make([]mat.Dense, nNodes)
 	ws.rowPanel = make([]*mat.Dense, nNodes)
 	ws.colPanel = make([]*mat.Dense, nNodes)
@@ -214,7 +222,7 @@ func (ws *Workspace) check(m *Matrix, workers int) {
 }
 
 // ensureWidth shapes the slab set for width k: the N-by-k permutation
-// panels, one slab per rank side, and the per-node headers re-pointed into
+// panels, one slab per rank side, and the panel headers re-pointed into
 // them. Buffers only grow, so alternating widths reuse them. The headers
 // are read-only during an apply, so tasks on different workers share them.
 func (ws *Workspace) ensureWidth(k int) {
@@ -223,16 +231,18 @@ func (ws *Workspace) ensureWidth(k int) {
 	}
 	m := ws.m
 	nNodes := len(m.Tree.Nodes)
-	ws.bp.Reshape(m.N, k)
-	ws.yp.Reshape(m.N, k)
+	ws.bp = growTo(ws.bp, m.N*k)
+	ws.yp = growTo(ws.yp, m.N*k)
 	ws.rowSlab = growTo(ws.rowSlab, ws.rowOff[nNodes]*k)
 	ws.colSlab = growTo(ws.colSlab, ws.colOff[nNodes]*k)
 	for id := 0; id < nNodes; id++ {
 		carve(ws.rowPanel[id], ws.rowSlab, ws.rowOff, id, k)
 		carve(ws.colPanel[id], ws.colSlab, ws.colOff, id, k)
+	}
+	for _, id := range m.Tree.Leaves {
 		nd := &m.Tree.Nodes[id]
-		rowsView(&ws.bpRows[id], ws.bp, nd.Start, nd.End)
-		rowsView(&ws.ypRows[id], ws.yp, nd.Start, nd.End)
+		leafView(&ws.bpRows[id], ws.bp, nd.Start, nd.End, k)
+		leafView(&ws.ypRows[id], ws.yp, nd.Start, nd.End, k)
 	}
 	ws.k = k
 }
@@ -246,10 +256,17 @@ func growTo(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// carve points header p at node id's rank-by-k panel of slab.
+// carve points header p at node id's column-major rank-by-k panel of slab.
 func carve(p *mat.Dense, slab []float64, off []int, id, k int) {
-	p.Rows, p.Cols = off[id+1]-off[id], k
+	p.Rows, p.Cols = k, off[id+1]-off[id]
 	p.Data = slab[off[id]*k : off[id+1]*k]
+}
+
+// leafView points header v at the column-major panel of the leaf holding
+// points [start, end) in the leaf-by-leaf panel s (shared backing, no copy).
+func leafView(v *mat.Dense, s []float64, start, end, k int) {
+	v.Rows, v.Cols = k, end-start
+	v.Data = s[start*k : end*k]
 }
 
 // bind prepares ws for one width-k apply on m: check, shape the slab set,
@@ -280,7 +297,7 @@ func (ws *Workspace) bind(m *Matrix, k int, transpose bool) {
 // ordering) into the input panel.
 func (ws *Workspace) bindVec(m *Matrix, b []float64, transpose bool) {
 	ws.bind(m, 1, transpose)
-	m.Tree.PermuteVec(ws.bp.Data, b)
+	m.Tree.PermuteVec(ws.bp, b)
 }
 
 // Close releases the workspace's persistent worker goroutines. It is safe
@@ -300,7 +317,7 @@ func (ws *Workspace) Close() {
 // the figure MemoryStats.Workspace reports. Scratch tiles are accounted
 // separately (MemoryStats.ScratchPerWorker).
 func (ws *Workspace) Bytes() int64 {
-	return int64(len(ws.bp.Data)+len(ws.yp.Data)+len(ws.rowSlab)+len(ws.colSlab)) * 8
+	return int64(len(ws.bp)+len(ws.yp)+len(ws.rowSlab)+len(ws.colSlab)) * 8
 }
 
 // getWorkspace draws a workspace from the matrix's pool, creating one on
@@ -361,16 +378,17 @@ func (m *Matrix) ApplyTransposeToWith(ws *Workspace, y, b []float64) {
 func (m *Matrix) applyVecWith(ws *Workspace, y, b []float64, transpose bool) {
 	ws.bindVec(m, b, transpose)
 	ws.runScheduled()
-	m.Tree.UnpermuteVec(y, ws.yp.Data)
+	m.Tree.UnpermuteVec(y, ws.yp)
 }
 
 // ApplyBatchToWith computes Y = Â B for k right-hand sides stored as the
 // columns of the N-by-k matrix B, using the caller-owned workspace. Y is
 // reshaped to N-by-k; Y and B may alias. The five sweeps run once with
-// width-k node panels, so every coupling and nearfield block — in
-// on-the-fly mode, every tile assembly — is visited once for the whole
-// batch instead of once per column, and each stage is a small blocked GEMM.
-// A one-column B is the vector apply, bit for bit.
+// width-k node panels: each stored block is applied to the k columns back
+// to back while it is still in cache, and in on-the-fly mode each tile row
+// is evaluated once for the whole batch. Every column runs the vector
+// primitives, so column j of Y is the vector apply of column j of B, bit
+// for bit, on any input.
 func (m *Matrix) ApplyBatchToWith(ws *Workspace, Y, B *mat.Dense) {
 	if B.Rows != m.N {
 		panic(fmt.Sprintf("core: applyBatch rows %d want %d", B.Rows, m.N))
@@ -384,40 +402,43 @@ func (m *Matrix) ApplyBatchToWith(ws *Workspace, Y, B *mat.Dense) {
 // rows into the input panel.
 func (ws *Workspace) bindBatch(m *Matrix, B *mat.Dense) {
 	ws.bind(m, B.Cols, false)
-	permuteRows(ws.bp, B, m.Tree.Perm, false)
+	ws.permuteRows(B, false)
 }
 
 // unpermuteBatch reshapes Y to N-by-k and un-permutes the output panel's
 // rows into it.
 func (ws *Workspace) unpermuteBatch(Y *mat.Dense) {
 	Y.Reshape(ws.m.N, ws.k)
-	permuteRows(Y, ws.yp, ws.m.Tree.Perm, true)
+	ws.permuteRows(Y, true)
 }
 
-// permuteRows copies row perm[r] of src to row r of dst, or with inverse
-// row r of src to row perm[r] of dst. Both are N-by-k.
-func permuteRows(dst, src *mat.Dense, perm []int, inverse bool) {
-	k := src.Cols
-	for r, orig := range perm {
-		d, s := r, orig
+// permuteRows transposes between the row-major N-by-k panel a (original
+// point ordering) and the leaf-by-leaf column-major panels: row perm[r] of a
+// becomes permuted row r of bp, or with inverse permuted row r of yp
+// becomes row perm[r] of a.
+func (ws *Workspace) permuteRows(a *mat.Dense, inverse bool) {
+	m, k := ws.m, ws.k
+	for _, id := range m.Tree.Leaves {
+		nd := &m.Tree.Nodes[id]
+		p := ws.inRows(id)
 		if inverse {
-			d, s = orig, r
+			p = ws.outRows(id)
 		}
-		dr, sr := dst.Data[d*k:d*k+k], src.Data[s*k:s*k+k]
-		for c := range dr {
-			dr[c] = sr[c]
+		for t := range k {
+			col := p.Row(t)
+			for r, orig := range m.Tree.Perm[nd.Start:nd.End] {
+				if inverse {
+					a.Data[orig*k+t] = col[r]
+				} else {
+					col[r] = a.Data[orig*k+t]
+				}
+			}
 		}
 	}
 }
 
-// rowsView points header v at rows [r0, r1) of the row-major matrix a
-// (shared backing, no copy).
-func rowsView(v, a *mat.Dense, r0, r1 int) {
-	v.Rows, v.Cols = r1-r0, a.Cols
-	v.Data = a.Data[r0*a.Cols : r1*a.Cols]
-}
-
-// outRows and inRows view node id's rows of the output and input panels.
+// outRows and inRows view leaf id's column-major panel of the output and
+// input points.
 func (ws *Workspace) outRows(id int) *mat.Dense { return &ws.ypRows[id] }
 
 func (ws *Workspace) inRows(id int) *mat.Dense { return &ws.bpRows[id] }
@@ -438,25 +459,29 @@ func (ws *Workspace) runStage(stage, w, id int) {
 
 // upNode is stages 1–2: a leaf projects its input rows through the
 // input-side basis, q_i = V_iᵀ B_i; an internal node combines its children
-// through the stacked input-side transfer blocks, q_i = Σ_c W_cᵀ q_c.
+// through the stacked input-side transfer blocks, q_i = Σ_c W_cᵀ q_c. Like
+// every stage kernel, it runs the vector product once per panel column.
 func (ws *Workspace) upNode(_, id int) {
 	nd := &ws.m.Tree.Nodes[id]
 	qi := ws.in.panel[id]
 	zero(qi.Data)
-	if qi.Rows == 0 {
+	if qi.Cols == 0 {
 		return
 	}
 	if nd.IsLeaf {
-		mat.MulTAddTo(qi, ws.in.basis[id], ws.inRows(id))
+		bi := ws.inRows(id)
+		for t := range qi.Rows {
+			mat.MulTVecAdd(qi.Row(t), ws.in.basis[id], bi.Row(t))
+		}
 		return
 	}
 	off := 0
 	for _, c := range nd.Children {
 		qc := ws.in.panel[c]
-		if qc.Rows > 0 {
-			mat.MulTRangeAddTo(qi, ws.in.trans[id], off, off+qc.Rows, qc)
+		for t := range qc.Rows {
+			mat.MulTVecAddRange(qi.Row(t), ws.in.trans[id], off, off+qc.Cols, qc.Row(t))
 		}
-		off += qc.Rows
+		off += qc.Cols
 	}
 }
 
@@ -467,12 +492,12 @@ func (ws *Workspace) coupNode(w, id int) {
 	m := ws.m
 	gi := ws.out.panel[id]
 	zero(gi.Data)
-	if gi.Rows == 0 {
+	if gi.Cols == 0 {
 		return
 	}
 	for _, j := range m.Tree.Nodes[id].Interaction {
 		qj := ws.in.panel[j]
-		if qj.Rows == 0 {
+		if qj.Cols == 0 {
 			continue
 		}
 		a, b, trans := ws.key(m.coup, id, j)
@@ -485,16 +510,16 @@ func (ws *Workspace) coupNode(w, id int) {
 func (ws *Workspace) downNode(_, id int) {
 	nd := &ws.m.Tree.Nodes[id]
 	gi := ws.out.panel[id]
-	if nd.IsLeaf || gi.Rows == 0 {
+	if nd.IsLeaf || gi.Cols == 0 {
 		return
 	}
 	off := 0
 	for _, c := range nd.Children {
 		gc := ws.out.panel[c]
-		if gc.Rows > 0 {
-			mat.MulRangeAddTo(gc, ws.out.trans[id], off, off+gc.Rows, gi)
+		for t := range gc.Rows {
+			mat.MulVecAddRange(gc.Row(t), ws.out.trans[id], off, off+gc.Cols, gi.Row(t))
 		}
-		off += gc.Rows
+		off += gc.Cols
 	}
 }
 
@@ -503,8 +528,10 @@ func (ws *Workspace) downNode(_, id int) {
 func (ws *Workspace) leafNode(_, id int) {
 	yi := ws.outRows(id)
 	zero(yi.Data)
-	if gi := ws.out.panel[id]; gi.Rows > 0 {
-		mat.MulAddTo(yi, ws.out.basis[id], gi)
+	if gi := ws.out.panel[id]; gi.Cols > 0 {
+		for t := range gi.Rows {
+			mat.MulVecAdd(yi.Row(t), ws.out.basis[id], gi.Row(t))
+		}
 	}
 }
 
@@ -524,18 +551,20 @@ func (ws *Workspace) key(s *BlockStore, i, j int) (a, b int, trans bool) {
 // or transposed, into y: Y += B_{a,b} V, or Y += B_{a,b}ᵀ V with trans.
 // (a, b) is the block's stored key, so every block is summed in one
 // orientation in every memory mode: a stored payload is multiplied in place
-// (MulAddTo / MulTAddTo), and an unstored one is evaluated by the fused
-// kernel of the same product (BlockMulAdd / BlockTMulAdd), which is
-// bitwise-identical to it. At width 1 each of these runs its vector form.
+// (MulVecAdd / MulTVecAdd per column), and an unstored one is evaluated by
+// the fused kernel of the same product (BlockMulAdd / BlockTMulAdd), which
+// is bitwise-identical to it.
 func (ws *Workspace) block(w int, near bool, y *mat.Dense, a, b int, trans bool, v *mat.Dense) {
 	m := ws.m
 	ctr := ws.ctr[w*ctrStride : (w+1)*ctrStride]
 	if blk := m.store(near).Get(a, b); blk != nil {
 		ctr[ctrHit]++
-		if trans {
-			mat.MulTAddTo(y, blk, v)
-		} else {
-			mat.MulAddTo(y, blk, v)
+		for t := range y.Rows {
+			if trans {
+				mat.MulTVecAdd(y.Row(t), blk, v.Row(t))
+			} else {
+				mat.MulVecAdd(y.Row(t), blk, v.Row(t))
+			}
 		}
 		return
 	}
@@ -576,7 +605,8 @@ func (ws *Workspace) near(w, i, j int) {
 
 // nearTwin applies the off-diagonal pair (i < j) of a symmetric kernel in
 // one visit of block (i, j): Y_i += B_{i,j} B_j and Y_j += B_{i,j}ᵀ B_i,
-// through mat.MulAddToTwin for a stored block and kernel.BlockMulAddTwin
+// through mat.MulVecAddTwin per column for a stored block and
+// kernel.BlockMulAddTwin
 // otherwise — each bitwise-identical to the two directed blocks it
 // replaces. It counts a hit or miss per directed block, as near does.
 func (ws *Workspace) nearTwin(w, i, j int) {
@@ -586,7 +616,9 @@ func (ws *Workspace) nearTwin(w, i, j int) {
 	bi, bj := ws.inRows(i), ws.inRows(j)
 	if blk := m.near.Get(i, j); blk != nil {
 		ctr[ctrHit] += 2
-		mat.MulAddToTwin(yi, yj, blk, bj, bi)
+		for t := range yi.Rows {
+			mat.MulVecAddTwin(yi.Row(t), yj.Row(t), blk, bj.Row(t), bi.Row(t))
+		}
 		return
 	}
 	ctr[ctrMiss] += 2

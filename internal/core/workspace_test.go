@@ -121,16 +121,18 @@ func TestApplyDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // rhsPanel returns an n-by-k panel of right-hand sides whose columns cycle
-// through a random vector, a unit vector, and a half-zeroed random vector
-// with exact +0 and -0 entries — the inputs on which the vector and batch
-// transposed products skip different zeros. The cycle is offset by k, so a
-// one-column panel is the half-zeroed vector.
+// through a random vector, a unit vector, a half-zeroed random vector with
+// exact +0 and -0 entries, and a random vector with zeros, +Inf, -Inf and
+// NaN entries — the inputs on which skipped zeros and non-finite values
+// could tell two summation orders apart. The cycle is offset by k, so a
+// one-column panel is the half-zeroed vector and a two-column panel starts
+// with the non-finite one.
 func rhsPanel(n, k int, seed int64) *mat.Dense {
 	B := mat.NewDense(n, k)
 	negZero := math.Copysign(0, -1)
 	for j := 0; j < k; j++ {
 		col := randVec(n, seed+int64(j))
-		switch (j + k + 1) % 3 {
+		switch (j + k + 1) % 4 {
 		case 1:
 			clear(col)
 			col[(j*131)%n] = 1
@@ -143,6 +145,11 @@ func rhsPanel(n, k int, seed int64) *mat.Dense {
 					col[i] = negZero
 				}
 			}
+		case 3:
+			for i := 1; i < n; i += 3 {
+				col[i] = 0
+			}
+			col[n/7], col[3*n/7], col[5*n/7] = math.Inf(1), math.Inf(-1), math.NaN()
 		}
 		for i := 0; i < n; i++ {
 			B.Set(i, j, col[i])
@@ -198,11 +205,10 @@ func buildModes(t *testing.T, pts *pointset.Points, k kernel.Pairwise, leaf int)
 }
 
 func TestApplyBatchToMatchesSequentialTightly(t *testing.T) {
-	// The batched sweeps use GEMM kernels whose per-element summation order
-	// mirrors the vector kernels, and width 1 runs the vector kernels
-	// themselves, so each batch column must equal the sequential product
-	// bit for bit — at every width, in every storage mode, for a symmetric
-	// and an unsymmetric kernel, on inputs with exact zeros and -0.
+	// Every batch column runs the vector primitives, so it must equal the
+	// sequential product bit for bit — at every width, in every storage
+	// mode, for a symmetric and an unsymmetric kernel, on inputs with exact
+	// zeros, -0, ±Inf and NaN.
 	pts := pointset.Cube(2000, 3, 230)
 	for _, k := range []kernel.Pairwise{kernel.Coulomb{}, drift3()} {
 		for mode, m := range buildModes(t, pts, k, 70) {

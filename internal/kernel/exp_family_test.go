@@ -77,21 +77,15 @@ func TestExpFamilyTilesBitwise(t *testing.T) {
 						BlockTVecAdd(outC, k, x, rows, x, cols, vr, buf)
 						bitsEqual(t, tag+" BlockTVecAdd", outC, want)
 
-						b, c := mat.NewDense(sh.cols, 3), mat.NewDense(sh.rows, 3)
-						copy(b.Data, rnd(len(b.Data)))
-						copy(c.Data, rnd(len(c.Data)))
-						wantC := mat.NewDense(sh.rows, 3)
-						copy(wantC.Data, c.Data)
-						mat.MulAddTo(wantC, tile, b)
+						b, c := randPanel(rng, 3, sh.cols), randPanel(rng, 3, sh.rows)
+						wantC := c.Clone()
+						panelMulAdd(wantC, tile, b, false)
 						BlockMulAdd(c, k, x, rows, x, cols, b, buf)
 						bitsEqual(t, tag+" BlockMulAdd", c.Data, wantC.Data)
 
-						bt, ct := mat.NewDense(sh.rows, 3), mat.NewDense(sh.cols, 3)
-						copy(bt.Data, rnd(len(bt.Data)))
-						copy(ct.Data, rnd(len(ct.Data)))
-						wantCT := mat.NewDense(sh.cols, 3)
-						copy(wantCT.Data, ct.Data)
-						mat.MulTAddTo(wantCT, tile, bt)
+						bt, ct := randPanel(rng, 3, sh.rows), randPanel(rng, 3, sh.cols)
+						wantCT := ct.Clone()
+						panelMulAdd(wantCT, tile, bt, true)
 						BlockTMulAdd(ct, k, x, rows, x, cols, bt, buf)
 						bitsEqual(t, tag+" BlockTMulAdd", ct.Data, wantCT.Data)
 

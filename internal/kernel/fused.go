@@ -13,11 +13,12 @@
 // tile ever exists — for the vector paths a 64-entry chunk, for the batch
 // paths and the twin one tile row — instead of the full rows x cols block.
 //
-// Bitwise contract: every primitive reproduces the exact per-element
+// Bitwise contract: every vector primitive reproduces the exact per-element
 // operation sequence of kernel.Assemble followed by the matching internal/mat
-// product (MulVecAdd, MulTVecAdd, MulAddTo, MulTAddTo), including mat's
-// 4-accumulator dot grouping, its sequential tails, and the transposed
-// products' zero skips.
+// product (MulVecAdd, MulTVecAdd), including mat's 4-accumulator dot
+// grouping, its sequential tails, and the transposed products' zero-multiplier
+// skips; every column of a batch primitive runs the same code as the
+// width-1 call on that column.
 // The equivalence suites in this package and internal/core pin this digit
 // for digit.
 
@@ -309,19 +310,11 @@ func BlockVecAddTwin(outR, outC []float64, pk Pairwise, x *pointset.Points, rows
 	e := newEvaluator(pk)
 	row, p := colScratch(buf, 1, y, cols)
 	d := x.Dim
-	L := len(cols)
-	U := L &^ 3
-	vc = vc[:L]
+	vc = vc[:len(cols)]
 	var r2 [fusedChunk]float64
 	for a, i := range rows {
 		e.fillRow(row, x.Coords[i*d:i*d+d], p, &r2)
-		var acc [4]float64
-		mat.DotAcc4(row[:U], vc[:U], &acc)
-		s := (acc[0] + acc[1]) + (acc[2] + acc[3])
-		for t := U; t < L; t++ {
-			s += row[t] * vc[t]
-		}
-		outR[a] += s
+		outR[a] += dot(row, vc)
 		if xv := vr[a]; xv != 0 {
 			mat.AxpyChunk(outC, xv, row)
 		}
@@ -402,108 +395,100 @@ func BlockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y 
 	}
 }
 
-// BlockMulAdd computes C += K(x[rows], y[cols]) * B for a block of
-// right-hand sides — the fused form of Assemble + mat.MulAddTo,
-// bitwise-identical to it. Instead of the full rows x cols tile, only one
-// tile row at a time is materialized into buf (caller-owned scratch,
-// reshaped here, which also holds a gathered column panel) and reused across
-// every column of B, so the working set is one row panel regardless of tile
-// size. C is len(rows) x B.Cols and B is len(cols) x B.Cols. A one-column B
-// runs BlockVecAdd itself.
+// Batch panels. The batch primitives below take their right-hand sides and
+// outputs as column-major panels: a k-by-n mat.Dense whose row t is the
+// contiguous right-hand side t. They evaluate each tile row once per batch
+// into buf (caller-owned scratch, reshaped here, which also holds a gathered
+// column panel) and then run the vector primitives' grouping over each
+// column — the forward side through dot, the transposed side through
+// mat.AxpyChunk with a zero-multiplier skip — so column t of every batch
+// product is the width-1 product of column t, bit for bit on any input, by
+// construction. On finite inputs the width-1 products also equal the vector
+// primitives above; where NaNs meet, the two separately compiled bodies may
+// propagate different NaN payloads.
+
+// BlockMulAdd computes C += K(x[rows], y[cols]) * B for a batch of
+// right-hand sides: C is k x len(rows) and B is k x len(cols), one column
+// per row. On finite inputs, column t equals BlockVecAdd on row t of B and C.
 func BlockMulAdd(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, b *mat.Dense, buf *mat.Dense) {
-	if b.Cols == 1 {
-		BlockVecAdd(c.Data, pk, x, rows, y, cols, b.Data, buf)
-		return
-	}
 	e := newEvaluator(pk)
 	row, p := colScratch(buf, 1, y, cols)
 	d := x.Dim
 	var r2 [fusedChunk]float64
 	for a, i := range rows {
 		e.fillRow(row, x.Coords[i*d:i*d+d], p, &r2)
-		dotRow(c.Row(a), row, b)
+		for t := range b.Rows {
+			c.Row(t)[a] += dot(row, b.Row(t))
+		}
 	}
 }
 
-// BlockTMulAdd computes C += K(x[rows], y[cols])ᵀ * B — the fused form of
-// Assemble + mat.MulTAddTo, bitwise-identical to it, including its skips of
-// zero entries. Each tile row is evaluated into buf as in BlockMulAdd and
-// scattered into C's rows. C is len(cols) x B.Cols and B is
-// len(rows) x B.Cols. A one-column B runs BlockTVecAdd itself, whose zero
-// skips give the same bits on finite inputs (see mat.MulTAddTo).
+// BlockTMulAdd computes C += K(x[rows], y[cols])ᵀ * B: C is k x len(cols)
+// and B is k x len(rows), one column per row. Each tile row is added into
+// every column whose multiplier is nonzero, and a row no column needs is not
+// evaluated. On finite inputs, column t equals BlockTVecAdd on row t of B
+// and C.
 func BlockTMulAdd(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, b *mat.Dense, buf *mat.Dense) {
-	if b.Cols == 1 {
-		BlockTVecAdd(c.Data, pk, x, rows, y, cols, b.Data, buf)
-		return
-	}
 	e := newEvaluator(pk)
 	row, p := colScratch(buf, 1, y, cols)
 	d := x.Dim
 	var r2 [fusedChunk]float64
 	for a, i := range rows {
+		if !anyNonzero(b, a) {
+			continue
+		}
 		e.fillRow(row, x.Coords[i*d:i*d+d], p, &r2)
-		scatterRow(c, row, b.Row(a))
-	}
-}
-
-// BlockMulAddTwin applies one block in both orientations to a block of
-// right-hand sides while evaluating each entry once: CR += K·BC and
-// CC += Kᵀ·BR with K = K(x[rows], y[cols]). It is the batch counterpart of
-// BlockVecAddTwin, bitwise-identical to BlockMulAdd(CR, …, BC) followed by
-// BlockTMulAdd(CC, …, BR). One-column panels run BlockVecAddTwin itself. CR
-// and CC must not overlap.
-func BlockMulAddTwin(cR, cC *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, bC, bR *mat.Dense, buf *mat.Dense) {
-	if bC.Cols == 1 && bR.Cols == 1 {
-		BlockVecAddTwin(cR.Data, cC.Data, pk, x, rows, y, cols, bC.Data, bR.Data, buf)
-		return
-	}
-	e := newEvaluator(pk)
-	row, p := colScratch(buf, 1, y, cols)
-	d := x.Dim
-	var r2 [fusedChunk]float64
-	for a, i := range rows {
-		e.fillRow(row, x.Coords[i*d:i*d+d], p, &r2)
-		dotRow(cR.Row(a), row, bC)
-		scatterRow(cC, row, bR.Row(a))
-	}
-}
-
-// dotRow adds row·B into crow, column by column of B: one row of
-// mat.MulAddTo's accumulation, in its dot grouping.
-func dotRow(crow, row []float64, b *mat.Dense) {
-	n := b.Cols
-	for t := 0; t < n; t++ {
-		crow[t] += mat.DotStride(row, b.Data, t, n)
-	}
-}
-
-// inlineAxpy is the right-hand-side count below which scatterRow adds the
-// scaled row of B with inline loops rather than a mat.AxpyChunk call per
-// kernel entry: for so few elements the call costs more than the
-// arithmetic. Both forms multiply, then add, once per element, so they give
-// the same bits.
-const inlineAxpy = 8
-
-// scatterRow adds v·brow into row j of C for every nonzero v = row[j]: one
-// row of mat.MulTAddTo's accumulation, with its zero skips.
-func scatterRow(c *mat.Dense, row, brow []float64) {
-	n := len(brow)
-	if n < inlineAxpy {
-		// One tight strided pass per column of B; every element of C still
-		// receives its adds in row order.
-		for t, bv := range brow {
-			ct := c.Data[t:]
-			for j, v := range row {
-				if v != 0 {
-					ct[j*n] += v * bv
-				}
+		for t := range b.Rows {
+			if bv := b.Row(t)[a]; bv != 0 {
+				mat.AxpyChunk(c.Row(t), bv, row)
 			}
 		}
-		return
 	}
-	for j, v := range row {
-		if v != 0 {
-			mat.AxpyChunk(c.Data[j*n:j*n+n], v, brow)
+}
+
+// BlockMulAddTwin applies one block in both orientations to a batch of
+// right-hand sides while evaluating each entry once: CR += K·BC and
+// CC += Kᵀ·BR with K = K(x[rows], y[cols]), panels as in BlockMulAdd and
+// BlockTMulAdd. It is bitwise-identical to BlockMulAdd(CR, …, BC) followed by
+// BlockTMulAdd(CC, …, BR), and on finite inputs column t equals
+// BlockVecAddTwin. CR and CC must not overlap.
+func BlockMulAddTwin(cR, cC *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, bC, bR *mat.Dense, buf *mat.Dense) {
+	e := newEvaluator(pk)
+	row, p := colScratch(buf, 1, y, cols)
+	d := x.Dim
+	var r2 [fusedChunk]float64
+	for a, i := range rows {
+		e.fillRow(row, x.Coords[i*d:i*d+d], p, &r2)
+		for t := range bC.Rows {
+			cR.Row(t)[a] += dot(row, bC.Row(t))
+			if bv := bR.Row(t)[a]; bv != 0 {
+				mat.AxpyChunk(cC.Row(t), bv, row)
+			}
 		}
 	}
+}
+
+// dot returns row·v in mat's dot grouping: four lane accumulators over the
+// 4-aligned prefix, reduced as (s0+s1)+(s2+s3), then the sequential tail.
+func dot(row, v []float64) float64 {
+	L := len(v)
+	U := L &^ 3
+	var acc [4]float64
+	mat.DotAcc4(row[:U], v[:U], &acc)
+	s := (acc[0] + acc[1]) + (acc[2] + acc[3])
+	for t := U; t < L; t++ {
+		s += row[t] * v[t]
+	}
+	return s
+}
+
+// anyNonzero reports whether any column of the panel b has a nonzero
+// multiplier at position a.
+func anyNonzero(b *mat.Dense, a int) bool {
+	for t := range b.Rows {
+		if b.Row(t)[a] != 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -94,8 +94,8 @@ func BenchmarkAssembleMulBatch(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/d3/rhs8", k.Name()), func(b *testing.B) {
 			x, y, rows, cols, _, _ := benchSetup(3)
 			scratch := mat.NewDense(benchTile, benchTile)
-			rhs := mat.NewDense(benchTile, 8)
-			out := mat.NewDense(benchTile, 8)
+			rhs := mat.NewDense(8, benchTile)
+			out := mat.NewDense(8, benchTile)
 			for i := range rhs.Data {
 				rhs.Data[i] = float64(i%5) - 2
 			}
@@ -103,7 +103,7 @@ func BenchmarkAssembleMulBatch(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				Assemble(scratch, k, x, rows, y, cols)
-				mat.MulAddTo(out, scratch, rhs)
+				panelMulAdd(out, scratch, rhs, false)
 			}
 		})
 	}
@@ -113,8 +113,8 @@ func BenchmarkFusedBatch(b *testing.B) {
 	for _, k := range everyKernel() {
 		b.Run(fmt.Sprintf("%s/d3/rhs8", k.Name()), func(b *testing.B) {
 			x, y, rows, cols, _, _ := benchSetup(3)
-			rhs := mat.NewDense(benchTile, 8)
-			out := mat.NewDense(benchTile, 8)
+			rhs := mat.NewDense(8, benchTile)
+			out := mat.NewDense(8, benchTile)
 			buf := mat.NewDense(0, 0)
 			for i := range rhs.Data {
 				rhs.Data[i] = float64(i%5) - 2

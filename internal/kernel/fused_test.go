@@ -159,8 +159,35 @@ func TestBlockTVecAddBitwise(t *testing.T) {
 	}
 }
 
-// TestBlockMulAddBitwise pins the fused batch path (row-panel staging)
-// against assemble-then-MulAddTo for several right-hand-side widths.
+// batchWidths are the right-hand-side counts of the batch suites.
+var batchWidths = []int{1, 2, 3, 5, 8}
+
+// randPanel returns a k-by-n column-major panel (row t is column t) of
+// standard normal draws.
+func randPanel(rng *rand.Rand, k, n int) *mat.Dense {
+	p := mat.NewDense(k, n)
+	for i := range p.Data {
+		p.Data[i] = rng.NormFloat64()
+	}
+	return p
+}
+
+// panelMulAdd is the column-by-column oracle of the batch primitives:
+// row t of c gains tile times row t of b through mat.MulVecAdd, or with
+// trans through mat.MulTVecAdd.
+func panelMulAdd(c, tile, b *mat.Dense, trans bool) {
+	for t := range b.Rows {
+		if trans {
+			mat.MulTVecAdd(c.Row(t), tile, b.Row(t))
+		} else {
+			mat.MulVecAdd(c.Row(t), tile, b.Row(t))
+		}
+	}
+}
+
+// TestBlockMulAddBitwise pins the fused batch path (one tile-row evaluation
+// per batch) against assemble-then-MulVecAdd per column, for every width of
+// batchWidths.
 func TestBlockMulAddBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	buf := mat.NewDense(0, 0)
@@ -169,21 +196,13 @@ func TestBlockMulAddBitwise(t *testing.T) {
 		y := pointset.Cube(130, d, int64(d+79))
 		for _, k := range fusedKernels() {
 			for _, sh := range fusedShapes {
-				for _, nrhs := range []int{1, 3, 5} {
+				for _, nrhs := range batchWidths {
 					rows := randIdx(rng, x.Len(), sh.rows)
 					cols := randIdx(rng, y.Len(), sh.cols)
-					b := mat.NewDense(sh.cols, nrhs)
-					for i := range b.Data {
-						b.Data[i] = rng.NormFloat64()
-					}
-					out := mat.NewDense(sh.rows, nrhs)
-					want := mat.NewDense(sh.rows, nrhs)
-					for i := range out.Data {
-						out.Data[i] = rng.NormFloat64()
-						want.Data[i] = out.Data[i]
-					}
-					tile := NewBlockSeed(k, x, rows, y, cols)
-					mat.MulAddTo(want, tile, b)
+					b := randPanel(rng, nrhs, sh.cols)
+					out := randPanel(rng, nrhs, sh.rows)
+					want := out.Clone()
+					panelMulAdd(want, NewBlockSeed(k, x, rows, y, cols), b, false)
 					BlockMulAdd(out, k, x, rows, y, cols, b, buf)
 					bitsEqual(t, k.Name(), out.Data, want.Data)
 				}
@@ -193,9 +212,9 @@ func TestBlockMulAddBitwise(t *testing.T) {
 }
 
 // TestBlockTMulAddBitwise pins the fused transposed batch path against
-// assemble-then-MulTAddTo, zero entries included (a coincident point under
-// a kernel that vanishes at r = 0 yields exact zeros), for several
-// right-hand-side widths.
+// assemble-then-MulTVecAdd per column, zero entries (a coincident point
+// under a kernel that vanishes at r = 0 yields exact zeros) and zero
+// multipliers included, for every width of batchWidths.
 func TestBlockTMulAddBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	buf := mat.NewDense(0, 0)
@@ -203,21 +222,14 @@ func TestBlockTMulAddBitwise(t *testing.T) {
 		x := pointset.Cube(150, d, int64(d+40))
 		for _, k := range fusedKernels() {
 			for _, sh := range fusedShapes {
-				for _, nrhs := range []int{1, 3, 5, 8, 9} {
+				for _, nrhs := range batchWidths {
 					rows := randIdx(rng, x.Len(), sh.rows)
 					cols := randIdx(rng, x.Len(), sh.cols)
-					b := mat.NewDense(sh.rows, nrhs)
-					for i := range b.Data {
-						b.Data[i] = rng.NormFloat64()
-					}
-					out := mat.NewDense(sh.cols, nrhs)
-					want := mat.NewDense(sh.cols, nrhs)
-					for i := range out.Data {
-						out.Data[i] = rng.NormFloat64()
-						want.Data[i] = out.Data[i]
-					}
-					tile := NewBlockSeed(k, x, rows, x, cols)
-					mat.MulTAddTo(want, tile, b)
+					b := randPanel(rng, nrhs, sh.rows)
+					copy(b.Row(0), withZeros(b.Row(0)))
+					out := randPanel(rng, nrhs, sh.cols)
+					want := out.Clone()
+					panelMulAdd(want, NewBlockSeed(k, x, rows, x, cols), b, true)
 					BlockTMulAdd(out, k, x, rows, x, cols, b, buf)
 					bitsEqual(t, k.Name(), out.Data, want.Data)
 				}
@@ -229,26 +241,20 @@ func TestBlockTMulAddBitwise(t *testing.T) {
 // TestBlockMulAddTwinBitwise pins the single-evaluation batch twin against
 // its two separate products, BlockMulAdd for the rows and BlockTMulAdd for
 // the columns, bit for bit, for every kernel, coincident points (exact zero
-// entries) and right-hand-side widths on both sides of the inline scatter.
+// entries), zero multipliers and every width of batchWidths.
 func TestBlockMulAddTwinBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	buf := mat.NewDense(0, 0)
-	rnd := func(r, c int) *mat.Dense {
-		m := mat.NewDense(r, c)
-		for i := range m.Data {
-			m.Data[i] = rng.NormFloat64()
-		}
-		return m
-	}
 	for _, d := range []int{2, 3, 5} {
 		x := pointset.Cube(150, d, int64(d+50))
 		for _, k := range fusedKernels() {
 			for _, sh := range fusedShapes {
-				for _, nrhs := range []int{1, 2, 7, 8, 9} {
+				for _, nrhs := range batchWidths {
 					rows := randIdx(rng, x.Len(), sh.rows)
 					cols := randIdx(rng, x.Len(), sh.cols)
-					bC, bR := rnd(sh.cols, nrhs), rnd(sh.rows, nrhs)
-					cR, cC := rnd(sh.rows, nrhs), rnd(sh.cols, nrhs)
+					bC, bR := randPanel(rng, nrhs, sh.cols), randPanel(rng, nrhs, sh.rows)
+					copy(bR.Row(nrhs-1), withZeros(bR.Row(nrhs-1)))
+					cR, cC := randPanel(rng, nrhs, sh.rows), randPanel(rng, nrhs, sh.cols)
 					wantR, wantC := cR.Clone(), cC.Clone()
 					BlockMulAdd(wantR, k, x, rows, x, cols, bC, buf)
 					BlockTMulAdd(wantC, k, x, rows, x, cols, bR, buf)
@@ -261,18 +267,18 @@ func TestBlockMulAddTwinBitwise(t *testing.T) {
 	}
 }
 
-// TestBlockWidthOneMatchesVectorForms pins the width-1 dispatch of the
-// fused panel products: BlockMulAdd, BlockTMulAdd and BlockMulAddTwin with a
-// one-column panel must equal BlockVecAdd, BlockTVecAdd and BlockVecAddTwin
-// bit for bit, and so must column 0 of the same call at width 3, which
-// evaluates every row and skips zero kernel entries where the vector forms
-// skip zero multipliers. Rows and columns share points, so the singular
-// kernels produce exact zero entries; the multipliers carry +0 and -0; the
-// accumulators start at +0.
+// TestBlockWidthOneMatchesVectorForms pins the columns of the fused batch
+// products. At width 1, BlockMulAdd, BlockTMulAdd and BlockMulAddTwin must
+// equal BlockVecAdd, BlockTVecAdd and BlockVecAddTwin bit for bit on finite
+// multipliers carrying +0 and -0. At width 3, with ±Inf and NaN multipliers
+// in two of the columns, every column must equal the width-1 call on that
+// column bit for bit, NaN payloads included: both run the same code. Rows
+// and columns share points, so the singular kernels produce exact zero
+// entries; the accumulators start at +0.
 func TestBlockWidthOneMatchesVectorForms(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	buf := mat.NewDense(0, 0)
-	multipliers := func(n int) []float64 {
+	multipliers := func(n int, nonFinite bool) []float64 {
 		v := make([]float64, n)
 		for i := range v {
 			v[i] = rng.NormFloat64()
@@ -281,48 +287,59 @@ func TestBlockWidthOneMatchesVectorForms(t *testing.T) {
 		for i := 2; i < n; i += 7 {
 			v[i] = math.Copysign(0, -1)
 		}
+		if nonFinite {
+			for i, x := range []float64{math.Inf(1), math.NaN(), math.Inf(-1)} {
+				if j := 1 + 5*i; j < n {
+					v[j] = x
+				}
+			}
+		}
 		return v
 	}
-	panelOf := func(v []float64, k int) *mat.Dense {
-		p := mat.NewDense(len(v), k)
-		for i := range p.Data {
-			p.Data[i] = rng.NormFloat64()
-		}
-		for i, x := range v {
-			p.Data[i*k] = x
-		}
-		return p
+	// batch runs the three batch products on the panels bC, bR.
+	batch := func(k Pairwise, x *pointset.Points, rows, cols []int, bC, bR *mat.Dense) (cR, cC, tR, tC *mat.Dense) {
+		cR, cC = mat.NewDense(bC.Rows, len(rows)), mat.NewDense(bR.Rows, len(cols))
+		BlockMulAdd(cR, k, x, rows, x, cols, bC, buf)
+		BlockTMulAdd(cC, k, x, rows, x, cols, bR, buf)
+		tR, tC = mat.NewDense(bC.Rows, len(rows)), mat.NewDense(bR.Rows, len(cols))
+		BlockMulAddTwin(tR, tC, k, x, rows, x, cols, bC, bR, buf)
+		return cR, cC, tR, tC
 	}
-	col0 := func(p *mat.Dense) []float64 {
-		c := make([]float64, p.Rows)
-		for i := range c {
-			c[i] = p.Data[i*p.Cols]
-		}
-		return c
-	}
+	row := func(p *mat.Dense, t int) *mat.Dense { return mat.NewDenseData(1, p.Cols, p.Row(t)) }
 	x := pointset.Cube(150, 3, 60)
 	for _, k := range fusedKernels() {
 		for _, sh := range fusedShapes {
 			rows := randIdx(rng, x.Len(), sh.rows)
 			cols := randIdx(rng, x.Len(), sh.cols)
 			copy(cols, rows) // coincident points: exact zero entries
-			vc, vr := multipliers(sh.cols), multipliers(sh.rows)
+			tag := fmt.Sprintf("%s %dx%d", k.Name(), sh.rows, sh.cols)
+
+			vc, vr := multipliers(sh.cols, false), multipliers(sh.rows, false)
+			cR, cC, tR, tC := batch(k, x, rows, cols, mat.NewDenseData(1, sh.cols, vc), mat.NewDenseData(1, sh.rows, vr))
 			wantR, wantC := make([]float64, sh.rows), make([]float64, sh.cols)
 			BlockVecAdd(wantR, k, x, rows, x, cols, vc, buf)
 			BlockTVecAdd(wantC, k, x, rows, x, cols, vr, buf)
-			twinR, twinC := make([]float64, sh.rows), make([]float64, sh.cols)
-			BlockVecAddTwin(twinR, twinC, k, x, rows, x, cols, vc, vr, buf)
-			for _, nrhs := range []int{1, 3} {
-				tag := fmt.Sprintf("%s %dx%d k=%d", k.Name(), sh.rows, sh.cols, nrhs)
-				cR, cC := panelOf(make([]float64, sh.rows), nrhs), panelOf(make([]float64, sh.cols), nrhs)
-				BlockMulAdd(cR, k, x, rows, x, cols, panelOf(vc, nrhs), buf)
-				BlockTMulAdd(cC, k, x, rows, x, cols, panelOf(vr, nrhs), buf)
-				bitsEqual(t, tag+" BlockMulAdd", col0(cR), wantR)
-				bitsEqual(t, tag+" BlockTMulAdd", col0(cC), wantC)
-				cR, cC = panelOf(make([]float64, sh.rows), nrhs), panelOf(make([]float64, sh.cols), nrhs)
-				BlockMulAddTwin(cR, cC, k, x, rows, x, cols, panelOf(vc, nrhs), panelOf(vr, nrhs), buf)
-				bitsEqual(t, tag+" BlockMulAddTwin rows", col0(cR), twinR)
-				bitsEqual(t, tag+" BlockMulAddTwin cols", col0(cC), twinC)
+			bitsEqual(t, tag+" BlockMulAdd", cR.Data, wantR)
+			bitsEqual(t, tag+" BlockTMulAdd", cC.Data, wantC)
+			clear(wantR)
+			clear(wantC)
+			BlockVecAddTwin(wantR, wantC, k, x, rows, x, cols, vc, vr, buf)
+			bitsEqual(t, tag+" BlockMulAddTwin rows", tR.Data, wantR)
+			bitsEqual(t, tag+" BlockMulAddTwin cols", tC.Data, wantC)
+
+			bC, bR := mat.NewDense(3, sh.cols), mat.NewDense(3, sh.rows)
+			for c := range 3 {
+				copy(bC.Row(c), multipliers(sh.cols, c == 1))
+				copy(bR.Row(c), multipliers(sh.rows, c == 2))
+			}
+			cR, cC, tR, tC = batch(k, x, rows, cols, bC, bR)
+			for c := range 3 {
+				oR, oC, oTR, oTC := batch(k, x, rows, cols, row(bC, c), row(bR, c))
+				ctag := fmt.Sprintf("%s k=3 column %d", tag, c)
+				bitsEqual(t, ctag+" BlockMulAdd", cR.Row(c), oR.Data)
+				bitsEqual(t, ctag+" BlockTMulAdd", cC.Row(c), oC.Data)
+				bitsEqual(t, ctag+" BlockMulAddTwin rows", tR.Row(c), oTR.Data)
+				bitsEqual(t, ctag+" BlockMulAddTwin cols", tC.Row(c), oTC.Data)
 			}
 		}
 	}

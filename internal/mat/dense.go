@@ -298,9 +298,9 @@ func MulVecAdd(y []float64, a *Dense, x []float64) {
 // dot is the shared row-dot kernel: four independent accumulators break the
 // FMA dependency chain (the naive single-accumulator loop serializes on the
 // ~4-cycle add latency), combined as (s0+s1)+(s2+s3) with a sequential tail.
-// Every matrix product in this package — vector, strided-batch, serial or
-// parallel — reduces through this exact grouping, which is what makes their
-// results mutually bitwise-identical.
+// Every matrix product in this package — serial or parallel, one column of
+// a batch or a lone vector — reduces through this exact grouping, which is
+// what makes their results mutually bitwise-identical.
 func dot(row, x []float64) float64 {
 	x = x[:len(row)] // bounds-check elimination for the unrolled loads
 	if simdEnabled && len(row) >= simdMinDot {
@@ -363,31 +363,6 @@ func dot2(r0, r1, x []float64) (float64, float64) {
 	}
 	return sa, sb
 }
-
-// dotStride is dot against the virtual vector x[k] = b[k*n+j] (column j of
-// a row-major matrix laid out in b). The accumulator grouping matches dot
-// exactly, so batch products reproduce the vector products digit for digit.
-func dotStride(row, b []float64, j, n int) float64 {
-	var s0, s1, s2, s3 float64
-	k := 0
-	for ; k+4 <= len(row); k += 4 {
-		p := k*n + j
-		s0 += row[k] * b[p]
-		s1 += row[k+1] * b[p+n]
-		s2 += row[k+2] * b[p+2*n]
-		s3 += row[k+3] * b[p+3*n]
-	}
-	s := (s0 + s1) + (s2 + s3)
-	for ; k < len(row); k++ {
-		s += row[k] * b[k*n+j]
-	}
-	return s
-}
-
-// DotStride is the exported form of dotStride for fused kernels outside
-// this package (internal/kernel's evaluate-and-apply primitives) that must
-// reproduce the batch summation order exactly.
-func DotStride(row, b []float64, j, n int) float64 { return dotStride(row, b, j, n) }
 
 // axpy computes y[i] += a*x[i], unrolled. Each output element receives
 // exactly one add, so unrolling preserves per-element accumulation order.
@@ -525,110 +500,6 @@ func axpyPair(y []float64, a *Dense, i int, x0, x1 float64) {
 		axpy(y, x0, a.Row(i))
 	default:
 		axpy2(y, x0, a.Row(i), x1, a.Row(i+1))
-	}
-}
-
-// MulAddTo computes c += a*b. Shapes must agree (c is a.Rows x b.Cols); c
-// must not alias a or b. Each output element accumulates its dot product in
-// a scalar before the single in-place add, mirroring MulVecAdd's summation
-// order so that applying a block to k stacked vectors reproduces the k
-// vector products digit for digit. A one-column b runs MulVecAdd itself.
-func MulAddTo(c, a, b *Dense) {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: muladdto shape mismatch c=%dx%d a=%dx%d b=%dx%d",
-			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if b.Cols == 1 {
-		MulVecAdd(c.Data, a, b.Data)
-		return
-	}
-	n := b.Cols
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		for j := 0; j < n; j++ {
-			crow[j] += dotStride(arow, b.Data, j, n)
-		}
-	}
-}
-
-// MulTAddTo computes c += aᵀ*b without materializing the transpose. c is
-// a.Cols x b.Cols and must not alias a or b. Accumulation runs over a's rows
-// directly into c, mirroring MulTVecAdd's summation order. A one-column b
-// runs MulTVecAdd itself. The two skip different zeros (zero entries of a
-// here, zero multipliers there), which changes no bit for finite operands
-// and a c free of -0 (every sweep zeroes its outputs first): under
-// round-to-nearest such a sum never becomes -0, so adding a ±0 product
-// leaves it unchanged. They can differ only where a skipped zero meets an
-// Inf or NaN.
-func MulTAddTo(c, a, b *Dense) {
-	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: multaddto shape mismatch c=%dx%d a=%dx%d b=%dx%d",
-			c.Rows, c.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if b.Cols == 1 {
-		MulTVecAdd(c.Data, a, b.Data)
-		return
-	}
-	n := b.Cols
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		brow := b.Row(i)
-		for j, v := range arow {
-			if v == 0 {
-				continue
-			}
-			axpy(c.Data[j*n:j*n+n], v, brow)
-		}
-	}
-}
-
-// MulRangeAddTo computes c += a[r0:r1, :]*b for the contiguous row block
-// [r0, r1) of a; c is (r1-r0) x b.Cols. It is MulVecAddRange lifted to k
-// columns, with the same per-element summation order. A one-column b runs
-// MulVecAddRange itself.
-func MulRangeAddTo(c, a *Dense, r0, r1 int, b *Dense) {
-	if a.Cols != b.Rows || c.Rows != r1-r0 || c.Cols != b.Cols || r0 < 0 || r1 > a.Rows {
-		panic(fmt.Sprintf("mat: mulrangeaddto shape mismatch rows [%d,%d) of %dx%d, b %dx%d, c %dx%d",
-			r0, r1, a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
-	}
-	if b.Cols == 1 {
-		MulVecAddRange(c.Data, a, r0, r1, b.Data)
-		return
-	}
-	n := b.Cols
-	for i := r0; i < r1; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i - r0)
-		for j := 0; j < n; j++ {
-			crow[j] += dotStride(arow, b.Data, j, n)
-		}
-	}
-}
-
-// MulTRangeAddTo computes c += a[r0:r1, :]ᵀ*b for the contiguous row block
-// [r0, r1) of a; c is a.Cols x b.Cols and b is (r1-r0) x b.Cols. It is
-// MulTVecAddRange lifted to k columns; a one-column b runs MulTVecAddRange
-// itself, under MulTAddTo's zero-skip argument.
-func MulTRangeAddTo(c, a *Dense, r0, r1 int, b *Dense) {
-	if b.Rows != r1-r0 || c.Rows != a.Cols || c.Cols != b.Cols || r0 < 0 || r1 > a.Rows {
-		panic(fmt.Sprintf("mat: multrangeaddto shape mismatch rows [%d,%d) of %dx%d, b %dx%d, c %dx%d",
-			r0, r1, a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
-	}
-	if b.Cols == 1 {
-		MulTVecAddRange(c.Data, a, r0, r1, b.Data)
-		return
-	}
-	n := b.Cols
-	for i := r0; i < r1; i++ {
-		arow := a.Row(i)
-		brow := b.Row(i - r0)
-		for j, v := range arow {
-			if v == 0 {
-				continue
-			}
-			axpy(c.Data[j*n:j*n+n], v, brow)
-		}
 	}
 }
 

@@ -52,16 +52,3 @@ func MulVecAddTwin(yr, yc []float64, a *Dense, xc, xr []float64) {
 		}
 	}
 }
-
-// MulAddToTwin computes cr += a*bc and cc += aᵀ*br, the twin product for
-// panels of right-hand sides: MulAddTo followed by MulTAddTo, or one
-// MulVecAddTwin pass when the panels are one column wide. cr and cc must not
-// overlap.
-func MulAddToTwin(cr, cc, a, bc, br *Dense) {
-	if bc.Cols == 1 && br.Cols == 1 && cr.Cols == 1 && cc.Cols == 1 {
-		MulVecAddTwin(cr.Data, cc.Data, a, bc.Data, br.Data)
-		return
-	}
-	MulAddTo(cr, a, bc)
-	MulTAddTo(cc, a, br)
-}

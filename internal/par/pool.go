@@ -180,17 +180,28 @@ func (p *Pool) ForWorker(n int, fn func(worker, i int)) {
 		}
 		<-in.callerWake
 	}
+	// Every claimant read fn before crediting its grain, and late helpers
+	// read it only after a successful claim (run), so no one reads it now.
+	// Dropping it keeps the parked helpers, which hold *pool for the pool's
+	// lifetime, from keeping the body — and whatever it captured, such as
+	// the pool's own handle — reachable.
+	in.fn = nil
 }
 
 // run claims grains until the phase is exhausted, crediting completed
 // iterations to the phase's completion counter. The last crediting claimant
-// nudges a possibly-parked caller.
+// nudges a possibly-parked caller. It reads the body only after a
+// successful claim, so that ForWorker can drop it once the phase is done.
 func (p *pool) run(worker int) {
-	n, grain, fn := p.n, p.grain, p.fn
+	n, grain := p.n, p.grain
+	var fn func(worker, i int)
 	for {
 		start := int(p.next.Add(int64(grain))) - grain
 		if start >= n {
 			return
+		}
+		if fn == nil {
+			fn = p.fn
 		}
 		end := start + grain
 		if end > n {

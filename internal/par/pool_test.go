@@ -131,6 +131,26 @@ func TestPoolCloseIdempotentAndFinalizer(t *testing.T) {
 	t.Fatalf("helper goroutines leaked: %d before, %d after GC", before, runtime.NumGoroutine())
 }
 
+// TestPoolFinalizedWithSelfReferencingBody checks that a dropped pool is
+// finalized even when its last loop body reaches the pool itself, as a
+// workspace's bound drain method does (body → workspace → pool): a finished
+// phase's body must not stay reachable from the parked helpers.
+func TestPoolFinalizedWithSelfReferencingBody(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 8; i++ {
+		owner := &struct{ p *Pool }{NewPool(4)}
+		owner.p.For(4, func(int) { _ = owner.p })
+	}
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		runtime.Gosched()
+		if runtime.NumGoroutine() <= before+4 {
+			return
+		}
+	}
+	t.Fatalf("helper goroutines leaked: %d before, %d after GC", before, runtime.NumGoroutine())
+}
+
 func TestPoolResolveSizing(t *testing.T) {
 	p := NewPool(0)
 	defer p.Close()

@@ -16,8 +16,7 @@ func (d denseBatchOp) ApplyTo(y, b []float64) { mat.MulVecTo(y, d.a, b) }
 
 func (d denseBatchOp) ApplyBatchTo(y, b *mat.Dense) {
 	y.Reshape(d.a.Rows, b.Cols)
-	y.Reset()
-	mat.MulAddTo(y, d.a, b)
+	mat.MulTo(y, d.a, b)
 }
 
 func TestCGMultiMatchesCG(t *testing.T) {
