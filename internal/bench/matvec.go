@@ -44,12 +44,13 @@ type ScalingRun struct {
 	Speedup       float64 `json:"speedup"`
 }
 
-// TileRun is one per-kernel fused-tile micro-benchmark row: BlockVecAdd on a
-// square tile with the AVX dispatch on versus forced off. Cols names the
-// column shape: "leaf" is a consecutive leaf range (coordinate panel read in
-// place, as nearfield blocks), "gathered" a scattered index set (panel
-// gathered once per block, as coupling blocks over skeletons). Speedup is
-// scalar/simd, > 1 meaning the vector path wins.
+// TileRun is one per-kernel fused-tile micro-benchmark row: BlockMulAdd on a
+// square tile at width 1 (the single-vector apply) with the AVX dispatch on
+// versus forced off. Cols names the column shape: "leaf" is a consecutive
+// leaf range (coordinate panel read in place, as nearfield blocks),
+// "gathered" a scattered index set (panel gathered once per block, as
+// coupling blocks over skeletons). Speedup is scalar/simd, > 1 meaning the
+// vector path wins.
 type TileRun struct {
 	Kernel   string  `json:"kernel"`
 	Tile     int     `json:"tile"`
@@ -374,10 +375,11 @@ func matvecScaling(opt Options, k kernel.Kernel, rep *MatvecReport) error {
 	return nil
 }
 
-// matvecTiles micro-benchmarks the fused BlockVecAdd tile per registered
-// kernel with the AVX dispatch forced off versus on, once over a leaf-range
-// column set and once over a gathered one. Skipped (with a note) when the
-// host has no AVX — the speedup column would be noise.
+// matvecTiles micro-benchmarks the fused BlockMulAdd tile at width 1 (1×tile
+// panels, as a single-vector apply runs it) per registered kernel with the
+// AVX dispatch forced off versus on, once over a leaf-range column set and
+// once over a gathered one. Skipped (with a note) when the host has no AVX —
+// the speedup column would be noise.
 func matvecTiles(opt Options, rep *MatvecReport) {
 	out := opt.out()
 	if !mat.SIMDAvailable() {
@@ -394,8 +396,8 @@ func matvecTiles(opt Options, rep *MatvecReport) {
 		rows[i], leaf[i] = i, tile/2+i
 		gathered[i] = (i * 97) % (2 * tile) // scattered, like a skeleton
 	}
-	v := randVec(tile, opt.seed()+103)
-	acc := make([]float64, tile)
+	v := mat.NewDenseData(1, tile, randVec(tile, opt.seed()+103))
+	acc := mat.NewDense(1, tile)
 	buf := mat.NewDense(0, 0)
 
 	timeOne := func(k kernel.Kernel, cols []int) int64 {
@@ -408,7 +410,7 @@ func matvecTiles(opt Options, rep *MatvecReport) {
 		for s := range times {
 			t0 := time.Now()
 			for i := 0; i < inner; i++ {
-				kernel.BlockVecAdd(acc, k, x, rows, yp, cols, v, buf)
+				kernel.BlockMulAdd(acc, k, x, rows, yp, cols, v, buf)
 			}
 			times[s] = time.Since(t0).Nanoseconds() / inner
 		}
@@ -416,7 +418,7 @@ func matvecTiles(opt Options, rep *MatvecReport) {
 		return times[len(times)/2]
 	}
 
-	tb := newTable(out, fmt.Sprintf("fused tile micro-bench (BlockVecAdd %dx%d, median per call)", tile, tile),
+	tb := newTable(out, fmt.Sprintf("fused tile micro-bench (BlockMulAdd %dx%d, width 1, median per call)", tile, tile),
 		"kernel", "cols", "scalar_us", "simd_us", "speedup")
 	defer mat.SetSIMD(true)
 	for _, name := range kernel.Names() {
@@ -428,7 +430,7 @@ func matvecTiles(opt Options, rep *MatvecReport) {
 			name string
 			cols []int
 		}{{"leaf", leaf}, {"gathered", gathered}} {
-			kernel.BlockVecAdd(acc, k, x, rows, yp, shape.cols, v, buf) // warm-up
+			kernel.BlockMulAdd(acc, k, x, rows, yp, shape.cols, v, buf) // warm-up
 			mat.SetSIMD(false)
 			scalar := timeOne(k, shape.cols)
 			mat.SetSIMD(true)

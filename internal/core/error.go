@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"h2ds/internal/kernel"
-	"h2ds/internal/mat"
 	"h2ds/internal/par"
 	"h2ds/internal/pointset"
 )
@@ -95,15 +94,4 @@ func DirectApply(pts *pointset.Points, k kernel.Pairwise, b []float64, workers i
 		y[i] = kernel.RowApply(k, pts, i, b)
 	})
 	return y
-}
-
-// DenseMatrix assembles the full kernel matrix over pts; tests only — it is
-// O(n²) memory.
-func DenseMatrix(pts *pointset.Points, k kernel.Pairwise) *mat.Dense {
-	n := pts.Len()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return kernel.NewBlock(k, pts, idx, pts, idx)
 }

@@ -478,8 +478,9 @@ func (ws *Workspace) upNode(_, id int) {
 	off := 0
 	for _, c := range nd.Children {
 		qc := ws.in.panel[c]
+		wc := childTransfer(ws.in.trans[id], off, qc.Cols)
 		for t := range qc.Rows {
-			mat.MulTVecAddRange(qi.Row(t), ws.in.trans[id], off, off+qc.Cols, qc.Row(t))
+			mat.MulTVecAdd(qi.Row(t), &wc, qc.Row(t))
 		}
 		off += qc.Cols
 	}
@@ -516,11 +517,19 @@ func (ws *Workspace) downNode(_, id int) {
 	off := 0
 	for _, c := range nd.Children {
 		gc := ws.out.panel[c]
+		rc := childTransfer(ws.out.trans[id], off, gc.Cols)
 		for t := range gc.Rows {
-			mat.MulVecAddRange(gc.Row(t), ws.out.trans[id], off, off+gc.Cols, gi.Row(t))
+			mat.MulVecAdd(gc.Row(t), &rc, gi.Row(t))
 		}
 		off += gc.Cols
 	}
+}
+
+// childTransfer views rows [off, off+rank) of a node's stacked transfer
+// block: one child's transfer matrix, a contiguous run of the row-major
+// data, so the header needs no copy and stays on the caller's stack.
+func childTransfer(tr *mat.Dense, off, rank int) mat.Dense {
+	return mat.Dense{Rows: rank, Cols: tr.Cols, Data: tr.Data[off*tr.Cols : (off+rank)*tr.Cols]}
 }
 
 // leafNode is stage 5, farfield half: Y_i = U_i G_i through the output-side

@@ -10,17 +10,17 @@
 // (hoisted out of the inner loop to chunk granularity) selects a call-free
 // evaluation loop, and the kernel values for a chunk of at most fusedChunk
 // entries live in a stack buffer that never leaves L1. Only a slice of the
-// tile ever exists — for the vector paths a 64-entry chunk, for the batch
-// paths and the twin one tile row — instead of the full rows x cols block.
+// tile ever exists — one tile row for the block primitives, a 64-entry
+// chunk for RowApply — instead of the full rows x cols block.
 //
-// Bitwise contract: every vector primitive reproduces the exact per-element
-// operation sequence of kernel.Assemble followed by the matching internal/mat
-// product (MulVecAdd, MulTVecAdd), including mat's 4-accumulator dot
-// grouping, its sequential tails, and the transposed products' zero-multiplier
-// skips; every column of a batch primitive runs the same code as the
-// width-1 call on that column.
-// The equivalence suites in this package and internal/core pin this digit
-// for digit.
+// Bitwise contract: on finite inputs every column of a block primitive
+// reproduces the exact per-element operation sequence of kernel.Assemble
+// followed by the matching internal/mat product (MulVecAdd, MulTVecAdd,
+// MulVecAddTwin), including mat's 4-accumulator dot grouping, its
+// sequential tails, and the transposed products' zero-multiplier skips; on
+// any input every column runs the same code as the width-1 call on that
+// column. The equivalence suites in this package and internal/core pin this
+// digit for digit.
 
 package kernel
 
@@ -243,10 +243,10 @@ func (e evaluator) fill(dst, r2, xi, p []float64) {
 }
 
 // rowDot returns Σ_t K(xi, p_t)·v[t] over the len(v) points of the panel p
-// in dot's grouping — four lane accumulators over the 4-aligned prefix
-// (chunk lengths there are multiples of 4, so the lane mapping never slips),
-// reduced as (s0+s1)+(s2+s3), then the sequential tail. r2 and kb are chunk
-// scratch.
+// (RowApply's body) in dot's grouping — four lane accumulators over the
+// 4-aligned prefix (chunk lengths there are multiples of 4, so the lane
+// mapping never slips), reduced as (s0+s1)+(s2+s3), then the sequential
+// tail. r2 and kb are chunk scratch.
 func (e evaluator) rowDot(xi, p, v []float64, r2, kb *[fusedChunk]float64) float64 {
 	d := len(xi)
 	L := len(v)
@@ -280,121 +280,6 @@ func (e evaluator) fillRow(row, xi, p []float64, r2 *[fusedChunk]float64) {
 	}
 }
 
-// BlockVecAdd computes out[a] += Σ_b K(x[rows[a]], y[cols[b]]) * v[b] — the
-// fused form of Assemble + mat.MulVecAdd, bitwise-identical to it. out is
-// indexed by row position (len(rows)), v by column position (len(cols)). buf
-// is scratch that holds the gathered column panel when cols is not a
-// consecutive run (d rows of len(cols)).
-func BlockVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64, buf *mat.Dense) {
-	e := newEvaluator(pk)
-	_, p := colScratch(buf, 0, y, cols)
-	v = v[:len(cols)]
-	d := x.Dim
-	var r2, kb [fusedChunk]float64
-	for a, i := range rows {
-		out[a] += e.rowDot(x.Coords[i*d:i*d+d], p, v, &r2, &kb)
-	}
-}
-
-// BlockVecAddTwin applies one block in both orientations while evaluating
-// each entry once: outR[a] += Σ_b K(x[rows[a]], y[cols[b]]) vc[b] and
-// outC[b] += Σ_a K(x[rows[a]], y[cols[b]]) vr[a]. It is the on-the-fly
-// counterpart of mat.MulVecAddTwin and bitwise-identical to
-// BlockVecAdd(outR, …, vc) followed by BlockTVecAdd(outC, …, vr): the row
-// side reduces through dot's grouping, and the column side adds vr[a] times
-// each evaluated row in row order, skipping zero multipliers, as
-// MulTVecAdd does. Each tile row is evaluated into buf (one row panel, plus
-// a gathered column panel as in BlockMulAdd). outR and outC must not
-// overlap.
-func BlockVecAddTwin(outR, outC []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, vc, vr []float64, buf *mat.Dense) {
-	e := newEvaluator(pk)
-	row, p := colScratch(buf, 1, y, cols)
-	d := x.Dim
-	vc = vc[:len(cols)]
-	var r2 [fusedChunk]float64
-	for a, i := range rows {
-		e.fillRow(row, x.Coords[i*d:i*d+d], p, &r2)
-		outR[a] += dot(row, vc)
-		if xv := vr[a]; xv != 0 {
-			mat.AxpyChunk(outC, xv, row)
-		}
-	}
-}
-
-// BlockTVecAdd computes out[b] += Σ_a K(x[rows[a]], y[cols[b]]) * v[a] — the
-// fused form of Assemble + mat.MulTVecAdd, bitwise-identical to it,
-// including the per-row zero skips (rows whose multiplier is zero are not
-// evaluated at all, exactly as MulTVecAdd never touches them). out is
-// indexed by column position, v by row position. buf holds the gathered
-// column panel as in BlockVecAdd.
-func BlockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, v []float64, buf *mat.Dense) {
-	e := newEvaluator(pk)
-	_, p := colScratch(buf, 0, y, cols)
-	d := x.Dim
-	L := len(cols)
-	R := len(rows)
-	var r2, k0, k1, k2, k3 [fusedChunk]float64
-	xrow := func(r int) []float64 {
-		i := rows[r]
-		return x.Coords[i*d : i*d+d]
-	}
-	// pair applies rows r and r+1 with multipliers x0, x1 under axpyPair's
-	// zero-skip cases; single applies one row under axpy. The accumulation
-	// loops dispatch through mat's chunk helpers (AVX when available).
-	single := func(r int, xv float64) {
-		xi := xrow(r)
-		for b0 := 0; b0 < L; b0 += fusedChunk {
-			b1 := min(b0+fusedChunk, L)
-			oo, pp := out[b0:b1], p[b0*d:b1*d]
-			e.fill(k0[:len(oo)], r2[:], xi, pp)
-			mat.AxpyChunk(oo, xv, k0[:len(oo)])
-		}
-	}
-	pair := func(r int, x0, x1 float64) {
-		switch {
-		case x0 == 0 && x1 == 0:
-		case x0 == 0:
-			single(r+1, x1)
-		case x1 == 0:
-			single(r, x0)
-		default:
-			xi0, xi1 := xrow(r), xrow(r+1)
-			for b0 := 0; b0 < L; b0 += fusedChunk {
-				b1 := min(b0+fusedChunk, L)
-				oo, pp := out[b0:b1], p[b0*d:b1*d]
-				e.fill(k0[:len(oo)], r2[:], xi0, pp)
-				e.fill(k1[:len(oo)], r2[:], xi1, pp)
-				mat.Axpy2Chunk(oo, x0, k0[:len(oo)], x1, k1[:len(oo)])
-			}
-		}
-	}
-	r := 0
-	for ; r+4 <= R; r += 4 {
-		x0, x1, x2, x3 := v[r], v[r+1], v[r+2], v[r+3]
-		if x0 != 0 && x1 != 0 && x2 != 0 && x3 != 0 {
-			xi0, xi1, xi2, xi3 := xrow(r), xrow(r+1), xrow(r+2), xrow(r+3)
-			for b0 := 0; b0 < L; b0 += fusedChunk {
-				b1 := min(b0+fusedChunk, L)
-				oo, pp := out[b0:b1], p[b0*d:b1*d]
-				e.fill(k0[:len(oo)], r2[:], xi0, pp)
-				e.fill(k1[:len(oo)], r2[:], xi1, pp)
-				e.fill(k2[:len(oo)], r2[:], xi2, pp)
-				e.fill(k3[:len(oo)], r2[:], xi3, pp)
-				mat.Axpy4Chunk(oo, x0, k0[:len(oo)], x1, k1[:len(oo)], x2, k2[:len(oo)], x3, k3[:len(oo)])
-			}
-			continue
-		}
-		pair(r, x0, x1)
-		pair(r+2, x2, x3)
-	}
-	for ; r+2 <= R; r += 2 {
-		pair(r, v[r], v[r+1])
-	}
-	if r < R && v[r] != 0 {
-		single(r, v[r])
-	}
-}
-
 // Batch panels. The batch primitives below take their right-hand sides and
 // outputs as column-major panels: a k-by-n mat.Dense whose row t is the
 // contiguous right-hand side t. They evaluate each tile row once per batch
@@ -403,13 +288,14 @@ func BlockTVecAdd(out []float64, pk Pairwise, x *pointset.Points, rows []int, y 
 // column — the forward side through dot, the transposed side through
 // mat.AxpyChunk with a zero-multiplier skip — so column t of every batch
 // product is the width-1 product of column t, bit for bit on any input, by
-// construction. On finite inputs the width-1 products also equal the vector
-// primitives above; where NaNs meet, the two separately compiled bodies may
-// propagate different NaN payloads.
+// construction. On finite inputs the width-1 products also equal Assemble
+// followed by the stored-block products; where NaNs meet, the separately
+// compiled bodies may propagate different NaN payloads.
 
 // BlockMulAdd computes C += K(x[rows], y[cols]) * B for a batch of
 // right-hand sides: C is k x len(rows) and B is k x len(cols), one column
-// per row. On finite inputs, column t equals BlockVecAdd on row t of B and C.
+// per row. On finite inputs, column t equals Assemble + mat.MulVecAdd on
+// row t of B and C.
 func BlockMulAdd(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, b *mat.Dense, buf *mat.Dense) {
 	e := newEvaluator(pk)
 	row, p := colScratch(buf, 1, y, cols)
@@ -426,8 +312,8 @@ func BlockMulAdd(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *p
 // BlockTMulAdd computes C += K(x[rows], y[cols])ᵀ * B: C is k x len(cols)
 // and B is k x len(rows), one column per row. Each tile row is added into
 // every column whose multiplier is nonzero, and a row no column needs is not
-// evaluated. On finite inputs, column t equals BlockTVecAdd on row t of B
-// and C.
+// evaluated. On finite inputs, column t equals Assemble + mat.MulTVecAdd on
+// row t of B and C.
 func BlockTMulAdd(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, b *mat.Dense, buf *mat.Dense) {
 	e := newEvaluator(pk)
 	row, p := colScratch(buf, 1, y, cols)
@@ -450,8 +336,8 @@ func BlockTMulAdd(c *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *
 // right-hand sides while evaluating each entry once: CR += K·BC and
 // CC += Kᵀ·BR with K = K(x[rows], y[cols]), panels as in BlockMulAdd and
 // BlockTMulAdd. It is bitwise-identical to BlockMulAdd(CR, …, BC) followed by
-// BlockTMulAdd(CC, …, BR), and on finite inputs column t equals
-// BlockVecAddTwin. CR and CC must not overlap.
+// BlockTMulAdd(CC, …, BR), and on finite inputs column t equals Assemble +
+// mat.MulVecAddTwin. CR and CC must not overlap.
 func BlockMulAddTwin(cR, cC *mat.Dense, pk Pairwise, x *pointset.Points, rows []int, y *pointset.Points, cols []int, bC, bR *mat.Dense, buf *mat.Dense) {
 	e := newEvaluator(pk)
 	row, p := colScratch(buf, 1, y, cols)

@@ -51,10 +51,11 @@ func BenchmarkFusedVec(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/d3", k.Name()), func(b *testing.B) {
 			x, y, rows, cols, v, out := benchSetup(3)
 			buf := mat.NewDense(0, 0)
+			c, rhs := mat.NewDenseData(1, benchTile, out), mat.NewDenseData(1, benchTile, v)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				BlockVecAdd(out, k, x, rows, y, cols, v, buf)
+				BlockMulAdd(c, k, x, rows, y, cols, rhs, buf)
 			}
 		})
 	}
@@ -80,10 +81,11 @@ func BenchmarkFusedTVec(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/d3", k.Name()), func(b *testing.B) {
 			x, y, rows, cols, v, out := benchSetup(3)
 			buf := mat.NewDense(0, 0)
+			c, rhs := mat.NewDenseData(1, benchTile, out), mat.NewDenseData(1, benchTile, v)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				BlockTVecAdd(out, k, x, rows, y, cols, v, buf)
+				BlockTMulAdd(c, k, x, rows, y, cols, rhs, buf)
 			}
 		})
 	}
@@ -128,9 +130,10 @@ func BenchmarkFusedBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkFusedPanel times one 200x200 3-D Coulomb BlockVecAdd with its
-// columns as a leaf range (panel read in place) and as a scattered index set
-// (panel gathered once per block), with the AVX panel distance on and off.
+// BenchmarkFusedPanel times one 200x200 3-D Coulomb BlockMulAdd at width 1
+// (a single-vector apply's call) with its columns as a leaf range (panel read
+// in place) and as a scattered index set (panel gathered once per block),
+// with the AVX panel distance on and off.
 func BenchmarkFusedPanel(b *testing.B) {
 	pts := pointset.Cube(400, 3, 3)
 	rows := benchIdx(200)
@@ -143,7 +146,7 @@ func BenchmarkFusedPanel(b *testing.B) {
 	for i := range v {
 		v[i] = float64(i%7) - 3
 	}
-	out := make([]float64, 200)
+	rhs, out := mat.NewDenseData(1, 200, v), mat.NewDense(1, 200)
 	defer mat.SetSIMD(mat.SetSIMD(true))
 	for _, simd := range []bool{true, false} {
 		for _, c := range []struct {
@@ -155,7 +158,7 @@ func BenchmarkFusedPanel(b *testing.B) {
 				buf := mat.NewDense(0, 0)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					BlockVecAdd(out, Coulomb{}, pts, rows, pts, c.cols, v, buf)
+					BlockMulAdd(out, Coulomb{}, pts, rows, pts, c.cols, rhs, buf)
 				}
 			})
 		}

@@ -93,72 +93,6 @@ func bitsEqual(t *testing.T, tag string, got, want []float64) {
 	}
 }
 
-// TestBlockVecAddBitwise pins the fused row-dot path against the seed
-// assemble-then-MulVecAdd path, digit for digit, for every kernel, the 2-D,
-// 3-D, and generic distance loops, and shapes straddling every unroll
-// boundary.
-func TestBlockVecAddBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	buf := mat.NewDense(0, 0)
-	for _, d := range []int{2, 3, 5} {
-		x := pointset.Cube(150, d, int64(d))
-		y := pointset.Cube(130, d, int64(d+77))
-		for _, k := range fusedKernels() {
-			for _, sh := range fusedShapes {
-				rows := randIdx(rng, x.Len(), sh.rows)
-				cols := randIdx(rng, y.Len(), sh.cols)
-				v := make([]float64, sh.cols)
-				for i := range v {
-					v[i] = rng.NormFloat64()
-				}
-				out := make([]float64, sh.rows)
-				want := make([]float64, sh.rows)
-				for i := range out {
-					out[i] = rng.NormFloat64()
-					want[i] = out[i]
-				}
-				tile := NewBlockSeed(k, x, rows, y, cols)
-				mat.MulVecAdd(want, tile, v)
-				BlockVecAdd(out, k, x, rows, y, cols, v, buf)
-				bitsEqual(t, k.Name(), out, want)
-			}
-		}
-	}
-}
-
-// TestBlockTVecAddBitwise pins the fused transpose path against
-// assemble-then-MulTVecAdd, including the zero-multiplier skip structure.
-func TestBlockTVecAddBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	buf := mat.NewDense(0, 0)
-	for _, d := range []int{2, 3, 5} {
-		x := pointset.Cube(150, d, int64(d))
-		y := pointset.Cube(130, d, int64(d+78))
-		for _, k := range fusedKernels() {
-			for _, sh := range fusedShapes {
-				rows := randIdx(rng, x.Len(), sh.rows)
-				cols := randIdx(rng, y.Len(), sh.cols)
-				v := make([]float64, sh.rows)
-				for i := range v {
-					v[i] = rng.NormFloat64()
-				}
-				for _, vv := range [][]float64{v, withZeros(v)} {
-					out := make([]float64, sh.cols)
-					want := make([]float64, sh.cols)
-					for i := range out {
-						out[i] = rng.NormFloat64()
-						want[i] = out[i]
-					}
-					tile := NewBlockSeed(k, x, rows, y, cols)
-					mat.MulTVecAdd(want, tile, vv)
-					BlockTVecAdd(out, k, x, rows, y, cols, vv, buf)
-					bitsEqual(t, k.Name(), out, want)
-				}
-			}
-		}
-	}
-}
-
 // batchWidths are the right-hand-side counts of the batch suites.
 var batchWidths = []int{1, 2, 3, 5, 8}
 
@@ -241,41 +175,46 @@ func TestBlockTMulAddBitwise(t *testing.T) {
 // TestBlockMulAddTwinBitwise pins the single-evaluation batch twin against
 // its two separate products, BlockMulAdd for the rows and BlockTMulAdd for
 // the columns, bit for bit, for every kernel, coincident points (exact zero
-// entries), zero multipliers and every width of batchWidths.
+// entries), zero multipliers, every width of batchWidths, and the AVX path
+// on and off.
 func TestBlockMulAddTwinBitwise(t *testing.T) {
+	defer mat.SetSIMD(mat.SetSIMD(true))
 	rng := rand.New(rand.NewSource(17))
 	buf := mat.NewDense(0, 0)
-	for _, d := range []int{2, 3, 5} {
-		x := pointset.Cube(150, d, int64(d+50))
-		for _, k := range fusedKernels() {
-			for _, sh := range fusedShapes {
-				for _, nrhs := range batchWidths {
-					rows := randIdx(rng, x.Len(), sh.rows)
-					cols := randIdx(rng, x.Len(), sh.cols)
-					bC, bR := randPanel(rng, nrhs, sh.cols), randPanel(rng, nrhs, sh.rows)
-					copy(bR.Row(nrhs-1), withZeros(bR.Row(nrhs-1)))
-					cR, cC := randPanel(rng, nrhs, sh.rows), randPanel(rng, nrhs, sh.cols)
-					wantR, wantC := cR.Clone(), cC.Clone()
-					BlockMulAdd(wantR, k, x, rows, x, cols, bC, buf)
-					BlockTMulAdd(wantC, k, x, rows, x, cols, bR, buf)
-					BlockMulAddTwin(cR, cC, k, x, rows, x, cols, bC, bR, buf)
-					bitsEqual(t, k.Name()+"/rows", cR.Data, wantR.Data)
-					bitsEqual(t, k.Name()+"/cols", cC.Data, wantC.Data)
+	for _, simd := range []bool{true, false} {
+		mat.SetSIMD(simd)
+		for _, d := range []int{2, 3, 5} {
+			x := pointset.Cube(150, d, int64(d+50))
+			for _, k := range fusedKernels() {
+				for _, sh := range fusedShapes {
+					for _, nrhs := range batchWidths {
+						rows := randIdx(rng, x.Len(), sh.rows)
+						cols := randIdx(rng, x.Len(), sh.cols)
+						bC, bR := randPanel(rng, nrhs, sh.cols), randPanel(rng, nrhs, sh.rows)
+						copy(bR.Row(nrhs-1), withZeros(bR.Row(nrhs-1)))
+						cR, cC := randPanel(rng, nrhs, sh.rows), randPanel(rng, nrhs, sh.cols)
+						wantR, wantC := cR.Clone(), cC.Clone()
+						BlockMulAdd(wantR, k, x, rows, x, cols, bC, buf)
+						BlockTMulAdd(wantC, k, x, rows, x, cols, bR, buf)
+						BlockMulAddTwin(cR, cC, k, x, rows, x, cols, bC, bR, buf)
+						tag := fmt.Sprintf("%s simd=%v", k.Name(), simd)
+						bitsEqual(t, tag+"/rows", cR.Data, wantR.Data)
+						bitsEqual(t, tag+"/cols", cC.Data, wantC.Data)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestBlockWidthOneMatchesVectorForms pins the columns of the fused batch
-// products. At width 1, BlockMulAdd, BlockTMulAdd and BlockMulAddTwin must
-// equal BlockVecAdd, BlockTVecAdd and BlockVecAddTwin bit for bit on finite
-// multipliers carrying +0 and -0. At width 3, with ±Inf and NaN multipliers
-// in two of the columns, every column must equal the width-1 call on that
-// column bit for bit, NaN payloads included: both run the same code. Rows
-// and columns share points, so the singular kernels produce exact zero
-// entries; the accumulators start at +0.
-func TestBlockWidthOneMatchesVectorForms(t *testing.T) {
+// TestBatchColumnsMatchWidthOne pins the columns of the fused batch
+// products: at width 3, with ±0 multipliers in every column and ±Inf and NaN
+// multipliers in two of them, every column of BlockMulAdd, BlockTMulAdd and
+// BlockMulAddTwin must equal the width-1 call on that column bit for bit,
+// NaN payloads included: both run the same code. Rows and columns share
+// points, so the singular kernels produce exact zero entries; the
+// accumulators start at +0.
+func TestBatchColumnsMatchWidthOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	buf := mat.NewDense(0, 0)
 	multipliers := func(n int, nonFinite bool) []float64 {
@@ -314,25 +253,12 @@ func TestBlockWidthOneMatchesVectorForms(t *testing.T) {
 			copy(cols, rows) // coincident points: exact zero entries
 			tag := fmt.Sprintf("%s %dx%d", k.Name(), sh.rows, sh.cols)
 
-			vc, vr := multipliers(sh.cols, false), multipliers(sh.rows, false)
-			cR, cC, tR, tC := batch(k, x, rows, cols, mat.NewDenseData(1, sh.cols, vc), mat.NewDenseData(1, sh.rows, vr))
-			wantR, wantC := make([]float64, sh.rows), make([]float64, sh.cols)
-			BlockVecAdd(wantR, k, x, rows, x, cols, vc, buf)
-			BlockTVecAdd(wantC, k, x, rows, x, cols, vr, buf)
-			bitsEqual(t, tag+" BlockMulAdd", cR.Data, wantR)
-			bitsEqual(t, tag+" BlockTMulAdd", cC.Data, wantC)
-			clear(wantR)
-			clear(wantC)
-			BlockVecAddTwin(wantR, wantC, k, x, rows, x, cols, vc, vr, buf)
-			bitsEqual(t, tag+" BlockMulAddTwin rows", tR.Data, wantR)
-			bitsEqual(t, tag+" BlockMulAddTwin cols", tC.Data, wantC)
-
 			bC, bR := mat.NewDense(3, sh.cols), mat.NewDense(3, sh.rows)
 			for c := range 3 {
 				copy(bC.Row(c), multipliers(sh.cols, c == 1))
 				copy(bR.Row(c), multipliers(sh.rows, c == 2))
 			}
-			cR, cC, tR, tC = batch(k, x, rows, cols, bC, bR)
+			cR, cC, tR, tC := batch(k, x, rows, cols, bC, bR)
 			for c := range 3 {
 				oR, oC, oTR, oTC := batch(k, x, rows, cols, row(bC, c), row(bR, c))
 				ctag := fmt.Sprintf("%s k=3 column %d", tag, c)
@@ -345,9 +271,9 @@ func TestBlockWidthOneMatchesVectorForms(t *testing.T) {
 	}
 }
 
-// TestApplyBlockBitwiseFused pins the fused BlockVecAdd, fed a gathered
-// multiplier, against the seed streaming product ApplyBlock over the same
-// index sets.
+// TestApplyBlockBitwiseFused pins the fused BlockMulAdd at width 1, fed a
+// gathered multiplier, against the seed streaming product ApplyBlock over the
+// same index sets.
 func TestApplyBlockBitwiseFused(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	buf := mat.NewDense(0, 0)
@@ -367,22 +293,25 @@ func TestApplyBlockBitwiseFused(t *testing.T) {
 			for c, j := range cols {
 				vc[c] = v[j]
 			}
-			prod := make([]float64, len(rows))
-			BlockVecAdd(prod, k, x, rows, x, cols, vc, buf)
+			prod := mat.NewDense(1, len(rows))
+			BlockMulAdd(prod, k, x, rows, x, cols, mat.NewDenseData(1, len(cols), vc), buf)
 			for r, i := range rows {
-				got[i] += prod[r]
+				got[i] += prod.Data[r]
 			}
 			bitsEqual(t, k.Name(), got, want)
 		}
 	}
 }
 
-// TestRowApplyBitwiseFused pins RowApply against BlockVecAdd over the full
-// index range: one code path, same results.
+// TestRowApplyBitwiseFused pins RowApply against the seed
+// assemble-then-MulVecAdd path over the full index range: the chunked row
+// dot keeps dot's grouping, so the results agree digit for digit, also when
+// the last 64-entry chunk is shorter than the AVX dot threshold (n = 72,
+// 136) while the whole row is not.
 func TestRowApplyBitwiseFused(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, d := range []int{2, 3, 5} {
-		for _, n := range []int{1, 3, 65, 131} {
+		for _, n := range []int{1, 3, 65, 72, 131, 136} {
 			x := pointset.Cube(n, d, int64(10*d+n))
 			all := make([]int, n)
 			for i := range all {
@@ -395,56 +324,10 @@ func TestRowApplyBitwiseFused(t *testing.T) {
 			for _, k := range fusedKernels() {
 				for _, i := range []int{0, n / 2, n - 1} {
 					want := make([]float64, 1)
-					BlockVecAdd(want, k, x, []int{i}, x, all, v, mat.NewDense(0, 0))
+					mat.MulVecAdd(want, NewBlockSeed(k, x, []int{i}, x, all), v)
 					got := RowApply(k, x, i, v)
 					if math.Float64bits(got) != math.Float64bits(want[0]) {
 						t.Fatalf("%s d=%d n=%d row %d: RowApply %v want %v", k.Name(), d, n, i, got, want[0])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestBlockVecAddTwinBitwise pins the single-evaluation twin against its two
-// separate products, BlockVecAdd for the rows and BlockTVecAdd for the
-// columns, bit for bit, for every kernel (the pairwise fallback included),
-// the 2-D, 3-D and generic distance loops, ragged shapes around every unroll
-// and chunk boundary, zero multipliers, coincident points (the r == 0
-// branches), and the AVX path on and off.
-func TestBlockVecAddTwinBitwise(t *testing.T) {
-	defer mat.SetSIMD(mat.SetSIMD(true))
-	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 125, 200}
-	rng := rand.New(rand.NewSource(13))
-	rnd := func(n int) []float64 {
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = rng.NormFloat64()
-		}
-		return v
-	}
-	buf := mat.NewDense(0, 0)
-	for _, simd := range []bool{true, false} {
-		mat.SetSIMD(simd)
-		for _, d := range []int{2, 3, 5} {
-			// One point set for both sides, as in a nearfield block, so
-			// repeated indices produce zero distances.
-			x := pointset.Cube(300, d, int64(d+90))
-			for _, k := range fusedKernels() {
-				for _, r := range sizes {
-					for _, c := range sizes {
-						rows, cols := randIdx(rng, x.Len(), r), randIdx(rng, x.Len(), c)
-						vc, vr := rnd(c), rnd(r)
-						if (r+c)%2 == 1 {
-							vc, vr = withZeros(vc), withZeros(vr)
-						}
-						outR, outC := rnd(r), rnd(c)
-						wantR, wantC := append([]float64(nil), outR...), append([]float64(nil), outC...)
-						BlockVecAdd(wantR, k, x, rows, x, cols, vc, buf)
-						BlockTVecAdd(wantC, k, x, rows, x, cols, vr, buf)
-						BlockVecAddTwin(outR, outC, k, x, rows, x, cols, vc, vr, buf)
-						bitsEqual(t, k.Name()+"/rows", outR, wantR)
-						bitsEqual(t, k.Name()+"/cols", outC, wantC)
 					}
 				}
 			}

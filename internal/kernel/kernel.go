@@ -399,9 +399,10 @@ func assemblePair(dst *mat.Dense, k Pairwise, x *pointset.Points, rows []int, y 
 
 // RowApply computes one exact row of the kernel matrix-vector product:
 // it returns Σ_j K(x_i, x_j) v[j] over all points j. Used by the 12-row
-// relative-error estimator (paper §IV) and by tests. It runs BlockVecAdd's
-// row dot with every point as the column set, whose panel is the whole
-// coordinate array read in place.
+// relative-error estimator (paper §IV) and by tests. It evaluates the row a
+// 64-entry chunk at a time and reduces it in mat's dot grouping, with every
+// point as the column set, whose panel is the whole coordinate array read in
+// place.
 func RowApply(k Pairwise, x *pointset.Points, i int, v []float64) float64 {
 	d := x.Dim
 	var r2, kb [fusedChunk]float64

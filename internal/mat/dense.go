@@ -435,36 +435,6 @@ func axpy4(y []float64, a0 float64, x0 []float64, a1 float64, x1 []float64, a2 f
 	}
 }
 
-// MulVecAddRange computes y += a[r0:r1, :] * x for the contiguous row block
-// [r0, r1) of a. y must have length r1-r0 and x length a.Cols. It lets
-// callers apply one child's transfer block without materializing a
-// submatrix.
-func MulVecAddRange(y []float64, a *Dense, r0, r1 int, x []float64) {
-	if len(x) != a.Cols || len(y) != r1-r0 || r0 < 0 || r1 > a.Rows {
-		panic(fmt.Sprintf("mat: mulvecaddrange shape mismatch rows [%d,%d) of %dx%d, x %d, y %d",
-			r0, r1, a.Rows, a.Cols, len(x), len(y)))
-	}
-	for i := r0; i < r1; i++ {
-		y[i-r0] += dot(a.Row(i), x)
-	}
-}
-
-// MulTVecAddRange computes y += a[r0:r1, :]ᵀ * x for the contiguous row
-// block [r0, r1) of a. y must have length a.Cols and x length r1-r0.
-func MulTVecAddRange(y []float64, a *Dense, r0, r1 int, x []float64) {
-	if len(y) != a.Cols || len(x) != r1-r0 || r0 < 0 || r1 > a.Rows {
-		panic(fmt.Sprintf("mat: multvecaddrange shape mismatch rows [%d,%d) of %dx%d, x %d, y %d",
-			r0, r1, a.Rows, a.Cols, len(x), len(y)))
-	}
-	for i := r0; i < r1; i++ {
-		xi := x[i-r0]
-		if xi == 0 {
-			continue
-		}
-		axpy(y, xi, a.Row(i))
-	}
-}
-
 // MulTVecAdd computes y += aᵀ*x, i.e. y[j] += Σ_i a[i,j] x[i], without
 // materializing the transpose. y must have length a.Cols, x length a.Rows.
 func MulTVecAdd(y []float64, a *Dense, x []float64) {

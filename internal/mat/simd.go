@@ -64,7 +64,7 @@ func SetSIMD(on bool) bool {
 }
 
 // DotAcc4 accumulates acc[l] += Σ_{t ≡ l (mod 4)} k[t]*v[t] for the four
-// dot-accumulator lanes — the chunk-resident core of the fused BlockVecAdd.
+// dot-accumulator lanes — the chunk-resident core of the fused row dots.
 // len(v) must be a multiple of 4 and len(k) >= len(v); lane l sees its
 // partial sums in index order, exactly as the scalar 4-accumulator loop.
 func DotAcc4(k, v []float64, acc *[4]float64) {
@@ -84,16 +84,6 @@ func DotAcc4(k, v []float64, acc *[4]float64) {
 // AxpyChunk computes y[i] += a*x[i] over len(x) elements — the exported form
 // of axpy for the fused kernel primitives.
 func AxpyChunk(y []float64, a float64, x []float64) { axpy(y, a, x) }
-
-// Axpy2Chunk computes y[i] = (y[i] + a0*x0[i]) + a1*x1[i].
-func Axpy2Chunk(y []float64, a0 float64, x0 []float64, a1 float64, x1 []float64) {
-	axpy2(y, a0, x0, a1, x1)
-}
-
-// Axpy4Chunk fuses four sequential axpy passes with one rounding per add.
-func Axpy4Chunk(y []float64, a0 float64, x0 []float64, a1 float64, x1 []float64, a2 float64, x2 []float64, a3 float64, x3 []float64) {
-	axpy4(y, a0, x0, a1, x1, a2, x2, a3, x3)
-}
 
 // RecipSqrtChunk fills dst[t] = 1/sqrt(r2[t]), with 0 where r2[t] == 0 — the
 // Coulomb kernel's chunk evaluation. Both the AVX body (VSQRTPD + VDIVPD,

@@ -9,8 +9,8 @@ import "fmt"
 // streams through the cache twice. The twin visits each row once and feeds
 // both outputs from it, while reproducing the per-element operation
 // sequence of the two separate products exactly — so swapping it in
-// changes no bit of any result. (kernel.BlockVecAddTwin is its on-the-fly
-// counterpart, with the same per-element sequence.)
+// changes no bit of any result. (kernel.BlockMulAddTwin is its on-the-fly
+// counterpart, with the same per-element sequence in every column.)
 
 // MulVecAddTwin computes yr += a*xc and yc += aᵀ*xr in one pass over a's
 // rows, bitwise-identical to MulVecAdd(yr, a, xc) followed by
