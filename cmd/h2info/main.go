@@ -47,10 +47,12 @@ func main() {
 	flag.Parse()
 
 	if *load != "" {
-		if err := printLoaded(*load, *seed); err != nil {
+		m, err := loadMatrix(*load)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "h2info: %v\n", err)
 			os.Exit(1)
 		}
+		report(m, "loaded from "+*load, *seed)
 		return
 	}
 
@@ -97,16 +99,39 @@ func main() {
 		fmt.Fprintf(os.Stderr, "h2info: %v\n", err)
 		os.Exit(1)
 	}
-	st := m.Stats()
-	fmt.Printf("h2ds matrix: n=%d dim=%d dist=%s kernel=%s basis=%v memory=%v tol=%.0e\n",
-		*n, pts.Dim, *dist, k.Name(), cfg.Kind, cfg.Mode, *tol)
+	report(m, fmt.Sprintf("dist=%s tol=%.0e", *dist, m.Cfg.Tol), *seed)
+}
+
+// loadMatrix reads a serialized matrix, including kernel-less streams
+// written by dense-upload builds.
+func loadMatrix(path string) (*core.Matrix, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	m, err := core.ReadAny(f)
+	if err != nil {
+		return nil, fmt.Errorf("load %s: %w", path, err)
+	}
+	return m, nil
+}
+
+// report prints m's summary, built or loaded alike: what the matrix is,
+// its tree and rank profile, the build phases (builds only), memory, the
+// error-controlled receipt (reltol builds only) and a sampled-row error
+// check (skipped for kernel-less matrices).
+func report(m *core.Matrix, source string, seed int64) {
+	s, st := m.Summary(), m.Stats()
+	fmt.Printf("h2ds matrix (%s): %s\n", source, s.Line())
 	fmt.Printf("tree: %d nodes, %d leaves, depth %d\n", st.Nodes, st.Leaves, st.Depth)
 	fmt.Printf("blocks: %d coupling, %d nearfield\n", st.InteractionBlocks, st.NearBlocks)
 	fmt.Printf("ranks: max %d, leaf total %d (avg %.1f)\n",
-		st.MaxRank, st.SumLeafRank, float64(st.SumLeafRank)/float64(st.Leaves))
-	fmt.Printf("build: total %v (tree %v, sampling %v, basis %v, coupling %v)\n",
-		st.Total, st.TreeTime, st.SampleTime, st.BasisTime, st.CouplingTime)
-	if ph := st.Phases; ph.TotalNS > 0 {
+		s.MaxRank, st.SumLeafRank, float64(st.SumLeafRank)/float64(st.Leaves))
+	if ph := s.Phases; ph != nil {
+		d := func(ns int64) time.Duration { return time.Duration(ns) }
+		fmt.Printf("build: total %v (tree %v, sampling %v, basis %v, coupling %v)\n",
+			d(ph.TotalNS), d(ph.TreeNS), d(ph.SampleNS), d(ph.BasisNS), d(ph.CouplingNS))
 		// Assembly/ID/transfer are summed across workers, so they can exceed
 		// the wall-clock basis time above.
 		suffix := ""
@@ -114,55 +139,19 @@ func main() {
 			suffix = " [construction-cache hit: sampling reused]"
 		}
 		fmt.Printf("phases (cpu): assembly %v, leaf ID %v, transfer %v%s\n",
-			time.Duration(ph.AssemblyNS), time.Duration(ph.IDNS), time.Duration(ph.TransferNS), suffix)
+			d(ph.AssemblyNS), d(ph.IDNS), d(ph.TransferNS), suffix)
 	}
 	fmt.Printf("memory: %v\n", m.Memory())
-	if st.RelTol > 0 {
-		fmt.Printf("error-controlled: reltol=%.0e, a-posteriori estimate %.3e\n", st.RelTol, st.EstRelErr)
-		for _, lr := range st.LevelRanks {
-			fmt.Printf("  level %d: %d nodes, rank min %d / avg %.1f / max %d\n",
-				lr.Level, lr.Nodes, lr.MinRank, lr.AvgRank, lr.MaxRank)
-		}
+	if s.RelTol > 0 {
+		fmt.Printf("error-controlled: reltol=%.0e, a-posteriori estimate %.3e\n", s.RelTol, s.EstRelErr)
 	}
-
-	rng := rand.New(rand.NewSource(*seed + 7))
-	b := make([]float64, *n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	fmt.Printf("relative error (12 sampled rows): %.3e\n",
-		m.EstimateRelError(b, core.DefaultErrorRows, *seed+13))
-}
-
-// printLoaded summarizes a serialized matrix, including kernel-less streams
-// written by dense-upload builds.
-func printLoaded(path string, seed int64) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	m, err := core.ReadAny(f)
-	if err != nil {
-		return fmt.Errorf("load %s: %w", path, err)
-	}
-	kname := m.Kern.Name()
-	if kname == "" {
-		kname = "(none)"
-	}
-	st := m.Stats()
-	fmt.Printf("h2ds matrix (loaded from %s): n=%d dim=%d kernel=%s basis=%v memory=%v\n",
-		path, m.N, m.Dim, kname, m.Cfg.Kind, m.Cfg.Mode)
-	fmt.Printf("tree: %d nodes, %d leaves, depth %d\n", st.Nodes, st.Leaves, st.Depth)
-	fmt.Printf("blocks: %d coupling, %d nearfield\n", st.InteractionBlocks, st.NearBlocks)
-	fmt.Printf("ranks: max %d, leaf total %d\n", st.MaxRank, st.SumLeafRank)
-	fmt.Printf("memory: %v\n", m.Memory())
-	if st.RelTol > 0 {
-		fmt.Printf("error-controlled: reltol=%.0e, a-posteriori estimate %.3e\n", st.RelTol, st.EstRelErr)
+	for _, lr := range s.LevelRanks {
+		fmt.Printf("  level %d: %d nodes, rank min %d / avg %.1f / max %d\n",
+			lr.Level, lr.Nodes, lr.MinRank, lr.AvgRank, lr.MaxRank)
 	}
 	if !m.HasKernel() {
 		fmt.Println("relative error check: skipped (no kernel in stream; entries came from an oracle)")
-		return nil
+		return
 	}
 	rng := rand.New(rand.NewSource(seed + 7))
 	b := make([]float64, m.N)
@@ -171,5 +160,4 @@ func printLoaded(path string, seed int64) error {
 	}
 	fmt.Printf("relative error (12 sampled rows): %.3e\n",
 		m.EstimateRelError(b, core.DefaultErrorRows, seed+13))
-	return nil
 }

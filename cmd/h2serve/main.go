@@ -141,15 +141,10 @@ func run() error {
 		if kernelFlagSet && m.Kern.Name() != *kern {
 			return fmt.Errorf("%s was built with kernel %q, but -kernel %q was requested", *load, m.Kern.Name(), *kern)
 		}
-		kname := m.Kern.Name()
-		if kname == "" {
-			kname = "(none)" // kernel-less stream from a dense-upload build
-		}
-		fmt.Printf("h2serve: loaded %s: n=%d dim=%d kernel=%s mode=%v\n",
-			*load, m.N, m.Dim, kname, m.Cfg.Mode)
+		fmt.Printf("h2serve: loaded %s: %s\n", *load, m.Summary().Line())
 	} else {
-		fmt.Printf("h2serve: built n=%d dim=%d dist=%s kernel=%s mode=%v in %v\n",
-			m.N, m.Dim, *dist, m.Kern.Name(), m.Cfg.Mode, time.Since(t0).Round(time.Millisecond))
+		fmt.Printf("h2serve: built %s dist=%s in %v\n",
+			m.Summary().Line(), *dist, time.Since(t0).Round(time.Millisecond))
 		if *save != "" {
 			f, err := os.Create(*save)
 			if err != nil {

@@ -7,6 +7,7 @@ package h2ds
 import (
 	"math"
 	"testing"
+	"time"
 
 	"h2ds/internal/core"
 	"h2ds/internal/hmatrix"
@@ -123,9 +124,9 @@ func TestSamplingAmortizationSpeedsRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := second.Stats()
-	if st.SampleTime > first.Stats().SampleTime/10 {
-		t.Fatalf("reused sampling should be ~free, took %v vs fresh %v", st.SampleTime, first.Stats().SampleTime)
+	reused, fresh := second.Stats().Phases.SampleNS, first.Stats().Phases.SampleNS
+	if reused > fresh/10 {
+		t.Fatalf("reused sampling should be ~free, took %v vs fresh %v", time.Duration(reused), time.Duration(fresh))
 	}
 	b := benchVec(4000, 9)
 	y := second.Apply(b)

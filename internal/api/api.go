@@ -18,7 +18,6 @@ import (
 
 	"h2ds/internal/core"
 	"h2ds/internal/oracle"
-	"h2ds/internal/par"
 	"h2ds/internal/registry"
 	"h2ds/internal/serve"
 )
@@ -407,55 +406,20 @@ func ReadyzHandler(reg *registry.Registry) http.HandlerFunc {
 	}
 }
 
-// StatsHandler reports the default instance's matrix shape, serve counters
-// (kernel and shape read from the instance's own matrix, so a hot-swap is
-// reflected immediately), the cumulative per-sweep stage timings of its
-// matvecs, and the registry counters.
+// StatsHandler reports the default instance's matrix summary, serve
+// counters and cumulative per-sweep stage timings, all from one registry
+// snapshot (so a hot swap is reflected immediately and never mixes two
+// versions), plus the registry counters.
 func StatsHandler(reg *registry.Registry) http.HandlerFunc {
-	type matrixInfo struct {
-		N      int    `json:"n"`
-		Dim    int    `json:"dim"`
-		Kernel string `json:"kernel"`
-		Mode   string `json:"mode"`
-		Basis  string `json:"basis"`
-
-		// Workers is the resolved apply parallelism of the live matrix (the
-		// configured count with 0 resolved to GOMAXPROCS), so scaling runs
-		// can be attributed to a worker count from the wire.
-		Workers int `json:"workers"`
-
-		// Error-controlled build reporting (reltol builds only).
-		RelTol     float64          `json:"reltol,omitempty"`
-		EstRelErr  float64          `json:"est_relerr,omitempty"`
-		MaxRank    int              `json:"max_rank,omitempty"`
-		LevelRanks []core.LevelRank `json:"level_ranks,omitempty"`
-
-		// Phases is the construction-phase breakdown of the live build
-		// (absent for loaded matrices); cache_hit with sample_ns == 0 marks
-		// a construction-cache reuse.
-		Phases *core.BuildPhases `json:"phases,omitempty"`
-	}
 	return func(w http.ResponseWriter, _ *http.Request) {
 		out := struct {
-			Matrix   *matrixInfo      `json:"matrix,omitempty"`
+			Matrix   *core.Summary    `json:"matrix,omitempty"`
 			Serve    *serve.Stats     `json:"serve,omitempty"`
 			Sweeps   *core.SweepStats `json:"sweeps,omitempty"`
 			Registry registry.Stats   `json:"registry"`
 		}{Registry: reg.Stats()}
 		if inf, ok := reg.Get(DefaultInstance); ok && inf.Serve != nil {
-			out.Matrix = &matrixInfo{
-				N: inf.N, Dim: inf.Dim, Kernel: inf.Kernel,
-				Mode: inf.Mode, Basis: inf.Basis,
-				RelTol: inf.RelTol, EstRelErr: inf.EstRelErr,
-				MaxRank: inf.MaxRank, LevelRanks: inf.LevelRanks,
-				Phases: inf.Phases,
-			}
-			out.Serve = inf.Serve
-			if m, ok := reg.Matrix(DefaultInstance); ok {
-				out.Matrix.Workers = par.Resolve(m.Cfg.Workers)
-				sw := m.SweepStats()
-				out.Sweeps = &sw
-			}
+			out.Matrix, out.Serve, out.Sweeps = &inf.Summary, inf.Serve, inf.Sweeps
 		}
 		WriteJSON(w, http.StatusOK, out)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -49,8 +50,9 @@ type ScalingRun struct {
 // versus forced off. Cols names the column shape: "leaf" is a consecutive
 // leaf range (coordinate panel read in place, as nearfield blocks),
 // "gathered" a scattered index set (panel gathered once per block, as
-// coupling blocks over skeletons). Speedup is scalar/simd, > 1 meaning the
-// vector path wins.
+// coupling blocks over skeletons). ScalarNS and SIMDNS are medians over
+// alternating samples; Speedup is the median of the per-pair scalar/simd
+// ratios, > 1 meaning the vector path wins.
 type TileRun struct {
 	Kernel   string  `json:"kernel"`
 	Tile     int     `json:"tile"`
@@ -400,25 +402,32 @@ func matvecTiles(opt Options, rep *MatvecReport) {
 	acc := mat.NewDense(1, tile)
 	buf := mat.NewDense(0, 0)
 
-	timeOne := func(k kernel.Kernel, cols []int) int64 {
+	// timeRow times one row. Scalar and AVX samples alternate, so host
+	// drift during the row lands on both halves alike; each half reports
+	// its median and the speedup is the median of the per-pair ratios.
+	timeRow := func(k kernel.Kernel, cols []int) (scalar, simd int64, speedup float64) {
 		const inner = 8
-		samples := opt.reps()
-		if samples < 5 {
-			samples = 5
-		}
-		times := make([]int64, samples)
-		for s := range times {
+		sample := func(avx bool) int64 {
+			mat.SetSIMD(avx)
 			t0 := time.Now()
 			for i := 0; i < inner; i++ {
 				kernel.BlockMulAdd(acc, k, x, rows, yp, cols, v, buf)
 			}
-			times[s] = time.Since(t0).Nanoseconds() / inner
+			return time.Since(t0).Nanoseconds() / inner
 		}
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-		return times[len(times)/2]
+		n := max(opt.reps(), 5)
+		sc, sv, ratio := make([]int64, n), make([]int64, n), make([]float64, n)
+		for s := range n {
+			sc[s], sv[s] = sample(false), sample(true)
+			ratio[s] = float64(sc[s]) / float64(sv[s])
+		}
+		slices.Sort(sc)
+		slices.Sort(sv)
+		slices.Sort(ratio)
+		return sc[n/2], sv[n/2], ratio[n/2]
 	}
 
-	tb := newTable(out, fmt.Sprintf("fused tile micro-bench (BlockMulAdd %dx%d, width 1, median per call)", tile, tile),
+	tb := newTable(out, fmt.Sprintf("fused tile micro-bench (BlockMulAdd %dx%d, width 1, alternating samples: median per call, median pair speedup)", tile, tile),
 		"kernel", "cols", "scalar_us", "simd_us", "speedup")
 	defer mat.SetSIMD(true)
 	for _, name := range kernel.Names() {
@@ -431,11 +440,7 @@ func matvecTiles(opt Options, rep *MatvecReport) {
 			cols []int
 		}{{"leaf", leaf}, {"gathered", gathered}} {
 			kernel.BlockMulAdd(acc, k, x, rows, yp, shape.cols, v, buf) // warm-up
-			mat.SetSIMD(false)
-			scalar := timeOne(k, shape.cols)
-			mat.SetSIMD(true)
-			simd := timeOne(k, shape.cols)
-			sp := float64(scalar) / float64(simd)
+			scalar, simd, sp := timeRow(k, shape.cols)
 			rep.Tiles = append(rep.Tiles, TileRun{
 				Kernel: name, Tile: tile, Cols: shape.name, ScalarNS: scalar, SIMDNS: simd, Speedup: sp})
 			tb.row(name, shape.name, fmt.Sprintf("%.2f", float64(scalar)/1000),

@@ -57,11 +57,10 @@ func (m *Matrix) buildDataDriven() {
 		buildPhase("sample", func() {
 			m.hier = sample.Run(m.Tree, m.Cfg.Sampler, m.Cfg.SampleBudget, m.Cfg.Workers)
 		})
-		m.stats.SampleTime = time.Since(t0)
+		m.stats.Phases.SampleNS = time.Since(t0).Nanoseconds()
 	}
 
 	t1 := time.Now()
-	maxRank := m.Cfg.MaxRank
 	// Per-node truncation runs tighter than the target accuracy because
 	// truncation errors accumulate across tree levels and interaction
 	// blocks; the factor is calibrated so the 12-row estimate lands around
@@ -81,10 +80,10 @@ func (m *Matrix) buildDataDriven() {
 				m.skelPts[id] = m.Tree.Points
 				ystar := m.hier.YStar[id]
 
-				m.buildNodeSide(id, nd.IsLeaf, ystar, m.Kern, idTol, maxRank,
+				m.buildNodeSide(id, nd.IsLeaf, ystar, m.Kern, idTol,
 					m.skel, m.ranks, m.u, m.trans, pool)
 				if !m.sharedBasis {
-					m.buildNodeSide(id, nd.IsLeaf, ystar, swapped{m.Kern}, idTol, maxRank,
+					m.buildNodeSide(id, nd.IsLeaf, ystar, swapped{m.Kern}, idTol,
 						m.colSkel, m.colRanks, m.v, m.wTrans, pool)
 				}
 			}
@@ -103,7 +102,7 @@ func (m *Matrix) buildDataDriven() {
 			}
 		}
 	})
-	m.stats.BasisTime = time.Since(t1)
+	m.stats.Phases.BasisNS = time.Since(t1).Nanoseconds()
 }
 
 // buildNodeSide runs one side (row or column) of the data-driven node
@@ -113,7 +112,7 @@ func (m *Matrix) buildDataDriven() {
 // Assembly and factorization time land in the matrix's phase counters
 // (assembly everywhere, ID for leaves, transfer for internal nodes).
 func (m *Matrix) buildNodeSide(id int, isLeaf bool, ystar []int, kern kernel.Pairwise,
-	idTol float64, maxRank int, skel [][]int, ranks []int, basis, trans []*mat.Dense,
+	idTol float64, skel [][]int, ranks []int, basis, trans []*mat.Dense,
 	pool *par.Pool) {
 
 	var cand []int
@@ -139,7 +138,7 @@ func (m *Matrix) buildNodeSide(id int, isLeaf bool, ystar []int, kern kernel.Pai
 	a := kernel.NewBlock(kern, m.Tree.Points, cand, m.Tree.Points, ystar)
 	ti := time.Now()
 	m.phaseAssembly.Add(ti.Sub(ta).Nanoseconds())
-	id2 := mat.NewRowIDPool(a, idTol, maxRank, pool)
+	id2 := mat.NewRowIDPool(a, idTol, 0, pool)
 	if isLeaf {
 		m.phaseID.Add(time.Since(ti).Nanoseconds())
 	} else {
@@ -195,5 +194,5 @@ func (m *Matrix) buildInterpolation() {
 		}
 		m.trans[id] = tr
 	})
-	m.stats.BasisTime = time.Since(t1)
+	m.stats.Phases.BasisNS = time.Since(t1).Nanoseconds()
 }

@@ -128,10 +128,6 @@ type Config struct {
 	// (nil = sample.AnchorNet).
 	Sampler sample.Sampler
 
-	// MaxRank caps per-node ID ranks for the data-driven method (0 = no
-	// cap beyond SampleBudget).
-	MaxRank int
-
 	// ReuseTree, when non-nil, skips tree construction and uses this tree
 	// (which must have been built over the same point set). Combined with
 	// ReuseHierarchy it implements the paper's sampling amortization

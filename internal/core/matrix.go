@@ -82,7 +82,7 @@ type Matrix struct {
 	// Construction-phase attribution (ns), accumulated across pool workers
 	// during the basis sweep: farfield panel assembly, leaf-node IDs, and
 	// internal-node (transfer) IDs. Because workers run concurrently, the
-	// summed counters can exceed the wall-clock BasisTime.
+	// summed counters can exceed the wall-clock basis time.
 	phaseAssembly atomic.Int64
 	phaseID       atomic.Int64
 	phaseTransfer atomic.Int64
@@ -94,12 +94,6 @@ type Matrix struct {
 // BuildStats records construction timings and counters for the bench
 // harness (the paper's T_const breakdown).
 type BuildStats struct {
-	TreeTime     time.Duration
-	SampleTime   time.Duration
-	BasisTime    time.Duration
-	CouplingTime time.Duration
-	Total        time.Duration
-
 	Nodes, Leaves, Depth int
 	InteractionBlocks    int // undirected coupling blocks represented
 	NearBlocks           int // undirected nearfield blocks represented
@@ -108,7 +102,7 @@ type BuildStats struct {
 
 	// LevelRanks summarizes the achieved row-basis ranks per tree level —
 	// the observable output of the rank-selection rule (ID truncation at
-	// the tolerance), reported by h2info and the serving /stats endpoints.
+	// the tolerance).
 	LevelRanks []LevelRank
 
 	// RelTol is the requested error-controlled tolerance (zero for
@@ -120,27 +114,75 @@ type BuildStats struct {
 	RelTol    float64
 	EstRelErr float64
 
-	// Phases is the per-phase construction breakdown, surfaced by h2info
-	// and the serving /stats and /matrices/{name} endpoints. It is not
-	// serialized; a loaded matrix reports zero phases.
+	// Phases is the per-phase construction breakdown, the one record of
+	// every build timing. It is not serialized; a loaded matrix reports
+	// zero phases.
 	Phases BuildPhases
 }
 
 // BuildPhases attributes construction time (nanoseconds) to pipeline
-// phases. TreeNS, SampleNS, CouplingNS, and TotalNS are wall-clock;
-// AssemblyNS, IDNS, and TransferNS are summed across construction workers
-// and can exceed the wall-clock basis time. On a construction-cache hit
+// phases. TreeNS, SampleNS, BasisNS, CouplingNS, and TotalNS are
+// wall-clock; AssemblyNS, IDNS, and TransferNS are summed across
+// construction workers and can exceed BasisNS. On a construction-cache hit
 // (CacheHit true) the tree and hierarchy are reused, so SampleNS is zero —
 // the observable receipt that Algorithm 1 was skipped.
 type BuildPhases struct {
 	TreeNS     int64 `json:"tree_ns"`
 	SampleNS   int64 `json:"sample_ns"`
+	BasisNS    int64 `json:"basis_ns"`
 	AssemblyNS int64 `json:"assembly_ns"`
 	IDNS       int64 `json:"id_ns"`
 	TransferNS int64 `json:"transfer_ns"`
 	CouplingNS int64 `json:"coupling_ns"`
 	TotalNS    int64 `json:"total_ns"`
 	CacheHit   bool  `json:"cache_hit"`
+}
+
+// Summary is the one description of a built matrix that h2info, h2serve's
+// startup line, GET /matrices/{name} and GET /stats all render. LevelRanks
+// is set only for RelTol builds, and Phases is nil for loaded matrices.
+type Summary struct {
+	N       int    `json:"n,omitempty"`
+	Dim     int    `json:"dim,omitempty"`
+	Kernel  string `json:"kernel,omitempty"` // empty for a kernel-less stream
+	Mode    string `json:"mode,omitempty"`
+	Basis   string `json:"basis,omitempty"`
+	Workers int    `json:"workers,omitempty"` // resolved apply parallelism
+
+	MaxRank    int         `json:"max_rank,omitempty"`
+	RelTol     float64     `json:"reltol,omitempty"`
+	EstRelErr  float64     `json:"est_relerr,omitempty"`
+	LevelRanks []LevelRank `json:"level_ranks,omitempty"`
+
+	Phases *BuildPhases `json:"phases,omitempty"`
+}
+
+// Summary snapshots m's description.
+func (m *Matrix) Summary() Summary {
+	s := Summary{
+		N: m.N, Dim: m.Dim, Kernel: m.Kern.Name(),
+		Mode: m.Cfg.Mode.String(), Basis: m.Cfg.Kind.String(),
+		Workers: par.Resolve(m.Cfg.Workers),
+		MaxRank: m.stats.MaxRank, RelTol: m.stats.RelTol, EstRelErr: m.stats.EstRelErr,
+	}
+	if s.RelTol > 0 {
+		s.LevelRanks = m.stats.LevelRanks
+	}
+	if ph := m.stats.Phases; ph.TotalNS > 0 {
+		s.Phases = &ph
+	}
+	return s
+}
+
+// Line renders the summary's shape as one line. (Not String: Summary is
+// embedded in other types, which must not inherit it as their Stringer.)
+func (s Summary) Line() string {
+	k := s.Kernel
+	if k == "" {
+		k = "(none)"
+	}
+	return fmt.Sprintf("n=%d dim=%d kernel=%s basis=%s mode=%s workers=%d",
+		s.N, s.Dim, k, s.Basis, s.Mode, s.Workers)
 }
 
 // LevelRank is the achieved rank summary of one tree level.
@@ -200,7 +242,7 @@ func Build(pts *pointset.Points, k kernel.Pairwise, cfg Config) (*Matrix, error)
 	} else {
 		m.Tree = tree.New(pts, tree.Config{LeafSize: cfg.LeafSize, Eta: cfg.Eta, Workers: cfg.Workers})
 	}
-	m.stats.TreeTime = time.Since(t0)
+	m.stats.Phases.TreeNS = time.Since(t0).Nanoseconds()
 
 	nNodes := len(m.Tree.Nodes)
 	m.u = make([]*mat.Dense, nNodes)
@@ -229,7 +271,9 @@ func Build(pts *pointset.Points, k kernel.Pairwise, cfg Config) (*Matrix, error)
 		return nil, fmt.Errorf("core: unknown basis kind %v", cfg.Kind)
 	}
 
+	t0 = time.Now()
 	m.storeBlocks(cfg.blockBudget())
+	m.stats.Phases.CouplingNS = time.Since(t0).Nanoseconds()
 
 	m.finishStats()
 	if cfg.RelTol > 0 {
@@ -239,17 +283,12 @@ func Build(pts *pointset.Points, k kernel.Pairwise, cfg Config) (*Matrix, error)
 	if cacheable && !cacheHit {
 		cfg.Cache.insert(cacheFP, pts.Len(), pts.Dim, m.Tree, m.hier)
 	}
-	m.stats.Total = time.Since(start)
-	m.stats.Phases = BuildPhases{
-		TreeNS:     m.stats.TreeTime.Nanoseconds(),
-		SampleNS:   m.stats.SampleTime.Nanoseconds(),
-		AssemblyNS: m.phaseAssembly.Load(),
-		IDNS:       m.phaseID.Load(),
-		TransferNS: m.phaseTransfer.Load(),
-		CouplingNS: m.stats.CouplingTime.Nanoseconds(),
-		TotalNS:    m.stats.Total.Nanoseconds(),
-		CacheHit:   cacheHit,
-	}
+	ph := &m.stats.Phases
+	ph.AssemblyNS = m.phaseAssembly.Load()
+	ph.IDNS = m.phaseID.Load()
+	ph.TransferNS = m.phaseTransfer.Load()
+	ph.TotalNS = time.Since(start).Nanoseconds()
+	ph.CacheHit = cacheHit
 	return m, nil
 }
 
@@ -413,7 +452,6 @@ func (m *Matrix) storeBlocks(budget int64) {
 	if budget == 0 {
 		return
 	}
-	t0 := time.Now()
 	cands := m.blockCandidates()
 	if budget > 0 {
 		cands = selectBlocks(cands, budget)
@@ -441,7 +479,6 @@ func (m *Matrix) storeBlocks(budget int64) {
 			})
 		})
 	}
-	m.stats.CouplingTime = time.Since(t0)
 }
 
 // blockCand describes one storable coupling or nearfield block for
@@ -561,7 +598,6 @@ func (m *Matrix) WithStorageBudget(budget int64) *Matrix {
 	}
 	c.Cfg.Mode = Hybrid
 	c.Cfg.StorageBudget = budget
-	c.stats.CouplingTime = 0
 	c.storeBlocks(c.Cfg.blockBudget())
 	return c
 }

@@ -457,7 +457,7 @@ func TestBuildStatsPopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := m.Stats()
-	if st.Total <= 0 || st.TreeTime <= 0 || st.SampleTime <= 0 || st.BasisTime <= 0 || st.CouplingTime <= 0 {
+	if ph := st.Phases; ph.TotalNS <= 0 || ph.TreeNS <= 0 || ph.SampleNS <= 0 || ph.BasisNS <= 0 || ph.CouplingNS <= 0 {
 		t.Fatalf("timings not populated: %+v", st)
 	}
 	if st.Nodes == 0 || st.Leaves == 0 || st.Depth == 0 || st.MaxRank == 0 {

@@ -77,9 +77,3 @@ func ForWorker(workers, n int, fn func(worker, i int)) {
 	}
 	wg.Wait()
 }
-
-// Do runs the given tasks concurrently on at most workers goroutines and
-// waits for all of them.
-func Do(workers int, tasks ...func()) {
-	For(workers, len(tasks), func(i int) { tasks[i]() })
-}

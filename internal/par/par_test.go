@@ -55,15 +55,6 @@ func TestResolve(t *testing.T) {
 	}
 }
 
-func TestDo(t *testing.T) {
-	var a, b int32
-	Do(2, func() { atomic.StoreInt32(&a, 1) }, func() { atomic.StoreInt32(&b, 2) })
-	if a != 1 || b != 2 {
-		t.Fatal("Do did not run all tasks")
-	}
-	Do(3) // zero tasks must not hang
-}
-
 func TestForMoreWorkersThanWork(t *testing.T) {
 	var count int32
 	For(64, 3, func(i int) { atomic.AddInt32(&count, 1) })

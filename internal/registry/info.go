@@ -106,9 +106,10 @@ func (r *Registry) Stats() Stats {
 	return s
 }
 
-// Info is a snapshot of one instance for listings and state polling.
-// Matrix shape fields are present once the instance has (or had) a built
-// matrix; Serve carries the live batcher counters while Ready.
+// Info is a snapshot of one instance for listings and state polling. The
+// embedded matrix summary is present once the instance has (or had) a built
+// matrix; Serve and Sweeps carry the live batcher and sweep counters while
+// Ready.
 type Info struct {
 	Name  string    `json:"name"`
 	State State     `json:"state"`
@@ -119,25 +120,8 @@ type Info struct {
 	Rebuilding     bool   `json:"rebuilding,omitempty"`       // hot-swap build in progress while Ready
 	Error          string `json:"error,omitempty"`            // last build/spill failure
 
-	N        int    `json:"n,omitempty"`
-	Dim      int    `json:"dim,omitempty"`
-	Kernel   string `json:"kernel,omitempty"`
-	Mode     string `json:"mode,omitempty"`
-	Basis    string `json:"basis,omitempty"`
-	MemBytes int64  `json:"mem_bytes,omitempty"`
-
-	// Error-controlled build reporting (reltol builds only): the requested
-	// tolerance, the build-time a-posteriori error estimate, and the achieved
-	// per-level rank summary.
-	RelTol     float64          `json:"reltol,omitempty"`
-	EstRelErr  float64          `json:"est_relerr,omitempty"`
-	MaxRank    int              `json:"max_rank,omitempty"`
-	LevelRanks []core.LevelRank `json:"level_ranks,omitempty"`
-
-	// Phases is the construction-phase time breakdown of the live build
-	// (absent for loaded/rehydrated matrices, which report zero phases). A
-	// construction-cache hit shows cache_hit true with sample_ns == 0.
-	Phases *core.BuildPhases `json:"phases,omitempty"`
+	core.Summary
+	MemBytes int64 `json:"mem_bytes,omitempty"`
 
 	Spilled bool `json:"spilled,omitempty"` // evicted with a spill file: next Apply rehydrates
 
@@ -145,7 +129,8 @@ type Info struct {
 	ReadyAt   time.Time `json:"ready_at,omitempty"`
 	LastApply time.Time `json:"last_apply,omitempty"`
 
-	Serve *serve.Stats `json:"serve,omitempty"`
+	Serve  *serve.Stats     `json:"serve,omitempty"`
+	Sweeps *core.SweepStats `json:"sweeps,omitempty"`
 }
 
 // info snapshots the instance under its lock.
@@ -174,21 +159,9 @@ func (in *instance) info() Info {
 	}
 	if in.cur != nil {
 		m := in.cur.b.Matrix()
-		inf.N, inf.Dim = m.N, m.Dim
-		inf.Kernel = m.Kern.Name()
-		inf.Mode = m.Cfg.Mode.String()
-		inf.Basis = m.Cfg.Kind.String()
-		bs := m.Stats()
-		inf.MaxRank = bs.MaxRank
-		inf.RelTol = bs.RelTol
-		inf.EstRelErr = bs.EstRelErr
-		if bs.RelTol > 0 {
-			inf.LevelRanks = bs.LevelRanks
-		}
-		if bs.Phases.TotalNS > 0 {
-			ph := bs.Phases
-			inf.Phases = &ph
-		}
+		inf.Summary = m.Summary()
+		sw := m.SweepStats()
+		inf.Sweeps = &sw
 		st := in.cur.b.Stats()
 		inf.Serve = &st
 	}
