@@ -7,7 +7,8 @@
 //
 // and solved with restarted GMRES, where every inner iteration applies the
 // H² matrix in on-the-fly mode. The solution is verified by applying the
-// operator exactly (direct summation) on sampled rows.
+// operator exactly (direct summation) on sampled rows. It exits non-zero if
+// GMRES does not converge.
 //
 //	go run ./examples/bie2d
 package main
@@ -55,6 +56,9 @@ func main() {
 	res := solver.GMRES(op, g, 30, 1e-10, 2000)
 	fmt.Printf("GMRES: %d iterations in %v, converged=%v, relative residual %.2e\n",
 		res.Iterations, time.Since(t1), res.Converged, res.Residual)
+	if !res.Converged {
+		log.Fatal("GMRES did not converge")
+	}
 
 	// Verify against the exact operator on sampled rows.
 	rng := rand.New(rand.NewSource(4))

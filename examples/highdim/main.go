@@ -5,7 +5,8 @@
 // We fit f(x) = sin(2π x·w) on n samples in [0,1]^6 with a Gaussian kernel:
 // solve (K + λI) α = y by conjugate gradients, where every CG iteration
 // applies the H² matrix built with data-driven sampling (the motivating
-// many-matvecs-per-construction workload from §I-A).
+// many-matvecs-per-construction workload from §I-A). It exits non-zero if
+// CG does not converge.
 //
 //	go run ./examples/highdim
 package main
@@ -73,6 +74,9 @@ func main() {
 	res := solver.CG(op, y, 1e-6, 800)
 	fmt.Printf("CG: %d iterations in %v, converged=%v, relative residual %.2e\n",
 		res.Iterations, time.Since(t1), res.Converged, res.Residual)
+	if !res.Converged {
+		log.Fatal("CG did not converge")
+	}
 
 	// Out-of-sample check on fresh points: prediction is a direct kernel
 	// sum against the training set (cheap for a handful of test points).

@@ -159,7 +159,9 @@ func (n *Node) shardHandler(w http.ResponseWriter, r *http.Request) {
 // gatherHandler coordinates one sharded product: shard partials are fetched
 // from the peers concurrently, failures fall back to local recomputation
 // (nil partial), and the merge + downward + nearfield sweeps run here. The
-// result is bitwise-equal to a single-node apply of the same vector.
+// result is bitwise-equal to a single-node apply of the same vector; for
+// the exp-family kernels, only when every peer has the same mat.ExpBody()
+// (math.Exp rounds differently on FMA and non-FMA hosts).
 func (n *Node) gatherHandler(w http.ResponseWriter, r *http.Request) {
 	var req gatherRequest
 	if !api.DecodeJSON(w, r, n.lim.JSONBody, &req) {

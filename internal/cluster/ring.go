@@ -5,7 +5,9 @@
 // scatter/gather protocol splits one product across the holders of a tenant
 // — each shard runs the upward+coupling sweeps on its subtree and the
 // coordinator merges the partials bitwise-identically to a single-node
-// apply.
+// apply. Across hosts, exp-family kernel tenants are bitwise only where
+// every holder has the same mat.ExpBody() (math.Exp rounds differently on
+// FMA and non-FMA hosts); stored-block streams are unaffected.
 //
 // Three pieces:
 //

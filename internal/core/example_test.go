@@ -38,9 +38,9 @@ func ExampleBuild() {
 	// stores coupling blocks: false
 }
 
-// ExampleMatrix_BlockJacobi solves a regularized kernel system with
-// preconditioned conjugate gradients on the H² operator.
-func ExampleMatrix_BlockJacobi() {
+// ExampleMatrix_ApplyTo solves a regularized kernel system (K + σI) x = b
+// with conjugate gradients on the H² operator.
+func ExampleMatrix_ApplyTo() {
 	pts := pointset.Cube(2000, 3, 4)
 	m, err := core.Build(pts, kernel.Gaussian{Scale: 0.5}, core.Config{
 		Kind: core.DataDriven,
@@ -51,18 +51,12 @@ func ExampleMatrix_BlockJacobi() {
 		fmt.Println(err)
 		return
 	}
-	const sigma = 1.0
-	pre, err := m.BlockJacobi(sigma)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
 	rng := rand.New(rand.NewSource(5))
 	b := make([]float64, 2000)
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	res := solver.PCG(solver.Shifted{Op: m, Sigma: sigma}, pre, b, 1e-8, 400)
+	res := solver.CG(solver.Shifted{Op: m, Sigma: 1}, b, 1e-8, 100)
 	fmt.Println("converged:", res.Converged)
 	// Output:
 	// converged: true

@@ -65,8 +65,8 @@ type Matrix struct {
 	allIdx []int
 
 	// wsPool recycles matvec workspaces so the convenience entry points
-	// (ApplyTo, ApplyTranspose, ApplyBatchTo, BlockJacobi.ApplyTo) are
-	// allocation-free in steady state. See Workspace.
+	// (ApplyTo, ApplyTranspose, ApplyBatchTo) are allocation-free in steady
+	// state. See Workspace.
 	wsPool sync.Pool
 
 	// buildPool is the transient persistent worker pool active during Build

@@ -205,12 +205,13 @@ func (ws *Workspace) flushCounters() {
 }
 
 // check validates the workspace against the matrix it is about to serve and
-// adapts to the worker count: the pool is (re)created when it was closed or
-// when the resolved count moved (e.g. under a GOMAXPROCS change).
-func (ws *Workspace) check(m *Matrix, workers int) {
+// adapts to the matrix's resolved worker count: the pool is (re)created when
+// it was closed or when the count moved (e.g. under a GOMAXPROCS change).
+func (ws *Workspace) check(m *Matrix) {
 	if ws.m != m {
 		panic("core: workspace used with a different Matrix than it was created for")
 	}
+	workers := par.Resolve(m.Cfg.Workers)
 	ws.workers = workers
 	if ws.pool == nil || ws.pool.Workers() != workers {
 		if ws.pool != nil {
@@ -278,7 +279,7 @@ func leafView(v *mat.Dense, s []float64, start, end, k int) {
 // repeat the forward sweep's arithmetic exactly (Âᵀb ≡ Âb, bit for bit): it
 // binds the forward roles, pair twins included.
 func (ws *Workspace) bind(m *Matrix, k int, transpose bool) {
-	ws.check(m, par.Resolve(m.Cfg.Workers))
+	ws.check(m)
 	ws.ensureWidth(k)
 	row := side{m.u, m.trans, ws.rowPanel}
 	col := side{m.u, m.trans, ws.colPanel}

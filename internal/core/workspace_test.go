@@ -317,39 +317,6 @@ func TestApplyToWithZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-func TestBlockJacobiPooledBuffersStayCorrect(t *testing.T) {
-	pts := pointset.Cube(800, 3, 270)
-	m, err := Build(pts, kernel.Gaussian{Scale: 0.5}, Config{Kind: DataDriven, Mode: Normal, Tol: 1e-6, LeafSize: 50, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bj, err := m.BlockJacobi(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := randVec(800, 271)
-	y1 := make([]float64, 800)
-	bj.ApplyTo(y1, b)
-	// Aliased application must match.
-	v := append([]float64(nil), b...)
-	bj.ApplyTo(v, v)
-	for i := range y1 {
-		if v[i] != y1[i] {
-			t.Fatalf("aliased BlockJacobi.ApplyTo differs at %d", i)
-		}
-	}
-	// Interleave with matvecs drawing from the same pool.
-	yv := m.Apply(b)
-	y2 := make([]float64, 800)
-	bj.ApplyTo(y2, b)
-	for i := range y1 {
-		if y2[i] != y1[i] {
-			t.Fatalf("pool interleaving corrupted BlockJacobi result at %d", i)
-		}
-	}
-	_ = yv
-}
-
 func TestWorkspaceWrongMatrixPanics(t *testing.T) {
 	a, err := Build(pointset.Cube(300, 3, 280), kernel.Coulomb{}, Config{Tol: 1e-4, LeafSize: 50})
 	if err != nil {

@@ -1,8 +1,8 @@
 // Package mat provides the dense linear-algebra substrate used by the
 // hierarchical-matrix construction: a row-major dense matrix type, blocked
 // matrix multiplication, Householder QR, column-pivoted (rank-revealing) QR,
-// row interpolative decomposition, one-sided Jacobi SVD, Cholesky, and
-// triangular solves.
+// row interpolative decomposition, one-sided Jacobi SVD, and adaptive cross
+// approximation.
 //
 // The package is self-contained (standard library only) and tuned for the
 // small-to-medium matrices that arise per tree node (tens to a few thousand

@@ -124,86 +124,3 @@ func (qr *QR) Q() *Dense {
 	}
 	return q
 }
-
-// QMulVec applies the full orthogonal factor to x in place: x <- Q x.
-// x must have length m.
-func (qr *QR) QMulVec(x []float64) {
-	m, n := qr.Fac.Rows, qr.Fac.Cols
-	if len(x) != m {
-		panic(fmt.Sprintf("mat: qmulvec length %d want %d", len(x), m))
-	}
-	for k := n - 1; k >= 0; k-- {
-		tau := qr.Tau[k]
-		if tau == 0 {
-			continue
-		}
-		w := x[k]
-		for i := k + 1; i < m; i++ {
-			w += qr.Fac.At(i, k) * x[i]
-		}
-		w *= tau
-		x[k] -= w
-		for i := k + 1; i < m; i++ {
-			x[i] -= w * qr.Fac.At(i, k)
-		}
-	}
-}
-
-// QTMulVec applies the transpose of the orthogonal factor in place: x <- Qᵀ x.
-func (qr *QR) QTMulVec(x []float64) {
-	m, n := qr.Fac.Rows, qr.Fac.Cols
-	if len(x) != m {
-		panic(fmt.Sprintf("mat: qtmulvec length %d want %d", len(x), m))
-	}
-	for k := 0; k < n; k++ {
-		tau := qr.Tau[k]
-		if tau == 0 {
-			continue
-		}
-		w := x[k]
-		for i := k + 1; i < m; i++ {
-			w += qr.Fac.At(i, k) * x[i]
-		}
-		w *= tau
-		x[k] -= w
-		for i := k + 1; i < m; i++ {
-			x[i] -= w * qr.Fac.At(i, k)
-		}
-	}
-}
-
-// SolveLS solves the least-squares problem min ||A x - b||₂ for the
-// factorized A and returns x of length n. b must have length m.
-func (qr *QR) SolveLS(b []float64) []float64 {
-	m, n := qr.Fac.Rows, qr.Fac.Cols
-	if len(b) != m {
-		panic(fmt.Sprintf("mat: solvels length %d want %d", len(b), m))
-	}
-	y := make([]float64, m)
-	copy(y, b)
-	qr.QTMulVec(y)
-	x := make([]float64, n)
-	copy(x, y[:n])
-	solveUpperInPlace(qr.Fac, x)
-	return x
-}
-
-// solveUpperInPlace solves R x = b in place where R is the upper-left
-// len(b)-by-len(b) upper triangle of f. Zero (or tiny) diagonal entries
-// yield zero solution components, which is the pseudo-inverse convention.
-func solveUpperInPlace(f *Dense, x []float64) {
-	n := len(x)
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		row := f.Row(i)
-		for j := i + 1; j < n; j++ {
-			s -= row[j] * x[j]
-		}
-		d := row[i]
-		if d == 0 {
-			x[i] = 0
-			continue
-		}
-		x[i] = s / d
-	}
-}

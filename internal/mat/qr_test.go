@@ -1,7 +1,6 @@
 package mat
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -41,73 +40,6 @@ func TestQRWideMatrixPanics(t *testing.T) {
 		}
 	}()
 	NewQR(NewDense(2, 5))
-}
-
-func TestQMulVecRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := randDense(rng, 12, 5)
-	qr := NewQR(a)
-	x := make([]float64, 12)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	y := append([]float64(nil), x...)
-	qr.QTMulVec(y)
-	qr.QMulVec(y)
-	for i := range x {
-		if math.Abs(x[i]-y[i]) > 1e-12 {
-			t.Fatalf("Q Qᵀ x != x at %d: %g vs %g", i, x[i], y[i])
-		}
-	}
-	// Norm preservation under Qᵀ.
-	z := append([]float64(nil), x...)
-	qr.QTMulVec(z)
-	if math.Abs(Norm2(z)-Norm2(x)) > 1e-12 {
-		t.Fatal("Qᵀ did not preserve norm")
-	}
-}
-
-func TestSolveLSExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	// Square well-conditioned system: solution should be near exact.
-	n := 8
-	a := Eye(n)
-	for i := range a.Data {
-		a.Data[i] += 0.1 * rng.NormFloat64()
-	}
-	want := make([]float64, n)
-	for i := range want {
-		want[i] = rng.NormFloat64()
-	}
-	b := MulVec(a, want)
-	qr := NewQR(a)
-	got := qr.SolveLS(b)
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-10 {
-			t.Fatalf("SolveLS: x[%d]=%g want %g", i, got[i], want[i])
-		}
-	}
-}
-
-func TestSolveLSOverdetermined(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	m, n := 30, 6
-	a := randDense(rng, m, n)
-	b := make([]float64, m)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x := NewQR(a).SolveLS(b)
-	// Residual must be orthogonal to the column space: Aᵀ(Ax - b) ≈ 0.
-	res := MulVec(a, x)
-	for i := range res {
-		res[i] -= b[i]
-	}
-	grad := make([]float64, n)
-	MulTVecAdd(grad, a, res)
-	if Norm2(grad) > 1e-10 {
-		t.Fatalf("normal equations residual %g", Norm2(grad))
-	}
 }
 
 func TestQRZeroColumn(t *testing.T) {

@@ -122,14 +122,6 @@ func (s *SVD) Rank(tol float64) int {
 	return r
 }
 
-// Norm2 returns the spectral norm (largest singular value).
-func (s *SVD) Norm2() float64 {
-	if len(s.S) == 0 {
-		return 0
-	}
-	return s.S[0]
-}
-
 // PInv returns the Moore–Penrose pseudoinverse, truncating singular values
 // at tol times the largest (tol <= 0 uses a machine-epsilon based cutoff).
 func (s *SVD) PInv(tol float64) *Dense {
@@ -154,13 +146,4 @@ func (s *SVD) PInv(tol float64) *Dense {
 		}
 	}
 	return p
-}
-
-// Norm2 returns the spectral norm of a (via Jacobi SVD); intended for
-// diagnostics and tests on small matrices.
-func (a *Dense) Norm2() float64 {
-	if a.Rows == 0 || a.Cols == 0 {
-		return 0
-	}
-	return NewSVD(a).Norm2()
 }

@@ -6,7 +6,6 @@
 package solver
 
 import (
-	"fmt"
 	"math"
 
 	"h2ds/internal/mat"
@@ -96,60 +95,6 @@ func CG(a Operator, b []float64, tol float64, maxIter int) Result {
 		rr = rrNew
 	}
 	res.Residual = math.Sqrt(rr) / bnorm
-	return res
-}
-
-// PCG solves A x = b for symmetric positive definite A with conjugate
-// gradients preconditioned by M (an approximation of A⁻¹, e.g. the H²
-// matrix's block-Jacobi preconditioner). It stops when the relative
-// residual drops below tol or after maxIter iterations.
-func PCG(a, m Operator, b []float64, tol float64, maxIter int) Result {
-	n := len(b)
-	if maxIter <= 0 {
-		maxIter = n
-	}
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	x := make([]float64, n)
-	r := append([]float64(nil), b...)
-	z := make([]float64, n)
-	ap := make([]float64, n)
-	bnorm := mat.Norm2(b)
-	if bnorm == 0 {
-		return Result{X: x, Converged: true}
-	}
-	m.ApplyTo(z, r)
-	p := append([]float64(nil), z...)
-	rz := mat.Dot(r, z)
-	res := Result{X: x}
-	for k := 0; k < maxIter; k++ {
-		a.ApplyTo(ap, p)
-		pap := mat.Dot(p, ap)
-		if pap <= 0 || rz <= 0 {
-			res.Iterations = k
-			res.Residual = mat.Norm2(r) / bnorm
-			return res
-		}
-		alpha := rz / pap
-		mat.Axpy(alpha, p, x)
-		mat.Axpy(-alpha, ap, r)
-		rn := mat.Norm2(r)
-		res.Iterations = k + 1
-		if rn <= tol*bnorm {
-			res.Residual = rn / bnorm
-			res.Converged = true
-			return res
-		}
-		m.ApplyTo(z, r)
-		rzNew := mat.Dot(r, z)
-		beta := rzNew / rz
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-		rz = rzNew
-	}
-	res.Residual = mat.Norm2(r) / bnorm
 	return res
 }
 
@@ -286,15 +231,4 @@ func GMRES(a Operator, b []float64, restart int, tol float64, maxIter int) Resul
 	}
 	res.X = x
 	return res
-}
-
-// Validate panics unless the operator maps length-n vectors to length-n
-// vectors; a cheap guard used by examples.
-func Validate(a Operator, n int) {
-	y := make([]float64, n)
-	b := make([]float64, n)
-	a.ApplyTo(y, b)
-	if len(y) != n {
-		panic(fmt.Sprintf("solver: operator changed vector length to %d", len(y)))
-	}
 }

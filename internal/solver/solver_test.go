@@ -188,5 +188,4 @@ func TestFuncAdapterAndValidate(t *testing.T) {
 	if y[1] != 4 {
 		t.Fatal("Func adapter broken")
 	}
-	Validate(f, 3) // must not panic
 }
