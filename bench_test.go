@@ -9,12 +9,12 @@ package h2ds
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
 	"h2ds/internal/core"
 	"h2ds/internal/hmatrix"
+	"h2ds/internal/interp"
 	"h2ds/internal/kernel"
 	"h2ds/internal/mat"
 	"h2ds/internal/pointset"
@@ -40,7 +40,7 @@ func benchConfig(kind core.BasisKind, mode core.MemoryMode, tol float64) core.Co
 	if kind == core.Interpolation {
 		// Rank-sized leaves for the interpolation baseline (3-D): blocks
 		// below the tensor rank p^3 gain nothing from compression.
-		p := int(math.Ceil(-math.Log10(tol))) + 1
+		p := interp.PFromTol(tol)
 		if rank := p * p * p; rank > leaf {
 			leaf = rank
 		}
@@ -82,9 +82,10 @@ func benchMatVec(b *testing.B, pts *pointset.Points, k kernel.Kernel, cfg core.C
 // BenchmarkApply measures the steady-state matvec through the three entry
 // points: an explicit caller-owned workspace (ApplyToWith), the pooled
 // ApplyTo that existing callers hit, and the batched multi-RHS product.
-// The serial workspace cases must report 0 allocs/op — the parallel sweeps
-// spawn goroutines, so only Workers=1 exercises the allocation-free path
-// end to end.
+// The workspace cases must report 0 allocs/op, the parallel one included:
+// the sweeps run on the workspace's persistent pool, which spawns nothing
+// per apply (TestApplyToWithZeroAllocSteadyState pins 0 allocs/op at
+// workers 1 and 2).
 func BenchmarkApply(b *testing.B) {
 	pts := pointset.Cube(benchN, 3, 1)
 	for _, mode := range []core.MemoryMode{core.Normal, core.OnTheFly} {
@@ -261,8 +262,9 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// BenchmarkFig7 covers thread scaling of the matvec (hardware-limited on a
-// single-core host; the worker parameter still exercises the scheduling).
+// BenchmarkFig7 covers thread scaling of the matvec. Worker counts above the
+// host's core count oversubscribe it, so their rows measure scheduling, not
+// scaling.
 func BenchmarkFig7(b *testing.B) {
 	pts := pointset.Cube(benchN, 3, 1)
 	for _, threads := range []int{1, 2, 4, 8} {

@@ -75,8 +75,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "h2view:", err)
 		os.Exit(1)
 	}
+	// The tree is a deterministic function of the points, leaf size and
+	// eta, so this build's node ids match dd's.
 	ip, err := core.Build(pts, k, core.Config{Kind: core.Interpolation, Mode: core.OnTheFly, Tol: *tol, RelTol: *reltol,
-		LeafSize: *leaf, ReuseTree: dd.Tree})
+		LeafSize: *leaf})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "h2view:", err)
 		os.Exit(1)

@@ -5,8 +5,9 @@
 // and verified against exact direct summation on sampled rows.
 //
 // The example also demonstrates the paper's sampling amortization (§VI-A):
-// the hierarchical sampling is computed once per point set and reused to
-// build matrices for two different kernels.
+// the hierarchical sampling is computed once per point set and reused,
+// through a shared construction cache, to build matrices for two different
+// kernels.
 //
 //	go run ./examples/potential3d
 package main
@@ -30,7 +31,7 @@ func run(name string, pts *pointset.Points) {
 		q[i] = rng.Float64()
 	}
 
-	cfg := core.Config{Kind: core.DataDriven, Mode: core.OnTheFly, Tol: 1e-7}
+	cfg := core.Config{Kind: core.DataDriven, Mode: core.OnTheFly, Tol: 1e-7, Cache: core.NewBuildCache(1)}
 	t0 := time.Now()
 	coul, err := core.Build(pts, kernel.Coulomb{}, cfg)
 	if err != nil {
@@ -46,19 +47,16 @@ func run(name string, pts *pointset.Points) {
 	fmt.Printf("%-8s n=%d: build %v, potential sum %v, relerr %.2e, mem %.2f MiB\n",
 		name, n, tBuild, tApply, relErr, coul.Memory().KiB()/1024)
 
-	// Reuse the kernel-independent sampling for a screened (exponential)
-	// interaction on the same particles.
+	// Reuse the kernel-independent tree and sampling for a screened
+	// (exponential) interaction on the same particles: the cache hits.
 	t2 := time.Now()
-	screened, err := core.Build(pts, kernel.Exponential{}, core.Config{
-		Kind: core.DataDriven, Mode: core.OnTheFly, Tol: 1e-7,
-		ReuseTree: coul.Tree, ReuseHierarchy: coul.Hierarchy(),
-	})
+	screened, err := core.Build(pts, kernel.Exponential{}, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	phiS := screened.Apply(q)
-	fmt.Printf("%-8s   screened kernel reusing sampling: build %v, relerr %.2e\n",
-		name, time.Since(t2), screened.RelErrorVs(q, phiS, core.DefaultErrorRows, 12))
+	fmt.Printf("%-8s   screened kernel reusing sampling (cache hit %v): build %v, relerr %.2e\n",
+		name, screened.Stats().Phases.CacheHit, time.Since(t2), screened.RelErrorVs(q, phiS, core.DefaultErrorRows, 12))
 }
 
 func main() {

@@ -110,17 +110,15 @@ func TestH2AndHAgree(t *testing.T) {
 }
 
 func TestSamplingAmortizationSpeedsRebuilds(t *testing.T) {
-	// Rebuilding for a second kernel with ReuseTree/ReuseHierarchy must
-	// skip the tree and sampling phases entirely.
+	// Rebuilding for a second kernel through a shared construction cache
+	// must skip the tree and sampling phases entirely.
 	pts := pointset.Cube(4000, 3, 8)
-	first, err := core.Build(pts, kernel.Coulomb{}, core.Config{Kind: core.DataDriven, Mode: core.OnTheFly, Tol: 1e-7, LeafSize: 80})
+	cfg := core.Config{Kind: core.DataDriven, Mode: core.OnTheFly, Tol: 1e-7, LeafSize: 80, Cache: core.NewBuildCache(1)}
+	first, err := core.Build(pts, kernel.Coulomb{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := core.Build(pts, kernel.Exponential{}, core.Config{
-		Kind: core.DataDriven, Mode: core.OnTheFly, Tol: 1e-7, LeafSize: 80,
-		ReuseTree: first.Tree, ReuseHierarchy: first.Hierarchy(),
-	})
+	second, err := core.Build(pts, kernel.Exponential{}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

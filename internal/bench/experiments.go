@@ -6,6 +6,7 @@ import (
 
 	"h2ds/internal/core"
 	"h2ds/internal/hmatrix"
+	"h2ds/internal/interp"
 	"h2ds/internal/kernel"
 	"h2ds/internal/pointset"
 	"h2ds/internal/tree"
@@ -32,7 +33,7 @@ func nSweep(scale string) []int {
 const interpRankCap = 3000
 
 func interpFeasible(tol float64, dim int) (rank int, ok bool) {
-	p := corePFromTol(tol)
+	p := interp.PFromTol(tol)
 	r := 1
 	for i := 0; i < dim; i++ {
 		r *= p
@@ -41,22 +42,6 @@ func interpFeasible(tol float64, dim int) (rank int, ok bool) {
 		}
 	}
 	return r, true
-}
-
-// corePFromTol mirrors the interpolation calibration without importing
-// internal/interp here.
-func corePFromTol(tol float64) int {
-	if tol <= 0 {
-		tol = 1e-8
-	}
-	p := int(math.Ceil(-math.Log10(tol))) + 1
-	if p < 2 {
-		p = 2
-	}
-	if p > 14 {
-		p = 14
-	}
-	return p
 }
 
 // cfgFor assembles the standard experiment configuration. The

@@ -12,19 +12,6 @@ import (
 	"h2ds/internal/sample"
 )
 
-// parFor is the package's parallel-for for the construction phase. Build and
-// deserialization own a transient persistent pool for their duration, so the
-// many level-by-level construction phases reuse one set of worker
-// goroutines; outside an active build it falls back to the fork-join
-// runtime.
-func (m *Matrix) parFor(n int, fn func(i int)) {
-	if m.buildPool != nil {
-		m.buildPool.For(n, fn)
-		return
-	}
-	par.For(m.Cfg.Workers, n, fn)
-}
-
 // swapped reverses a kernel's arguments: swapped{k}(x, y) = k(y, x). The
 // unsymmetric construction uses it to assemble transposed farfield panels
 // for the column-basis IDs.
@@ -47,12 +34,10 @@ func buildPhase(name string, fn func()) {
 // sampling (Algorithm 1) followed by a bottom-to-top sweep of row
 // interpolative decompositions that yields nested bases whose skeletons are
 // actual dataset points — making every coupling block a kernel submatrix.
-func (m *Matrix) buildDataDriven() {
-	if m.Cfg.ReuseHierarchy != nil {
-		// Shared hierarchy (library-level Reuse* or a construction-cache
-		// hit): no sampling runs, so no sample time is charged.
-		m.hier = m.Cfg.ReuseHierarchy
-	} else {
+// A hierarchy already set by a construction-cache hit is used as is, so no
+// sample time is charged. Every node loop runs on pool.
+func (m *Matrix) buildDataDriven(pool *par.Pool) {
+	if m.hier == nil {
 		t0 := time.Now()
 		buildPhase("sample", func() {
 			m.hier = sample.Run(m.Tree, m.Cfg.Sampler, m.Cfg.SampleBudget, m.Cfg.Workers)
@@ -74,31 +59,31 @@ func (m *Matrix) buildDataDriven() {
 	buildPhase("basis", func() {
 		for l := m.Tree.Depth() - 1; l >= 0; l-- {
 			level := m.Tree.Levels[l]
-			node := func(k int, pool *par.Pool) {
+			node := func(k int, cpqr *par.Pool) {
 				id := level[k]
 				nd := &m.Tree.Nodes[id]
 				m.skelPts[id] = m.Tree.Points
 				ystar := m.hier.YStar[id]
 
 				m.buildNodeSide(id, nd.IsLeaf, ystar, m.Kern, idTol,
-					m.skel, m.ranks, m.u, m.trans, pool)
+					m.skel, m.ranks, m.u, m.trans, cpqr)
 				if !m.sharedBasis {
 					m.buildNodeSide(id, nd.IsLeaf, ystar, swapped{m.Kern}, idTol,
-						m.colSkel, m.colRanks, m.v, m.wTrans, pool)
+						m.colSkel, m.colRanks, m.v, m.wTrans, cpqr)
 				}
 			}
-			if m.buildPool != nil && len(level)*2 <= m.buildPool.Workers() {
+			if len(level)*2 <= pool.Workers() {
 				// Near the root there are fewer nodes than workers, so
 				// per-node parallelism starves the pool exactly where the
 				// panels are largest. Iterate the nodes sequentially and
 				// hand the whole pool to each node's blocked CPQR instead
 				// (par.Pool serves one client at a time, so the pool must
-				// never be passed down from inside m.parFor).
+				// never be passed down from inside pool.For).
 				for k := range level {
-					node(k, m.buildPool)
+					node(k, pool)
 				}
 			} else {
-				m.parFor(len(level), func(k int) { node(k, nil) })
+				pool.For(len(level), func(k int) { node(k, nil) })
 			}
 		}
 	})
@@ -162,12 +147,12 @@ func (m *Matrix) buildNodeSide(id int, isLeaf bool, ystar []int, kern kernel.Pai
 // are Lagrange evaluations at the node's points and transfers re-evaluate
 // the parent's polynomials on the child grids (exact, preserving nesting).
 // The rank is p^d for every node — the curse of dimensionality.
-func (m *Matrix) buildInterpolation() {
+func (m *Matrix) buildInterpolation(pool *par.Pool) {
 	t1 := time.Now()
-	p := m.Cfg.P
+	p := m.p
 	grids := make([]*interp.Grid, len(m.Tree.Nodes))
 	// Grids first (needed by both leaf bases and parent transfers).
-	m.parFor(len(m.Tree.Nodes), func(id int) {
+	pool.For(len(m.Tree.Nodes), func(id int) {
 		grids[id] = interp.NewGrid(m.Tree.Nodes[id].Box, p)
 	})
 	rank := grids[0].Rank()
@@ -175,7 +160,7 @@ func (m *Matrix) buildInterpolation() {
 	for i := range gridIdx {
 		gridIdx[i] = i
 	}
-	m.parFor(len(m.Tree.Nodes), func(id int) {
+	pool.For(len(m.Tree.Nodes), func(id int) {
 		nd := &m.Tree.Nodes[id]
 		m.ranks[id] = rank
 		m.skel[id] = gridIdx

@@ -19,9 +19,9 @@ const DefaultBuildCacheEntries = 4
 // the spatial tree (point ordering) and the Algorithm 1 sampling hierarchy —
 // across builds over the same geometry: other tenants on the same point
 // set, hot-swap rebuilds of one tenant, and reltol re-builds that keep the
-// sampling parameters. Both cached structures are immutable after
-// construction (they are the same objects Config.ReuseTree /
-// Config.ReuseHierarchy already share), so a hit costs no copying.
+// sampling parameters; it is the one way to reuse a tree and a hierarchy
+// (Config.Cache). Both cached structures are immutable after construction,
+// so every matrix built on a hit shares them and a hit costs no copying.
 //
 // Entries are keyed by a fingerprint of everything Algorithm 1's output
 // depends on: the point coordinate bytes (order included), dimension, leaf

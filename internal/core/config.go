@@ -103,9 +103,6 @@ type Config struct {
 	// method; 0 derives it from Tol and the dimension.
 	SampleBudget int
 
-	// P is the interpolation points per direction; 0 derives it from Tol.
-	P int
-
 	// StorageBudget caps the bytes spent on stored coupling/nearfield
 	// blocks in Hybrid mode (ignored otherwise). Blocks are selected
 	// greedily by assembly-savings-per-byte, top tree levels first; the
@@ -128,26 +125,16 @@ type Config struct {
 	// (nil = sample.AnchorNet).
 	Sampler sample.Sampler
 
-	// ReuseTree, when non-nil, skips tree construction and uses this tree
-	// (which must have been built over the same point set). Combined with
-	// ReuseHierarchy it implements the paper's sampling amortization
-	// (§VI-A): the hierarchical sampling depends only on the points, so one
-	// sweep serves any number of kernels.
-	ReuseTree *tree.Tree
-
-	// ReuseHierarchy, when non-nil, skips the Algorithm 1 sweeps for the
-	// data-driven construction and uses these sample sets (which must have
-	// been produced on ReuseTree).
-	ReuseHierarchy *sample.Hierarchy
-
-	// Cache, when non-nil, consults and feeds a construction cache: before
-	// building, the point geometry and tree/sampling parameters are
-	// fingerprinted and a hit supplies ReuseTree+ReuseHierarchy
-	// automatically (observable as Phases.CacheHit with SampleNS == 0); a
-	// miss inserts the freshly built pair. Only data-driven builds without
-	// explicit Reuse* settings participate. The registry shares one cache
-	// across tenants so geometries repeated under different kernels or
-	// tolerances skip Algorithm 1 entirely.
+	// Cache, when non-nil, consults and feeds a construction cache, the one
+	// way to share the kernel-independent half of a data-driven build — the
+	// tree and the Algorithm 1 hierarchy — across builds over the same
+	// points (the paper's sampling amortization, §VI-A). Before building,
+	// the point geometry and the tree/sampling parameters are fingerprinted;
+	// a hit reuses the cached tree and hierarchy (observable as
+	// Phases.CacheHit with SampleNS == 0) and a miss inserts the freshly
+	// built pair. Interpolation builds neither consult nor feed it. The
+	// registry shares one cache across tenants so geometries repeated under
+	// different kernels or tolerances skip Algorithm 1 entirely.
 	Cache *BuildCache
 }
 
@@ -174,9 +161,6 @@ func (cfg Config) withDefaults(dim int) Config {
 	}
 	if cfg.Sampler == nil {
 		cfg.Sampler = sample.AnchorNet{}
-	}
-	if cfg.P <= 0 {
-		cfg.P = interp.PFromTol(cfg.Tol)
 	}
 	if cfg.SampleBudget <= 0 {
 		cfg.SampleBudget = DefaultSampleBudget(cfg.Tol, dim)

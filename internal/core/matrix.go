@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"h2ds/internal/interp"
 	"h2ds/internal/kernel"
 	"h2ds/internal/mat"
 	"h2ds/internal/par"
@@ -52,8 +53,14 @@ type Matrix struct {
 	skel    [][]int
 	skelPts []*pointset.Points
 
-	// hier retains the sampling output for diagnostics (data-driven only).
+	// hier is the sampling output (data-driven only): run by Build, or
+	// shared from a construction-cache hit, or read from a stream.
 	hier *sample.Hierarchy
+
+	// p is the interpolation points per direction: interp.PFromTol(Tol) for
+	// a build, the stream's value for a loaded matrix. Only the
+	// interpolation basis uses it; every stream records it.
+	p int
 
 	// Stored coupling and nearfield blocks: all of them in Normal mode, none
 	// in OnTheFly mode, a budgeted subset in Hybrid mode (see storeBlocks).
@@ -68,10 +75,6 @@ type Matrix struct {
 	// (ApplyTo, ApplyTranspose, ApplyBatchTo) are allocation-free in steady
 	// state. See Workspace.
 	wsPool sync.Pool
-
-	// buildPool is the transient persistent worker pool active during Build
-	// and deserialization (nil otherwise); parFor runs on it.
-	buildPool *par.Pool
 
 	// sched is the lazily built barrier-free apply task graph (see
 	// schedule.go); it depends only on the immutable tree topology, so one
@@ -209,37 +212,24 @@ func Build(pts *pointset.Points, k kernel.Pairwise, cfg Config) (*Matrix, error)
 	cfg = cfg.withDefaults(pts.Dim)
 	start := time.Now()
 
+	m := &Matrix{Cfg: cfg, Kern: k, N: pts.Len(), Dim: pts.Dim, p: interp.PFromTol(cfg.Tol)}
+
 	// Construction cache: a fingerprint hit supplies the tree and sampling
 	// hierarchy of an earlier build over the same geometry+parameters, so
-	// Algorithm 1 (and the tree partition) are skipped entirely. Explicit
-	// Reuse* settings take precedence and bypass the cache.
+	// Algorithm 1 (and the tree partition) are skipped entirely.
 	var cacheFP uint64
-	cacheable := cfg.Cache != nil && cfg.Kind == DataDriven &&
-		cfg.ReuseTree == nil && cfg.ReuseHierarchy == nil
+	cacheable := cfg.Cache != nil && cfg.Kind == DataDriven
 	cacheHit := false
 	if cacheable {
 		cacheFP = constructionFingerprint(pts, cfg)
-		if tr, hr, ok := cfg.Cache.lookup(cacheFP, pts.Len(), pts.Dim); ok {
-			cfg.ReuseTree, cfg.ReuseHierarchy = tr, hr
-			cacheHit = true
-		}
+		m.Tree, m.hier, cacheHit = cfg.Cache.lookup(cacheFP, pts.Len(), pts.Dim)
 	}
 
-	m := &Matrix{Cfg: cfg, Kern: k, N: pts.Len(), Dim: pts.Dim}
-	m.buildPool = par.NewPool(cfg.Workers)
-	defer func() {
-		m.buildPool.Close()
-		m.buildPool = nil
-	}()
+	pool := par.NewPool(cfg.Workers)
+	defer pool.Close()
 
 	t0 := time.Now()
-	if cfg.ReuseTree != nil {
-		if cfg.ReuseTree.Points.Len() != pts.Len() || cfg.ReuseTree.Points.Dim != pts.Dim {
-			return nil, fmt.Errorf("core: ReuseTree shape %dx%d does not match points %dx%d",
-				cfg.ReuseTree.Points.Len(), cfg.ReuseTree.Points.Dim, pts.Len(), pts.Dim)
-		}
-		m.Tree = cfg.ReuseTree
-	} else {
+	if m.Tree == nil {
 		m.Tree = tree.New(pts, tree.Config{LeafSize: cfg.LeafSize, Eta: cfg.Eta, Workers: cfg.Workers})
 	}
 	m.stats.Phases.TreeNS = time.Since(t0).Nanoseconds()
@@ -264,15 +254,15 @@ func Build(pts *pointset.Points, k kernel.Pairwise, cfg Config) (*Matrix, error)
 
 	switch cfg.Kind {
 	case DataDriven:
-		m.buildDataDriven()
+		m.buildDataDriven(pool)
 	case Interpolation:
-		m.buildInterpolation()
+		m.buildInterpolation(pool)
 	default:
 		return nil, fmt.Errorf("core: unknown basis kind %v", cfg.Kind)
 	}
 
 	t0 = time.Now()
-	m.storeBlocks(cfg.blockBudget())
+	m.storeBlocks(pool, cfg.blockBudget())
 	m.stats.Phases.CouplingNS = time.Since(t0).Nanoseconds()
 
 	m.finishStats()
@@ -372,12 +362,6 @@ func (m *Matrix) Rank(id int) int { return m.ranks[id] }
 // point indices; interpolation: grid indices).
 func (m *Matrix) Skeleton(id int) []int { return m.skel[id] }
 
-// Hierarchy returns the data-driven sampling output (nil for interpolation
-// builds). Pass it, together with Tree, through Config.ReuseHierarchy /
-// Config.ReuseTree to amortize the kernel-independent sampling across
-// builds for different kernels on the same points (paper §VI-A).
-func (m *Matrix) Hierarchy() *sample.Hierarchy { return m.hier }
-
 // colRank returns node id's column basis rank (the row rank when bases are
 // shared).
 func (m *Matrix) colRank(id int) int {
@@ -446,8 +430,9 @@ func (c Config) blockBudget() int64 {
 // index first. Assembly then runs one parallel task per CSR row, which
 // allocates the row's payload and assembles its blocks into it in place
 // through the fused tile path: the row's pages are zeroed and first touched
-// by the worker that writes them, while they are still in its cache.
-func (m *Matrix) storeBlocks(budget int64) {
+// by the worker that writes them, while they are still in its cache. The
+// rows run on pool.
+func (m *Matrix) storeBlocks(pool *par.Pool, budget int64) {
 	m.coup, m.near = newBlockStores(m.Kern.Symmetric())
 	if budget == 0 {
 		return
@@ -470,7 +455,7 @@ func (m *Matrix) storeBlocks(budget int64) {
 		s := m.store(near)
 		s.Preallocate(specs[f])
 		buildPhase(phase, func() {
-			m.parFor(s.numRows(), func(i int) {
+			pool.For(s.numRows(), func(i int) {
 				hdr, js := s.allocRow(i)
 				for k, j := range js {
 					x, rows, y, cols := m.blockPoints(near, i, int(j))
@@ -593,12 +578,14 @@ func (m *Matrix) WithStorageBudget(budget int64) *Matrix {
 		v: m.v, wTrans: m.wTrans, colRanks: m.colRanks, colSkel: m.colSkel,
 		sharedBasis: m.sharedBasis,
 		skel:        m.skel, skelPts: m.skelPts,
-		hier: m.hier, allIdx: m.allIdx,
+		hier: m.hier, p: m.p, allIdx: m.allIdx,
 		stats: m.stats,
 	}
 	c.Cfg.Mode = Hybrid
 	c.Cfg.StorageBudget = budget
-	c.storeBlocks(c.Cfg.blockBudget())
+	pool := par.NewPool(c.Cfg.Workers)
+	defer pool.Close()
+	c.storeBlocks(pool, c.Cfg.blockBudget())
 	return c
 }
 

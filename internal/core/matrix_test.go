@@ -433,7 +433,7 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Tol != 1e-8 || cfg.LeafSize <= 0 || cfg.Eta != 0.7 || cfg.Sampler == nil {
 		t.Fatalf("defaults wrong: %+v", cfg)
 	}
-	if cfg.P <= 0 || cfg.SampleBudget <= 0 {
+	if cfg.SampleBudget <= 0 {
 		t.Fatalf("derived parameters missing: %+v", cfg)
 	}
 	if DefaultSampleBudget(1e-2, 3) >= DefaultSampleBudget(1e-10, 3) {

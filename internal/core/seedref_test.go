@@ -3,12 +3,11 @@ package core
 import (
 	"h2ds/internal/kernel"
 	"h2ds/internal/mat"
-	"h2ds/internal/par"
 )
 
 // Level-synchronous reference sweeps: Algorithm 2 as five sweeps with a
-// fork/join barrier on every tree level — the original execution the
-// task-graph scheduler replaced. It runs the same per-node kernels as the
+// barrier on every tree level — the original execution the task-graph
+// scheduler replaced. It runs the same per-node kernels as the
 // scheduler (or, with assemble set, the original assemble-then-multiply
 // on-the-fly kernels below), so it is the oracle the bitwise suites pin the
 // scheduled applies against.
@@ -41,18 +40,18 @@ func refLeaf(ws *Workspace, w, id int) {
 	}
 }
 
-// refSweeps runs the five sweeps level by level on the fork-join runtime:
+// refSweeps runs the five sweeps level by level on the workspace's pool:
 // upward bottom-to-top, coupling over every node, downward top-to-bottom,
 // then the leaf sweep — each phase a barrier.
 func refSweeps(ws *Workspace, ks refKernels) {
 	m := ws.m
 	run := func(nodes []int, fn func(ws *Workspace, w, id int)) {
-		par.ForWorker(ws.workers, len(nodes), func(w, k int) { fn(ws, w, nodes[k]) })
+		ws.pool.ForWorker(len(nodes), func(w, k int) { fn(ws, w, nodes[k]) })
 	}
 	for l := m.Tree.Depth() - 1; l >= 0; l-- {
 		run(m.Tree.Levels[l], ks[stageUp])
 	}
-	par.ForWorker(ws.workers, len(m.Tree.Nodes), func(w, id int) { ks[stageCoup](ws, w, id) })
+	ws.pool.ForWorker(len(m.Tree.Nodes), func(w, id int) { ks[stageCoup](ws, w, id) })
 	for l := 0; l < m.Tree.Depth(); l++ {
 		run(m.Tree.Levels[l], ks[stageDown])
 	}

@@ -12,6 +12,7 @@ import (
 	"h2ds/internal/interp"
 	"h2ds/internal/kernel"
 	"h2ds/internal/mat"
+	"h2ds/internal/par"
 	"h2ds/internal/pointset"
 	"h2ds/internal/sample"
 	"h2ds/internal/tree"
@@ -370,7 +371,7 @@ func (m *Matrix) WriteTo(w io.Writer) (int64, error) {
 	s.writeI64(m.Cfg.LeafSize)
 	s.write(m.Cfg.Eta)
 	s.writeI64(m.Cfg.SampleBudget)
-	s.writeI64(m.Cfg.P)
+	s.writeI64(m.p)
 	s.write(m.Cfg.StorageBudget)
 	s.write(m.Cfg.RelTol)
 	s.write(m.stats.EstRelErr)
@@ -525,7 +526,7 @@ func readBody(s *serialReader, k kernel.Pairwise) (*Matrix, error) {
 	m.Cfg.LeafSize = s.readI64()
 	s.read(&m.Cfg.Eta)
 	m.Cfg.SampleBudget = s.readI64()
-	m.Cfg.P = s.readI64()
+	m.p = s.readI64()
 	s.read(&m.Cfg.StorageBudget)
 	s.read(&m.Cfg.RelTol)
 	s.read(&m.stats.EstRelErr)
@@ -695,7 +696,9 @@ func readBody(s *serialReader, k kernel.Pairwise) (*Matrix, error) {
 		// Reassemble the stored blocks exactly as Build does. Hybrid
 		// selection is deterministic, so a round trip stores the identical
 		// block subset.
-		m.storeBlocks(m.Cfg.blockBudget())
+		pool := par.NewPool(m.Cfg.Workers)
+		defer pool.Close()
+		m.storeBlocks(pool, m.Cfg.blockBudget())
 	}
 	m.finishStats()
 	return m, nil
@@ -729,18 +732,18 @@ func (m *Matrix) validateLoaded() error {
 	}
 	nNodes := len(m.Tree.Nodes)
 	if m.Cfg.Kind == Interpolation {
-		// Every interpolation node has rank P^Dim; check that before
-		// building the grids so a corrupt P cannot size them.
+		// Every interpolation node has rank p^Dim; check that before
+		// building the grids so a corrupt p cannot size them.
 		grid := 1
 		for c := 0; c < m.Dim && grid > 0; c++ {
-			if m.Cfg.P < 1 || grid > m.ranks[0]/m.Cfg.P {
+			if m.p < 1 || grid > m.ranks[0]/m.p {
 				grid = -1
 			} else {
-				grid *= m.Cfg.P
+				grid *= m.p
 			}
 		}
 		if grid != m.ranks[0] {
-			return fmt.Errorf("core: corrupt interpolation order %d for rank %d", m.Cfg.P, m.ranks[0])
+			return fmt.Errorf("core: corrupt interpolation order %d for rank %d", m.p, m.ranks[0])
 		}
 	}
 	for id := 0; id < nNodes; id++ {
@@ -754,7 +757,7 @@ func (m *Matrix) validateLoaded() error {
 			if len(nd.Box.Min) != m.Dim || len(nd.Box.Max) != m.Dim {
 				return fmt.Errorf("core: corrupt bounding box at node %d", id)
 			}
-			m.skelPts[id] = interp.NewGrid(nd.Box, m.Cfg.P).Points()
+			m.skelPts[id] = interp.NewGrid(nd.Box, m.p).Points()
 		} else {
 			m.skelPts[id] = m.Tree.Points
 		}

@@ -46,7 +46,7 @@ func TestSerializeRoundTripDataDriven(t *testing.T) {
 		if m2.Stats().MaxRank != m.Stats().MaxRank || m2.Stats().Leaves != m.Stats().Leaves {
 			t.Fatalf("mode %v: stats differ after round trip", mode)
 		}
-		if m2.Hierarchy() == nil {
+		if m2.hier == nil {
 			t.Fatal("hierarchy lost in round trip")
 		}
 	}

@@ -22,19 +22,6 @@ func TestForCoversAllIndices(t *testing.T) {
 	}
 }
 
-func TestForWorkerIDsInRange(t *testing.T) {
-	const workers = 4
-	var bad int32
-	ForWorker(workers, 200, func(w, i int) {
-		if w < 0 || w >= workers {
-			atomic.AddInt32(&bad, 1)
-		}
-	})
-	if bad != 0 {
-		t.Fatalf("%d out-of-range worker ids", bad)
-	}
-}
-
 func TestForSingleWorkerIsSequential(t *testing.T) {
 	// With one worker the iterations must arrive in order (the fast path).
 	order := make([]int, 0, 50)

@@ -5,19 +5,20 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a persistent worker-pool runtime: the long-lived replacement for
-// the fork-join ForWorker. A Pool owns workers-1 helper goroutines created
-// once; each ForWorker call is a phase — the caller publishes the loop body,
-// wakes the helpers, participates as worker 0, and waits on a completion
-// counter. Across the five sweeps of a matvec (and across successive
-// matvecs) the same goroutines are reused, so the per-phase cost is a few
-// atomic operations and channel wakes instead of `workers` goroutine
-// spawn/join pairs per tree level.
+// Pool is the package's one parallel-for runtime: a persistent worker pool.
+// A Pool owns workers-1 helper goroutines created once; each ForWorker call
+// is a phase — the caller publishes the loop body, wakes the helpers,
+// participates as worker 0, and waits on a completion counter. Across the
+// five sweeps of a matvec (and across successive matvecs), and across the
+// level-by-level phases of one construction, the same goroutines are
+// reused, so the per-phase cost is a few atomic operations and channel
+// wakes instead of a goroutine spawn/join per worker. The free function For
+// is a one-shot Pool.
 //
-// Iterations are claimed in contiguous grains via an atomic counter, exactly
-// like the fork-join ForWorker, so work distribution (and therefore the
-// bitwise result of the sweeps, whose output slots are each written by one
-// claimant in a fixed order) is unchanged.
+// Iterations are claimed in contiguous grains via an atomic counter, and
+// every output slot of the sweeps is written by one claimant in a fixed
+// order, so the bitwise result does not depend on which worker claims which
+// grain.
 //
 // Concurrency contract: a Pool serves ONE client goroutine at a time —
 // concurrent ForWorker calls on the same Pool race by design. Callers that

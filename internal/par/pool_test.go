@@ -166,30 +166,8 @@ func TestPoolResolveSizing(t *testing.T) {
 	}
 }
 
-// TestPoolMatchesForkJoin checks the pool distributes identical iteration
-// sets to the fork-join ForWorker (same grain policy, same coverage).
-func TestPoolMatchesForkJoin(t *testing.T) {
-	const workers, n = 4, 1037
-	p := NewPool(workers)
-	defer p.Close()
-	got := make([]atomic.Int32, n)
-	p.ForWorker(n, func(_, i int) { got[i].Add(1) })
-	ref := make([]atomic.Int32, n)
-	ForWorker(workers, n, func(_, i int) { ref[i].Add(1) })
-	for i := 0; i < n; i++ {
-		if got[i].Load() != ref[i].Load() {
-			t.Fatalf("iteration %d: pool %d vs fork-join %d", i, got[i].Load(), ref[i].Load())
-		}
-	}
-}
-
 func BenchmarkPhaseDispatch(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
-		b.Run(forkJoinName(workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ForWorker(workers, 64, func(_, _ int) {})
-			}
-		})
 		b.Run(poolName(workers), func(b *testing.B) {
 			p := NewPool(workers)
 			defer p.Close()
@@ -201,8 +179,7 @@ func BenchmarkPhaseDispatch(b *testing.B) {
 	}
 }
 
-func forkJoinName(w int) string { return "forkjoin/w" + string(rune('0'+w)) }
-func poolName(w int) string     { return "pool/w" + string(rune('0'+w)) }
+func poolName(w int) string { return "pool/w" + string(rune('0'+w)) }
 
 // TestPoolForWorkerDistinctSlots pins the cooperative-drain contract of
 // ForWorker(Workers(), fn): fn is invoked exactly once per iteration in

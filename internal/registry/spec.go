@@ -203,8 +203,10 @@ func maxInt(a, b int) int {
 // GET /matrices observers ("points", "build", "load"); ctx is the build
 // job's context — cancelled by Delete and registry shutdown, and checked by
 // the worker at stage boundaries regardless of whether the builder honors
-// it. DefaultBuild is used when Config.Builder is nil; embedders override
-// it for custom matrix sources or fault injection.
+// it. When Config.Builder is nil, New installs BuildWithCache over the
+// registry's shared construction cache (a nil cache, which makes it
+// DefaultBuild, when CacheEntries < 0); embedders override it for custom
+// matrix sources or fault injection.
 type Builder func(ctx context.Context, sp BuildSpec, setStage func(string)) (*core.Matrix, error)
 
 // DefaultBuild resolves a spec against the kernel/pointset/sampler name
