@@ -231,7 +231,7 @@ func TestE2EFailedBuildSurfaced(t *testing.T) {
 		if sp.Path == "panic://http" {
 			panic("http kaboom")
 		}
-		return registry.DefaultBuild(ctx, sp, setStage)
+		return registry.BuildWithCache(ctx, sp, setStage, nil)
 	}})
 	defer reg.Close()
 	ts := httptest.NewServer(newServer(reg, 10*time.Second, api.Limits{}, true))

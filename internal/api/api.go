@@ -87,15 +87,10 @@ type Readiness struct {
 	Registry registry.Stats `json:"registry"`
 }
 
-// Mount registers the registry endpoints on mux with default Limits.
+// MountLimits registers the registry endpoints on mux. Every body read is
+// bounded by lim (413 over the cap; a zero Limits takes the defaults), and
 // timeout bounds each apply request (0 = none, beyond the client's own
 // context).
-func Mount(mux *http.ServeMux, reg *registry.Registry, timeout time.Duration) {
-	MountLimits(mux, reg, timeout, Limits{})
-}
-
-// MountLimits registers the registry endpoints on mux. Every body read is
-// bounded by lim (413 over the cap).
 //
 //	POST   /matrices              create or rebuild (hot-swap) an instance
 //	GET    /matrices              list instances with state and counters

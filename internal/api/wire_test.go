@@ -72,7 +72,7 @@ func serveReady(t *testing.T, spec registry.BuildSpec) *httptest.Server {
 	reg := registry.New(registry.Config{Workers: 1})
 	t.Cleanup(reg.Close)
 	mux := http.NewServeMux()
-	Mount(mux, reg, 10*time.Second)
+	MountLimits(mux, reg, 10*time.Second, Limits{})
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	if err := reg.Create(DefaultInstance, spec); err != nil {
@@ -126,7 +126,7 @@ func TestWireKeysPending(t *testing.T) {
 	defer reg.Close()
 	defer close(release)
 	mux := http.NewServeMux()
-	Mount(mux, reg, 10*time.Second)
+	MountLimits(mux, reg, 10*time.Second, Limits{})
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
 	// The only build worker blocks on "busy", so the default instance

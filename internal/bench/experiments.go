@@ -414,5 +414,5 @@ func estimateRows(pts *pointset.Points, k kernel.Pairwise, b, y []float64, rows 
 // harness configurations produce.
 func treeDepthFor(n, leaf int) int {
 	pts := pointset.Cube(n, 3, 1)
-	return tree.New(pts, tree.Config{LeafSize: leaf}).Depth()
+	return tree.New(pts, tree.Config{LeafSize: leaf}, nil).Depth()
 }

@@ -300,10 +300,10 @@ func TestClusterEndToEnd(t *testing.T) {
 func TestClusterCorruptTransfer(t *testing.T) {
 	nd := startNode(t)
 
-	m, err := registry.DefaultBuild(context.Background(), registry.BuildSpec{
+	m, err := registry.BuildWithCache(context.Background(), registry.BuildSpec{
 		Kernel: "coulomb", Dist: "cube", N: 400, Dim: 3, Tol: 1e-4,
 		Basis: "dd", Mem: "otf", Leaf: 50, Sampler: "anchornet", Seed: 3,
-	}, func(string) {})
+	}, func(string) {}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func (m *Matrix) buildDataDriven(pool *par.Pool) {
 	if m.hier == nil {
 		t0 := time.Now()
 		buildPhase("sample", func() {
-			m.hier = sample.Run(m.Tree, m.Cfg.Sampler, m.Cfg.SampleBudget, m.Cfg.Workers)
+			m.hier = sample.Run(m.Tree, m.Cfg.Sampler, m.Cfg.SampleBudget, pool)
 		})
 		m.stats.Phases.SampleNS = time.Since(t0).Nanoseconds()
 	}
@@ -123,7 +123,7 @@ func (m *Matrix) buildNodeSide(id int, isLeaf bool, ystar []int, kern kernel.Pai
 	a := kernel.NewBlock(kern, m.Tree.Points, cand, m.Tree.Points, ystar)
 	ti := time.Now()
 	m.phaseAssembly.Add(ti.Sub(ta).Nanoseconds())
-	id2 := mat.NewRowIDPool(a, idTol, 0, pool)
+	id2 := mat.NewRowID(a, idTol, 0, pool)
 	if isLeaf {
 		m.phaseID.Add(time.Since(ti).Nanoseconds())
 	} else {

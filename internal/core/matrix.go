@@ -230,7 +230,7 @@ func Build(pts *pointset.Points, k kernel.Pairwise, cfg Config) (*Matrix, error)
 
 	t0 := time.Now()
 	if m.Tree == nil {
-		m.Tree = tree.New(pts, tree.Config{LeafSize: cfg.LeafSize, Eta: cfg.Eta, Workers: cfg.Workers})
+		m.Tree = tree.New(pts, tree.Config{LeafSize: cfg.LeafSize, Eta: cfg.Eta}, pool)
 	}
 	m.stats.Phases.TreeNS = time.Since(t0).Nanoseconds()
 

@@ -23,17 +23,13 @@ import (
 
 // Config tunes an H-matrix build.
 type Config struct {
-	// Tol is the per-block ID truncation tolerance (default 1e-8).
+	// Tol is the per-block ID truncation tolerance (default 1e-8); it also
+	// sets the column-sample budget per admissible block (hBudget).
 	Tol float64
-	// SampleBudget bounds the column samples per admissible block
-	// (0 = derived from Tol).
-	SampleBudget int
-	// LeafSize, Eta, Workers as in the H² configuration.
+	// LeafSize and Workers as in the H² configuration; the separation
+	// parameter is tree.DefaultEta and the column sampler the anchor net.
 	LeafSize int
-	Eta      float64
 	Workers  int
-	// Sampler picks the column sampler (nil = anchor net).
-	Sampler sample.Sampler
 	// Compressor selects the low-rank block algorithm: "id" (default, the
 	// sampling + interpolative-decomposition path shared with the H² core)
 	// or "aca" (adaptive cross approximation, the paper's §VII algebraic
@@ -84,19 +80,17 @@ func Build(pts *pointset.Points, k kernel.Pairwise, cfg Config) (*Matrix, error)
 	if cfg.Tol <= 0 {
 		cfg.Tol = 1e-8
 	}
-	if cfg.SampleBudget <= 0 {
-		cfg.SampleBudget = hBudget(cfg.Tol)
-	}
-	if cfg.Sampler == nil {
-		cfg.Sampler = sample.AnchorNet{}
-	}
 	switch cfg.Compressor {
 	case "", "id", "aca":
 	default:
 		return nil, fmt.Errorf("hmatrix: unknown compressor %q (want id or aca)", cfg.Compressor)
 	}
 	m := &Matrix{Cfg: cfg, Kern: k, N: pts.Len()}
-	m.Tree = tree.New(pts, tree.Config{LeafSize: cfg.LeafSize, Eta: cfg.Eta, Workers: cfg.Workers})
+	// One pool runs the tree partition, the block compression and the
+	// nearfield assembly.
+	pool := par.NewPool(cfg.Workers)
+	defer pool.Close()
+	m.Tree = tree.New(pts, tree.Config{LeafSize: cfg.LeafSize}, pool)
 	m.allIdx = make([]int, m.N)
 	for i := range m.allIdx {
 		m.allIdx[i] = i
@@ -113,7 +107,7 @@ func Build(pts *pointset.Points, k kernel.Pairwise, cfg Config) (*Matrix, error)
 		}
 	}
 	m.blocks = make([]lowRankBlock, len(pairs))
-	par.For(cfg.Workers, len(pairs), func(k2 int) {
+	pool.For(len(pairs), func(k2 int) {
 		p := pairs[k2]
 		m.blocks[k2] = m.compressBlock(p.i, p.j)
 	})
@@ -127,7 +121,7 @@ func Build(pts *pointset.Points, k kernel.Pairwise, cfg Config) (*Matrix, error)
 
 	// Nearfield blocks, dense, aligned with each leaf's Near list.
 	m.near = make([][]*mat.Dense, len(m.Tree.Nodes))
-	par.For(cfg.Workers, len(m.Tree.Leaves), func(k2 int) {
+	pool.For(len(m.Tree.Leaves), func(k2 int) {
 		id := m.Tree.Leaves[k2]
 		nd := &m.Tree.Nodes[id]
 		m.near[id] = make([]*mat.Dense, len(nd.Near))
@@ -161,9 +155,9 @@ func (m *Matrix) compressBlock(i, j int) lowRankBlock {
 	// Default "id" path: sample columns of the block via the point sampler
 	// on X_j, row-ID the sampled panel to pick skeleton rows in X_i, then
 	// evaluate the full skeleton rows.
-	csample := m.Cfg.Sampler.Sample(m.Tree.Points, cols, m.Cfg.SampleBudget)
+	csample := sample.AnchorNet{}.Sample(m.Tree.Points, cols, hBudget(m.Cfg.Tol))
 	panel := kernel.NewBlock(m.Kern, m.Tree.Points, rows, m.Tree.Points, csample)
-	id := mat.NewRowID(panel, m.Cfg.Tol, 0)
+	id := mat.NewRowID(panel, m.Cfg.Tol, 0, nil)
 	skel := make([]int, id.Rank)
 	for s, loc := range id.Skel {
 		skel[s] = rows[loc]
@@ -182,7 +176,7 @@ func (m *Matrix) compressACA(i, j int, rows, cols []int) lowRankBlock {
 		cj := cols[c]
 		return m.Kern.EvalPair(pts.Coords[ri*d:ri*d+d], pts.Coords[cj*d:cj*d+d])
 	}
-	u, v := mat.ACA(len(rows), len(cols), entry, m.Cfg.Tol, m.Cfg.SampleBudget)
+	u, v := mat.ACA(len(rows), len(cols), entry, m.Cfg.Tol, hBudget(m.Cfg.Tol))
 	return lowRankBlock{i: i, j: j, t: u, b: v.T()}
 }
 
@@ -209,14 +203,16 @@ func (m *Matrix) ApplyTo(y, b []float64) {
 // nests inside its ancestors' ranges, so the nodes run one tree level at a
 // time: within a level the ranges are disjoint (one writer per entry), and
 // every entry accumulates root-to-leaf, as in the serial id order, so the
-// parallel result is bitwise the serial one.
+// parallel result is bitwise the serial one. One pool runs every level.
 func (m *Matrix) applyPermuted(yp, bp []float64) {
 	for i := range yp {
 		yp[i] = 0
 	}
+	pool := par.NewPool(m.Cfg.Workers)
+	defer pool.Close()
 	nodes := m.Tree.Nodes
 	for _, level := range m.Tree.Levels {
-		par.For(m.Cfg.Workers, len(level), func(k int) {
+		pool.For(len(level), func(k int) {
 			id := level[k]
 			nd := &nodes[id]
 			yi := yp[nd.Start:nd.End]

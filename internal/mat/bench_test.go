@@ -37,7 +37,7 @@ func BenchmarkCPQR(b *testing.B) {
 	a := randDense(rng, 300, 120)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewCPQR(a, 1e-10, 0)
+		NewCPQR(a, 1e-10, 0, nil)
 	}
 }
 
@@ -48,7 +48,7 @@ func BenchmarkRowID(b *testing.B) {
 	a := randLowRank(rng, 200, 128, 60)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewRowID(a, 1e-8, 0)
+		NewRowID(a, 1e-8, 0, nil)
 	}
 }
 

@@ -38,7 +38,7 @@ const (
 )
 
 // cpqrParMinWork is the minimum trailing-update element count before the
-// optional par.Pool hook spreads GEMM rows across workers.
+// trailing update spreads GEMM rows across the pool's workers.
 const cpqrParMinWork = 1 << 15
 
 // NewCPQR computes a column-pivoted QR of a (not modified), truncated at the
@@ -51,19 +51,14 @@ const cpqrParMinWork = 1 << 15
 // compact-WY path; both paths use the same pivot rule, tolerance trigger,
 // and norm-downdate/recompute logic, so they select identical columns in
 // exact arithmetic.
-func NewCPQR(a *Dense, tol float64, maxRank int) *CPQR {
-	return NewCPQRPool(a, tol, maxRank, nil)
-}
-
-// NewCPQRPool is NewCPQR with an optional worker pool: when pool is non-nil,
-// large trailing-matrix updates of the blocked path are parallelized across
-// its workers. Each GEMM row is claimed and written by exactly one worker
-// with a fixed per-row operation order, so the factorization is
-// bitwise-identical for any pool size (including none). The pool must not be
-// serving another ForWorker call on the calling goroutine's behalf (par.Pool
-// is single-client), which is why construction code passes it only on
-// levels it iterates sequentially.
-func NewCPQRPool(a *Dense, tol float64, maxRank int, pool *par.Pool) *CPQR {
+//
+// Large trailing-matrix updates of the blocked path run on pool (nil =
+// serial). Each GEMM row is claimed and written by exactly one worker with
+// a fixed per-row operation order, so the factorization is bitwise-identical
+// for any pool. The pool must not be serving another ForWorker call on the
+// calling goroutine's behalf (par.Pool is single-client), which is why
+// construction code passes it only on levels it iterates sequentially.
+func NewCPQR(a *Dense, tol float64, maxRank int, pool *par.Pool) *CPQR {
 	return newCPQRInPlace(a.Clone(), tol, maxRank, pool)
 }
 
@@ -342,8 +337,8 @@ func newCPQRBlocked(f *Dense, tol float64, maxRank int, pool *par.Pool) *CPQR {
 // f (every used row is strictly below its pivot row, so no unit-diagonal
 // fixups are needed); both V rows and wy rows are contiguous, so the kernel
 // is dot/dot2 over kb-length slices. Rows are independent — each row's
-// update reads only that row's V entries plus wy — so the optional pool
-// spreads rows across workers without changing any result bit.
+// update reads only that row's V entries plus wy — so the pool spreads rows
+// across workers without changing any result bit.
 func cpqrTrailingUpdate(f, wy *Dense, k0, kb int, pool *par.Pool) {
 	m, n := f.Rows, f.Cols
 	r0 := k0 + kb
@@ -364,7 +359,7 @@ func cpqrTrailingUpdate(f, wy *Dense, k0, kb int, pool *par.Pool) {
 		}
 	}
 	rows := m - r0
-	if pool != nil && rows > 1 && int64(rows)*int64(n-r0) >= cpqrParMinWork {
+	if int64(rows)*int64(n-r0) >= cpqrParMinWork {
 		pool.For(rows, func(i int) { update(r0 + i) })
 		return
 	}

@@ -171,7 +171,7 @@ func TestCPQRBlockedDeterminism(t *testing.T) {
 func TestRowIDBlockedMatchesUnblocked(t *testing.T) {
 	rng := rand.New(rand.NewSource(96))
 	a := randLowRank(rng, 90, 130, 25)
-	b := NewRowID(a, 1e-9, 0)
+	b := NewRowID(a, 1e-9, 0, nil)
 	u := NewRowIDUnblocked(a, 1e-9, 0)
 	if b.Rank != u.Rank {
 		t.Fatalf("rank %d != %d", b.Rank, u.Rank)

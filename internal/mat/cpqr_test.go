@@ -24,7 +24,7 @@ func TestCPQRFullRankReconstruction(t *testing.T) {
 		m := 4 + rng.Intn(30)
 		n := 1 + rng.Intn(30)
 		a := randDense(rng, m, n)
-		c := NewCPQR(a, 0, 0)
+		c := NewCPQR(a, 0, 0, nil)
 		c.CheckShapes()
 		if c.Rank != min(m, n) {
 			t.Fatalf("trial %d: rank %d want %d", trial, c.Rank, min(m, n))
@@ -41,7 +41,7 @@ func TestCPQRRankDetection(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, k := range []int{1, 2, 5, 9} {
 		a := randLowRank(rng, 40, 25, k)
-		c := NewCPQR(a, 1e-10, 0)
+		c := NewCPQR(a, 1e-10, 0, nil)
 		if c.Rank != k {
 			t.Fatalf("rank-%d matrix detected as rank %d", k, c.Rank)
 		}
@@ -51,14 +51,14 @@ func TestCPQRRankDetection(t *testing.T) {
 func TestCPQRMaxRankCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	a := randDense(rng, 20, 20)
-	c := NewCPQR(a, 0, 7)
+	c := NewCPQR(a, 0, 7, nil)
 	if c.Rank != 7 {
 		t.Fatalf("rank cap ignored: got %d", c.Rank)
 	}
 }
 
 func TestCPQRZeroMatrix(t *testing.T) {
-	c := NewCPQR(NewDense(5, 4), 1e-12, 0)
+	c := NewCPQR(NewDense(5, 4), 1e-12, 0, nil)
 	if c.Rank != 0 {
 		t.Fatalf("zero matrix rank %d", c.Rank)
 	}
@@ -67,7 +67,7 @@ func TestCPQRZeroMatrix(t *testing.T) {
 func TestCPQRDiagonalNonIncreasing(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	a := randDense(rng, 30, 18)
-	c := NewCPQR(a, 0, 0)
+	c := NewCPQR(a, 0, 0, nil)
 	prev := math.Inf(1)
 	for k := 0; k < c.Rank; k++ {
 		d := math.Abs(c.Fac.At(k, k))
@@ -93,7 +93,7 @@ func TestCPQRTruncationErrorBound(t *testing.T) {
 	}
 	a := Mul(Mul(u, d), v.T())
 	tol := 1e-6
-	c := NewCPQR(a, tol, 0)
+	c := NewCPQR(a, tol, 0, nil)
 	// Approximation via retained factors.
 	approxP := Mul(c.Q(), c.R())
 	ap := permuteCols(a, c.Perm)
@@ -111,7 +111,7 @@ func TestCPQRPermIsPermutationProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		m := 1 + r.Intn(15)
 		n := 1 + r.Intn(15)
-		c := NewCPQR(randDense(r, m, n), 0, 0)
+		c := NewCPQR(randDense(r, m, n), 0, 0, nil)
 		seen := make([]bool, n)
 		for _, p := range c.Perm {
 			if p < 0 || p >= n || seen[p] {

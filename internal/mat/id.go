@@ -22,15 +22,10 @@ type RowID struct {
 
 // NewRowID computes a row ID of a via a column-pivoted QR of aᵀ, truncated
 // at relative tolerance tol (on the pivot column norms) and capped at
-// maxRank rows (maxRank <= 0 means uncapped).
-func NewRowID(a *Dense, tol float64, maxRank int) *RowID {
-	return NewRowIDPool(a, tol, maxRank, nil)
-}
-
-// NewRowIDPool is NewRowID with an optional worker pool forwarded to the
-// blocked CPQR's trailing updates (see NewCPQRPool for the determinism and
-// single-client contracts).
-func NewRowIDPool(a *Dense, tol float64, maxRank int, pool *par.Pool) *RowID {
+// maxRank rows (maxRank <= 0 means uncapped). pool (nil = serial) is
+// forwarded to the blocked CPQR's trailing updates (see NewCPQR for the
+// determinism and single-client contracts).
+func NewRowID(a *Dense, tol float64, maxRank int, pool *par.Pool) *RowID {
 	if a.Rows == 0 {
 		return &RowID{Skel: nil, T: NewDense(0, 0), Rank: 0}
 	}

@@ -11,7 +11,7 @@ func TestRowIDExactLowRank(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	for _, k := range []int{1, 3, 6} {
 		a := randLowRank(rng, 50, 20, k)
-		id := NewRowID(a, 1e-11, 0)
+		id := NewRowID(a, 1e-11, 0, nil)
 		if id.Rank != k {
 			t.Fatalf("rank-%d matrix: ID rank %d", k, id.Rank)
 		}
@@ -26,7 +26,7 @@ func TestRowIDExactLowRank(t *testing.T) {
 func TestRowIDIdentityOnSkeleton(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	a := randLowRank(rng, 30, 15, 5)
-	id := NewRowID(a, 1e-11, 0)
+	id := NewRowID(a, 1e-11, 0, nil)
 	for k, row := range id.Skel {
 		for j := 0; j < id.Rank; j++ {
 			want := 0.0
@@ -47,7 +47,7 @@ func TestRowIDSkeletonUniqueAndInRange(t *testing.T) {
 		m := 1 + r.Intn(25)
 		n := 1 + r.Intn(25)
 		a := randDense(r, m, n)
-		id := NewRowID(a, 1e-8, 0)
+		id := NewRowID(a, 1e-8, 0, nil)
 		seen := map[int]bool{}
 		for _, s := range id.Skel {
 			if s < 0 || s >= m || seen[s] {
@@ -75,7 +75,7 @@ func TestRowIDToleranceError(t *testing.T) {
 	}
 	a := Mul(Mul(u, d), v.T())
 	for _, tol := range []float64{1e-3, 1e-6, 1e-9} {
-		id := NewRowID(a, tol, 0)
+		id := NewRowID(a, tol, 0, nil)
 		relErr := id.Reconstruct(a).Sub(a).FrobNorm() / a.FrobNorm()
 		if relErr > 1000*tol {
 			t.Fatalf("tol %g: error %g", tol, relErr)
@@ -89,18 +89,18 @@ func TestRowIDToleranceError(t *testing.T) {
 func TestRowIDMaxRankCap(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	a := randDense(rng, 20, 20)
-	id := NewRowID(a, 0, 4)
+	id := NewRowID(a, 0, 4, nil)
 	if id.Rank != 4 {
 		t.Fatalf("rank cap ignored: %d", id.Rank)
 	}
 }
 
 func TestRowIDEmptyAndZero(t *testing.T) {
-	id := NewRowID(NewDense(0, 5), 1e-8, 0)
+	id := NewRowID(NewDense(0, 5), 1e-8, 0, nil)
 	if id.Rank != 0 || len(id.Skel) != 0 {
 		t.Fatal("empty matrix should give empty ID")
 	}
-	idz := NewRowID(NewDense(6, 4), 1e-8, 0)
+	idz := NewRowID(NewDense(6, 4), 1e-8, 0, nil)
 	if idz.Rank != 0 {
 		t.Fatalf("zero matrix ID rank %d", idz.Rank)
 	}
@@ -114,7 +114,7 @@ func TestRowIDTallThinFullRank(t *testing.T) {
 	// skeleton row must reproduce A to near machine precision.
 	rng := rand.New(rand.NewSource(34))
 	a := randDense(rng, 60, 7)
-	id := NewRowID(a, 1e-13, 0)
+	id := NewRowID(a, 1e-13, 0, nil)
 	if id.Rank != 7 {
 		t.Fatalf("rank %d want 7", id.Rank)
 	}

@@ -12,8 +12,9 @@ import (
 // five sweeps of a matvec (and across successive matvecs), and across the
 // level-by-level phases of one construction, the same goroutines are
 // reused, so the per-phase cost is a few atomic operations and channel
-// wakes instead of a goroutine spawn/join per worker. The free function For
-// is a one-shot Pool.
+// wakes instead of a goroutine spawn/join per worker. A nil *Pool is the
+// serial pool: it reports one worker and runs every loop inline, in order,
+// as worker 0.
 //
 // Iterations are claimed in contiguous grains via an atomic counter, and
 // every output slot of the sweeps is written by one claimant in a fixed
@@ -95,8 +96,14 @@ func NewPool(workers int) *Pool {
 	return pub
 }
 
-// Workers returns the pool's worker count (including the caller).
-func (p *Pool) Workers() int { return p.p.workers }
+// Workers returns the pool's worker count (including the caller); a nil
+// pool has one.
+func (p *Pool) Workers() int {
+	if p == nil {
+		return 1
+	}
+	return p.p.workers
+}
 
 // Close releases the helper goroutines. It is idempotent. The pool must not
 // be used after Close; a phase must not be in flight.
@@ -126,20 +133,14 @@ func (p *Pool) For(n int, fn func(i int)) {
 // the claiming worker's id in [0, workers). It returns when every iteration
 // has completed. Not safe for concurrent use on one Pool.
 func (p *Pool) ForWorker(n int, fn func(worker, i int)) {
-	in := p.p
-	if n <= 0 {
-		return
-	}
-	need := in.workers
-	if need > n {
-		need = n
-	}
-	if need == 1 {
+	need := min(p.Workers(), n)
+	if need <= 1 {
 		for i := 0; i < n; i++ {
 			fn(0, i)
 		}
 		return
 	}
+	in := p.p
 
 	// Publish the phase: raise the gate, wait out any helper still reading
 	// the previous phase's state (normally none), overwrite, drop the gate.

@@ -17,7 +17,7 @@ func normalSpec(seed int64) BuildSpec {
 }
 
 // TestHybridSpecBuilds checks the "hybrid" memory mode flows through
-// BuildSpec validation, DefaultBuild, and Info reporting.
+// BuildSpec validation, BuildWithCache, and Info reporting.
 func TestHybridSpecBuilds(t *testing.T) {
 	r := New(Config{Workers: 1})
 	defer r.Close()
@@ -55,7 +55,7 @@ func TestHybridSpecBuilds(t *testing.T) {
 // smaller hybrid version — still Ready, still serving the same operator —
 // rather than evicted or spilled.
 func TestBudgetDowngradesBeforeEvicting(t *testing.T) {
-	probe, err := DefaultBuild(context.Background(), normalSpec(71).withDefaults(), func(string) {})
+	probe, err := BuildWithCache(context.Background(), normalSpec(71).withDefaults(), func(string) {}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func evictWithSpill(t *testing.T) (*Registry, string) {
 	t.Helper()
 	var mems [2]int64
 	for i := range mems {
-		probe, err := DefaultBuild(context.Background(), tinySpec(81+int64(i)).withDefaults(), func(string) {})
+		probe, err := BuildWithCache(context.Background(), tinySpec(81+int64(i)).withDefaults(), func(string) {}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -145,7 +145,8 @@ type Config struct {
 	// Builder overrides how specs become matrices (default: BuildWithCache
 	// through the registry's shared construction cache). Embedders use it
 	// for custom matrix sources; tests for fault injection. Setting it
-	// bypasses the construction cache.
+	// bypasses the construction cache: a custom builder that falls back to
+	// the stock path calls BuildWithCache(ctx, sp, setStage, nil).
 	Builder Builder
 
 	// CacheEntries sizes the construction cache the default builder shares

@@ -137,7 +137,7 @@ func TestBuildPanicLandsFailed(t *testing.T) {
 		if sp.Path == "panic://kaboom" {
 			panic("kaboom")
 		}
-		return DefaultBuild(ctx, sp, setStage)
+		return BuildWithCache(ctx, sp, setStage, nil)
 	}})
 	defer r.Close()
 
@@ -207,7 +207,7 @@ func TestCreateBusyAndQueueFull(t *testing.T) {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		return DefaultBuild(ctx, sp, setStage)
+		return BuildWithCache(ctx, sp, setStage, nil)
 	}})
 	defer r.Close()
 
@@ -259,7 +259,7 @@ func TestHotSwapZeroDowntime(t *testing.T) {
 	refOld := mOld.Apply(b)
 	// The new version's reference, built independently of the registry:
 	// core.Build is deterministic for a given spec.
-	mRef, err := DefaultBuild(context.Background(), specNew.withDefaults(), func(string) {})
+	mRef, err := BuildWithCache(context.Background(), specNew.withDefaults(), func(string) {}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestFailedSwapKeepsServing(t *testing.T) {
 		if sp.Path == "panic://swap" {
 			panic("swap exploded")
 		}
-		return DefaultBuild(ctx, sp, setStage)
+		return BuildWithCache(ctx, sp, setStage, nil)
 	}})
 	defer r.Close()
 	if err := r.Create("keep", tinySpec(31)); err != nil {
@@ -398,7 +398,7 @@ func TestEvictionLRUAndBudget(t *testing.T) {
 	// slightly by seed, so probe both).
 	var memFirst, memSecond int64
 	for i, seed := range []int64{41, 43} {
-		probe, err := DefaultBuild(context.Background(), tinySpec(seed).withDefaults(), func(string) {})
+		probe, err := BuildWithCache(context.Background(), tinySpec(seed).withDefaults(), func(string) {}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -495,7 +495,7 @@ func TestEvictionWithoutSpillRequiresRecreate(t *testing.T) {
 	// slightly different footprints, so size it from both probes.
 	var mems [2]int64
 	for i := range mems {
-		probe, err := DefaultBuild(context.Background(), tinySpec(51+int64(i)).withDefaults(), func(string) {})
+		probe, err := BuildWithCache(context.Background(), tinySpec(51+int64(i)).withDefaults(), func(string) {}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -549,7 +549,7 @@ func TestDeleteCancelsInFlightBuild(t *testing.T) {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		return DefaultBuild(ctx, sp, setStage)
+		return BuildWithCache(ctx, sp, setStage, nil)
 	}})
 	defer r.Close()
 

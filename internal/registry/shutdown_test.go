@@ -20,7 +20,7 @@ func TestCloseRaceBuildCompletesDuringShutdown(t *testing.T) {
 
 	// The matrix the stalled build will "finish" with, built up front so the
 	// builder body does no real work while parked.
-	m, err := DefaultBuild(context.Background(), tinySpec(7).withDefaults(), func(string) {})
+	m, err := BuildWithCache(context.Background(), tinySpec(7).withDefaults(), func(string) {}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestCloseRaceBuildCompletesDuringShutdown(t *testing.T) {
 // dir there is nowhere to persist the racing build, so it must settle as a
 // plain cancellation — no Ready leak, no spill, no panic.
 func TestCloseRaceWithoutSpillDirFailsClean(t *testing.T) {
-	m, err := DefaultBuild(context.Background(), tinySpec(9).withDefaults(), func(string) {})
+	m, err := BuildWithCache(context.Background(), tinySpec(9).withDefaults(), func(string) {}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

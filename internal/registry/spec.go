@@ -204,26 +204,20 @@ func maxInt(a, b int) int {
 // job's context — cancelled by Delete and registry shutdown, and checked by
 // the worker at stage boundaries regardless of whether the builder honors
 // it. When Config.Builder is nil, New installs BuildWithCache over the
-// registry's shared construction cache (a nil cache, which makes it
-// DefaultBuild, when CacheEntries < 0); embedders override it for custom
-// matrix sources or fault injection.
+// registry's shared construction cache (a nil cache when CacheEntries < 0);
+// embedders override it for custom matrix sources or fault injection.
 type Builder func(ctx context.Context, sp BuildSpec, setStage func(string)) (*core.Matrix, error)
 
-// DefaultBuild resolves a spec against the kernel/pointset/sampler name
+// BuildWithCache resolves a spec against the kernel/pointset/sampler name
 // registries and runs core.Build, loads from sp.Path via core.ReadAny, or —
 // for the "dense" source — loads the matrix file into an entry oracle and
-// runs the geometry-oblivious core.BuildOracle.
-func DefaultBuild(ctx context.Context, sp BuildSpec, setStage func(string)) (*core.Matrix, error) {
-	return BuildWithCache(ctx, sp, setStage, nil)
-}
-
-// BuildWithCache is DefaultBuild threading an optional construction cache
-// into core.Build: tenants whose geometry and tree/sampling parameters
-// fingerprint identically (and hot-swap rebuilds of one tenant) reuse the
-// spatial tree and Algorithm 1 hierarchy instead of re-running them —
-// observable as Phases.CacheHit with sample_ns == 0 in the instance info. A
-// registry without an explicit Builder routes every build through its own
-// shared cache.
+// runs the geometry-oblivious core.BuildOracle. It threads an optional
+// (nil = none) construction cache into the build: tenants whose geometry
+// and tree/sampling parameters fingerprint identically (and hot-swap
+// rebuilds of one tenant) reuse the spatial tree and Algorithm 1 hierarchy
+// instead of re-running them — observable as Phases.CacheHit with
+// sample_ns == 0 in the instance info. A registry without an explicit
+// Builder routes every build through its own shared cache.
 func BuildWithCache(ctx context.Context, sp BuildSpec, setStage func(string), cache *core.BuildCache) (*core.Matrix, error) {
 	if sp.Path != "" {
 		setStage("load")

@@ -54,7 +54,7 @@ func TestStressConcurrentLifecycle(t *testing.T) {
 		b := randVec(300, int64(7000+i))
 		bs[n] = b
 		for _, alt := range []bool{false, true} {
-			m, err := DefaultBuild(context.Background(), specFor(i, alt).withDefaults(), func(string) {})
+			m, err := BuildWithCache(context.Background(), specFor(i, alt).withDefaults(), func(string) {}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +64,7 @@ func TestStressConcurrentLifecycle(t *testing.T) {
 
 	// Budget sized so roughly two of the three names fit: evictions fire
 	// continuously as builds complete.
-	probe, err := DefaultBuild(context.Background(), specFor(0, false).withDefaults(), func(string) {})
+	probe, err := BuildWithCache(context.Background(), specFor(0, false).withDefaults(), func(string) {}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestStressApplyDuringRepeatedSwaps(t *testing.T) {
 	m, _ := r.Matrix("spin")
 	b := randVec(m.N, 201)
 	ref0 := m.Apply(b)
-	mAlt, err := DefaultBuild(context.Background(), alt.withDefaults(), func(string) {})
+	mAlt, err := BuildWithCache(context.Background(), alt.withDefaults(), func(string) {}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,8 +111,9 @@ func anchorNetSample(pts *pointset.Points, cand []int, m int, factory searchFact
 // position closest to anchor, with the common dimensions unrolled. Each
 // squared distance is accumulated coordinate-ascending exactly like
 // pointset.Dist2 and ties break on the first strict improvement, so the
-// selected position is bitwise-identical to nearestRef. It is the
-// small-candidate-set fallback of the cell-grid search.
+// selected position is bitwise-identical to the reference Dist2 scan the
+// package tests keep as an oracle. It is the small-candidate-set fallback
+// of the cell-grid search.
 func nearestTo(pts *pointset.Points, cand []int, anchor []float64) int {
 	best, bestD := -1, math.Inf(1)
 	co := pts.Coords
@@ -147,19 +148,6 @@ func nearestTo(pts *pointset.Points, cand []int, anchor []float64) int {
 			if dd < bestD {
 				best, bestD = pos, dd
 			}
-		}
-	}
-	return best
-}
-
-// nearestRef is the pre-acceleration scan (Dist2 over At views), retained as
-// the reference the package's equivalence tests pin the tuned scan against.
-// Like every other search it returns the winner's position in cand.
-func nearestRef(pts *pointset.Points, cand []int, anchor []float64) int {
-	best, bestD := -1, math.Inf(1)
-	for pos, i := range cand {
-		if dd := pointset.Dist2(anchor, pts.At(i)); dd < bestD {
-			best, bestD = pos, dd
 		}
 	}
 	return best
@@ -423,30 +411,6 @@ func abs(x int) int {
 	return x
 }
 
-// Reference pins s to its pre-acceleration scan loops: the oracle the
-// package's equivalence tests compare the tuned scans against. Output is
-// bitwise-identical to the tuned path; only AnchorNet has a distinct
-// reference scan, other samplers pass through unchanged.
-func Reference(s Sampler) Sampler {
-	if _, ok := s.(AnchorNet); ok {
-		return refAnchorNet{}
-	}
-	return s
-}
-
-// refAnchorNet is AnchorNet running the reference nearest-candidate scan.
-type refAnchorNet struct{}
-
-// Name implements Sampler.
-func (refAnchorNet) Name() string { return AnchorNet{}.Name() }
-
-// Sample implements Sampler.
-func (refAnchorNet) Sample(pts *pointset.Points, cand []int, m int) []int {
-	return anchorNetSample(pts, cand, m, func(pts *pointset.Points, cand []int, _ pointset.BBox) nearestSearch {
-		return func(anchor []float64) int { return nearestRef(pts, cand, anchor) }
-	})
-}
-
 // FarthestPoint is the classic farthest-point (k-center) sampler: start
 // from the candidate nearest the box center, then greedily add the point
 // maximizing the minimum distance to the selected set.
@@ -548,10 +512,11 @@ type Hierarchy struct {
 // Run executes Algorithm 1 on the tree: a bottom-to-top sweep building the
 // self surrogates X*_i and a top-to-bottom sweep building the farfield
 // surrogates Y*_i from interaction-list surrogates plus the parent's
-// inherited Y*. Nodes on a level are processed in parallel.
+// inherited Y*. Nodes on a level are processed in parallel on pool (nil =
+// serial); the hierarchy is the same for every pool.
 //
 // budget is the per-node sample size m (the paper's O(1) node cost).
-func Run(tr *tree.Tree, s Sampler, budget, workers int) *Hierarchy {
+func Run(tr *tree.Tree, s Sampler, budget int, pool *par.Pool) *Hierarchy {
 	n := len(tr.Nodes)
 	h := &Hierarchy{XStar: make([][]int, n), YStar: make([][]int, n)}
 
@@ -559,7 +524,7 @@ func Run(tr *tree.Tree, s Sampler, budget, workers int) *Hierarchy {
 	// union of their children's samples.
 	for l := tr.Depth() - 1; l >= 0; l-- {
 		level := tr.Levels[l]
-		par.For(workers, len(level), func(k int) {
+		pool.For(len(level), func(k int) {
 			id := level[k]
 			nd := &tr.Nodes[id]
 			var cand []int
@@ -580,7 +545,7 @@ func Run(tr *tree.Tree, s Sampler, budget, workers int) *Hierarchy {
 	// Top-to-bottom: Y*_i = Sample( ∪_{j ∈ IL(i)} X*_j  ∪  Y*_parent ).
 	for l := 0; l < tr.Depth(); l++ {
 		level := tr.Levels[l]
-		par.For(workers, len(level), func(k int) {
+		pool.For(len(level), func(k int) {
 			id := level[k]
 			nd := &tr.Nodes[id]
 			var cand []int
@@ -612,7 +577,7 @@ func (h *Hierarchy) Bytes() int64 {
 // must produce identical Hierarchy output on identical trees and budgets.
 func Key(s Sampler) string {
 	switch ss := s.(type) {
-	case AnchorNet, refAnchorNet: // identical output by construction
+	case AnchorNet:
 		return "anchornet"
 	case FarthestPoint:
 		return "fps"

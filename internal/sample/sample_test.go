@@ -2,10 +2,12 @@ package sample
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"h2ds/internal/kernel"
 	"h2ds/internal/mat"
+	"h2ds/internal/par"
 	"h2ds/internal/pointset"
 	"h2ds/internal/tree"
 )
@@ -140,8 +142,10 @@ func TestNamed(t *testing.T) {
 
 func TestHierarchyStructure(t *testing.T) {
 	pts := pointset.Cube(600, 3, 9)
-	tr := tree.New(pts, tree.Config{LeafSize: 30})
-	h := Run(tr, AnchorNet{}, 16, 2)
+	pool := par.NewPool(2)
+	defer pool.Close()
+	tr := tree.New(pts, tree.Config{LeafSize: 30}, pool)
+	h := Run(tr, AnchorNet{}, 16, pool)
 	if len(h.XStar) != len(tr.Nodes) || len(h.YStar) != len(tr.Nodes) {
 		t.Fatal("hierarchy arrays sized wrong")
 	}
@@ -192,8 +196,8 @@ func TestHierarchyYStarInheritsAncestors(t *testing.T) {
 	// leaf Y* point lies outside the union of its own interaction-list
 	// nodes (i.e. it was inherited from an ancestor's farfield).
 	pts := pointset.Cube(800, 3, 10)
-	tr := tree.New(pts, tree.Config{LeafSize: 25})
-	h := Run(tr, AnchorNet{}, 12, 1)
+	tr := tree.New(pts, tree.Config{LeafSize: 25}, nil)
+	h := Run(tr, AnchorNet{}, 12, nil)
 	inherited := false
 	for _, leaf := range tr.Leaves {
 		nd := &tr.Nodes[leaf]
@@ -221,25 +225,17 @@ func TestHierarchyYStarInheritsAncestors(t *testing.T) {
 	}
 }
 
+// TestHierarchyWorkerIndependence: the serial (nil pool) and a 4-worker
+// sweep select the same X* and Y* for every node.
 func TestHierarchyWorkerIndependence(t *testing.T) {
 	pts := pointset.Dino(500, 11)
-	tr := tree.New(pts, tree.Config{LeafSize: 20})
-	a := Run(tr, AnchorNet{}, 10, 1)
-	b := Run(tr, AnchorNet{}, 10, 4)
-	for id := range tr.Nodes {
-		if len(a.XStar[id]) != len(b.XStar[id]) || len(a.YStar[id]) != len(b.YStar[id]) {
-			t.Fatalf("node %d: sample sets depend on worker count", id)
-		}
-		for k := range a.XStar[id] {
-			if a.XStar[id][k] != b.XStar[id][k] {
-				t.Fatalf("node %d: X* differs across worker counts", id)
-			}
-		}
-		for k := range a.YStar[id] {
-			if a.YStar[id][k] != b.YStar[id][k] {
-				t.Fatalf("node %d: Y* differs across worker counts", id)
-			}
-		}
+	tr := tree.New(pts, tree.Config{LeafSize: 20}, nil)
+	pool := par.NewPool(4)
+	defer pool.Close()
+	a := Run(tr, AnchorNet{}, 10, nil)
+	b := Run(tr, AnchorNet{}, 10, pool)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("sample hierarchy depends on the worker pool")
 	}
 }
 

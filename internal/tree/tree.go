@@ -56,8 +56,6 @@ type Config struct {
 	LeafSize int
 	// Eta is the separation parameter (0 = default 0.7).
 	Eta float64
-	// Workers bounds construction parallelism (0 = GOMAXPROCS).
-	Workers int
 }
 
 // Tree is the partition hierarchy over a (permuted) point set.
@@ -79,8 +77,9 @@ type Tree struct {
 }
 
 // New partitions pts (which is copied, not modified) and computes the
-// interaction and nearfield lists.
-func New(pts *pointset.Points, cfg Config) *Tree {
+// interaction and nearfield lists. The partition runs each level's nodes on
+// pool (nil = serial); the tree is the same for every pool.
+func New(pts *pointset.Points, cfg Config, pool *par.Pool) *Tree {
 	if cfg.LeafSize <= 0 {
 		cfg.LeafSize = DefaultLeafSize
 	}
@@ -100,7 +99,7 @@ func New(pts *pointset.Points, cfg Config) *Tree {
 	}
 
 	t.buildStructure(n)
-	t.partitionLevels(cfg.Workers)
+	t.partitionLevels(pool)
 	for k, orig := range t.Perm {
 		t.InvPerm[orig] = k
 	}
@@ -154,10 +153,9 @@ func (t *Tree) buildStructure(n int) {
 // box and, if internal, splits its own range at the median of the longest
 // box axis. Nodes on a level are independent (disjoint ranges), which gives
 // the level-parallel construction the paper describes.
-func (t *Tree) partitionLevels(workers int) {
+func (t *Tree) partitionLevels(pool *par.Pool) {
 	for _, level := range t.Levels {
-		level := level
-		par.For(workers, len(level), func(k int) {
+		pool.For(len(level), func(k int) {
 			nd := &t.Nodes[level[k]]
 			nd.Box = t.rangeBBox(nd.Start, nd.End)
 			if nd.IsLeaf {

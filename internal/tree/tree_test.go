@@ -3,15 +3,19 @@ package tree
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
+	"h2ds/internal/par"
 	"h2ds/internal/pointset"
 )
 
 func buildSmall(t *testing.T, pts *pointset.Points, leaf int) *Tree {
 	t.Helper()
-	tr := New(pts, Config{LeafSize: leaf, Workers: 2})
+	pool := par.NewPool(2)
+	defer pool.Close()
+	tr := New(pts, Config{LeafSize: leaf}, pool)
 	if len(tr.Nodes) == 0 {
 		t.Fatal("empty tree")
 	}
@@ -197,7 +201,7 @@ func TestNearListInvariants(t *testing.T) {
 	}
 	for _, g := range gens {
 		for _, leaf := range []int{8, 25, 64, 200} {
-			tr := New(g.pts, Config{LeafSize: leaf})
+			tr := New(g.pts, Config{LeafSize: leaf}, nil)
 			for id := range tr.Nodes {
 				nd := &tr.Nodes[id]
 				if !nd.IsLeaf {
@@ -241,7 +245,7 @@ func TestBlockCoverageExact(t *testing.T) {
 		{"cube5d", pointset.Cube(160, 5, 24)},
 		{"line1d", pointset.Cube(64, 1, 25)},
 	} {
-		tr := New(gen.pts, Config{LeafSize: 12})
+		tr := New(gen.pts, Config{LeafSize: 12}, nil)
 		n := gen.pts.Len()
 		cover := make([]int8, n*n)
 		mark := func(i, j int) {
@@ -293,14 +297,14 @@ func TestPermuteRoundTrip(t *testing.T) {
 }
 
 func TestSinglePointAndTinyTrees(t *testing.T) {
-	tr := New(pointset.Cube(1, 3, 1), Config{LeafSize: 10})
+	tr := New(pointset.Cube(1, 3, 1), Config{LeafSize: 10}, nil)
 	if len(tr.Nodes) != 1 || !tr.Nodes[0].IsLeaf {
 		t.Fatal("single point should be a lone leaf root")
 	}
 	if len(tr.Nodes[0].Near) != 1 || tr.Nodes[0].Near[0] != 0 {
 		t.Fatal("lone leaf must be its own nearfield")
 	}
-	tr2 := New(pointset.Cube(2, 3, 1), Config{LeafSize: 1})
+	tr2 := New(pointset.Cube(2, 3, 1), Config{LeafSize: 1}, nil)
 	if tr2.Depth() != 2 {
 		t.Fatalf("two points leaf 1: depth %d", tr2.Depth())
 	}
@@ -312,7 +316,7 @@ func TestDuplicatePointsTerminate(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		pts.At(i)[0], pts.At(i)[1] = 0.5, 0.5
 	}
-	tr := New(pts, Config{LeafSize: 4})
+	tr := New(pts, Config{LeafSize: 4}, nil)
 	st := tr.ComputeStats()
 	if st.MaxLeafSize > 4 {
 		t.Fatalf("leaf size %d exceeds cap", st.MaxLeafSize)
@@ -338,8 +342,8 @@ func TestStatsAndBytes(t *testing.T) {
 
 func TestEtaAffectsAdmissibility(t *testing.T) {
 	pts := pointset.Cube(300, 3, 51)
-	loose := New(pts, Config{LeafSize: 16, Eta: 1.2})
-	tight := New(pts, Config{LeafSize: 16, Eta: 0.4})
+	loose := New(pts, Config{LeafSize: 16, Eta: 1.2}, nil)
+	tight := New(pts, Config{LeafSize: 16, Eta: 0.4}, nil)
 	sl := loose.ComputeStats()
 	st := tight.ComputeStats()
 	if sl.NearPairs <= 0 || st.NearPairs <= 0 {
@@ -351,21 +355,15 @@ func TestEtaAffectsAdmissibility(t *testing.T) {
 	}
 }
 
+// TestDeterministicConstruction: the serial (nil pool) and a 4-worker
+// partition build the same tree, field for field.
 func TestDeterministicConstruction(t *testing.T) {
 	pts := pointset.Dino(500, 61)
-	a := New(pts, Config{LeafSize: 20, Workers: 1})
-	b := New(pts, Config{LeafSize: 20, Workers: 4})
-	if len(a.Nodes) != len(b.Nodes) {
-		t.Fatal("node count depends on workers")
-	}
-	for i := range a.Perm {
-		if a.Perm[i] != b.Perm[i] {
-			t.Fatalf("permutation depends on worker count at %d", i)
-		}
-	}
-	for i := range a.Nodes {
-		if a.Nodes[i].Start != b.Nodes[i].Start || a.Nodes[i].End != b.Nodes[i].End {
-			t.Fatalf("node %d range differs between worker counts", i)
-		}
+	pool := par.NewPool(4)
+	defer pool.Close()
+	a := New(pts, Config{LeafSize: 20}, nil)
+	b := New(pts, Config{LeafSize: 20}, pool)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("tree depends on the worker pool")
 	}
 }
