@@ -33,7 +33,7 @@ func TestCGOnH2Operator(t *testing.T) {
 		t.Fatalf("CG did not converge: residual %g after %d iters", res.Residual, res.Iterations)
 	}
 	// Exact-operator residual.
-	ax := core.DirectApply(pts, k, res.X, 0)
+	ax := core.DirectApply(pts, k, res.X)
 	var num, den float64
 	for i := range ax {
 		r := b[i] - (ax[i] + sigma*res.X[i])

@@ -109,7 +109,7 @@ func TestTreeDepthForGrows(t *testing.T) {
 func TestEstimateRowsZeroOnExact(t *testing.T) {
 	pts := pointset.Cube(300, 3, 2)
 	b := randVec(300, 3)
-	y := core.DirectApply(pts, kernel.Coulomb{}, b, 0)
+	y := core.DirectApply(pts, kernel.Coulomb{}, b)
 	if e := estimateRows(pts, kernel.Coulomb{}, b, y, 12, 5); e > 1e-14 {
 		t.Fatalf("estimate on exact product should be ~0, got %g", e)
 	}

@@ -39,7 +39,7 @@ func TestDuplicatePointsBuild(t *testing.T) {
 		}
 	}
 	b := randVec(pts.Len(), 52)
-	want := DirectApply(pts, kernel.Coulomb{}, b, 0)
+	want := DirectApply(pts, kernel.Coulomb{}, b)
 	m, err := Build(pts, kernel.Coulomb{}, Config{Kind: DataDriven, Mode: OnTheFly, Tol: 1e-6, LeafSize: 30})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestQuickRandomWorkloads(t *testing.T) {
 			return false
 		}
 		b := randVec(n, seed+1)
-		want := DirectApply(pts, kernel.Exponential{}, b, 0)
+		want := DirectApply(pts, kernel.Exponential{}, b)
 		return relErr(m.Apply(b), want) < 100*tol
 	}
 	cfg := &quick.Config{MaxCount: 8, Rand: rand.New(rand.NewSource(99))}
@@ -138,7 +138,7 @@ func TestClusteredDistribution(t *testing.T) {
 		pts.Append([]float64{base + rng.Float64(), rng.Float64(), rng.Float64()})
 	}
 	b := randVec(600, 57)
-	want := DirectApply(pts, kernel.Coulomb{}, b, 0)
+	want := DirectApply(pts, kernel.Coulomb{}, b)
 	m, err := Build(pts, kernel.Coulomb{}, Config{Kind: DataDriven, Mode: OnTheFly, Tol: 1e-7, LeafSize: 40})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestSignChangingAndFlatKernels(t *testing.T) {
 	pts := pointset.Cube(1200, 2, 200)
 	b := randVec(1200, 201)
 	for _, k := range []kernel.Kernel{kernel.ThinPlate{}, kernel.InverseMultiquadric{C: 0.5}, kernel.Matern52{Length: 1}} {
-		want := DirectApply(pts, k, b, 0)
+		want := DirectApply(pts, k, b)
 		m, err := Build(pts, k, Config{Kind: DataDriven, Mode: OnTheFly, Tol: 1e-7, LeafSize: 60})
 		if err != nil {
 			t.Fatal(err)
@@ -188,7 +188,7 @@ func TestZeroInputVector(t *testing.T) {
 func TestOneDimensionalPoints(t *testing.T) {
 	pts := pointset.Cube(1000, 1, 59)
 	b := randVec(1000, 60)
-	want := DirectApply(pts, kernel.Exponential{}, b, 0)
+	want := DirectApply(pts, kernel.Exponential{}, b)
 	for _, kind := range []BasisKind{DataDriven, Interpolation} {
 		m, err := Build(pts, kernel.Exponential{}, Config{Kind: kind, Mode: OnTheFly, Tol: 1e-7, LeafSize: 40})
 		if err != nil {

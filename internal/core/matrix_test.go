@@ -37,7 +37,7 @@ func relErr(y, want []float64) float64 {
 func TestAccuracyMatchesToleranceDataDriven(t *testing.T) {
 	pts := pointset.Cube(2000, 3, 1)
 	b := randVec(2000, 2)
-	want := DirectApply(pts, kernel.Coulomb{}, b, 0)
+	want := DirectApply(pts, kernel.Coulomb{}, b)
 	for _, tol := range []float64{1e-4, 1e-6, 1e-8} {
 		m, err := Build(pts, kernel.Coulomb{}, Config{Kind: DataDriven, Tol: tol, LeafSize: 100})
 		if err != nil {
@@ -53,7 +53,7 @@ func TestAccuracyMatchesToleranceDataDriven(t *testing.T) {
 func TestAccuracyMatchesToleranceInterpolation(t *testing.T) {
 	pts := pointset.Cube(1500, 3, 3)
 	b := randVec(1500, 4)
-	want := DirectApply(pts, kernel.Coulomb{}, b, 0)
+	want := DirectApply(pts, kernel.Coulomb{}, b)
 	for _, tol := range []float64{1e-3, 1e-6} {
 		m, err := Build(pts, kernel.Coulomb{}, Config{Kind: Interpolation, Tol: tol, LeafSize: 100})
 		if err != nil {
@@ -70,7 +70,7 @@ func TestAccuracyAllKernels(t *testing.T) {
 	pts := pointset.Cube(1200, 3, 5)
 	b := randVec(1200, 6)
 	for _, k := range []kernel.Kernel{kernel.Coulomb{}, kernel.CoulombCubed{}, kernel.Exponential{}, kernel.Gaussian{Scale: 0.1}} {
-		want := DirectApply(pts, k, b, 0)
+		want := DirectApply(pts, k, b)
 		m, err := Build(pts, k, Config{Kind: DataDriven, Mode: OnTheFly, Tol: 1e-7, LeafSize: 80})
 		if err != nil {
 			t.Fatal(err)
@@ -92,7 +92,7 @@ func TestAccuracyDistributions(t *testing.T) {
 		{"annulus2d", pointset.Annulus(1200, 0.2, 1, 9)},
 	} {
 		b := randVec(tc.pts.Len(), 10)
-		want := DirectApply(tc.pts, kernel.Coulomb{}, b, 0)
+		want := DirectApply(tc.pts, kernel.Coulomb{}, b)
 		m, err := Build(tc.pts, kernel.Coulomb{}, Config{Kind: DataDriven, Mode: OnTheFly, Tol: 1e-6, LeafSize: 60})
 		if err != nil {
 			t.Fatal(err)
@@ -109,7 +109,7 @@ func TestAccuracyHighDimensions(t *testing.T) {
 	for _, d := range []int{4, 5} {
 		pts := pointset.Cube(1500, d, int64(d))
 		b := randVec(1500, 11)
-		want := DirectApply(pts, kernel.Gaussian{Scale: 0.5}, b, 0)
+		want := DirectApply(pts, kernel.Gaussian{Scale: 0.5}, b)
 		m, err := Build(pts, kernel.Gaussian{Scale: 0.5}, Config{Kind: DataDriven, Mode: OnTheFly, Tol: 1e-6, LeafSize: 100})
 		if err != nil {
 			t.Fatal(err)
@@ -293,7 +293,7 @@ func TestErrorEstimatorTracksTrueError(t *testing.T) {
 		t.Fatal(err)
 	}
 	y := m.Apply(b)
-	want := DirectApply(pts, kernel.Coulomb{}, b, 0)
+	want := DirectApply(pts, kernel.Coulomb{}, b)
 	trueErr := relErr(y, want)
 	est := m.RelErrorVs(b, y, 64, 1)
 	if est > 100*trueErr+1e-14 || trueErr > 100*est+1e-14 {
@@ -315,7 +315,7 @@ func TestSingleLeafTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := DirectApply(pts, kernel.Coulomb{}, b, 0)
+		want := DirectApply(pts, kernel.Coulomb{}, b)
 		if e := relErr(m.Apply(b), want); e > 1e-13 {
 			t.Fatalf("mode %v: single-leaf error %g", mode, e)
 		}
@@ -351,7 +351,7 @@ func TestApplyShapePanics(t *testing.T) {
 func TestSamplerChoicesAllWork(t *testing.T) {
 	pts := pointset.Cube(1200, 3, 30)
 	b := randVec(1200, 31)
-	want := DirectApply(pts, kernel.Coulomb{}, b, 0)
+	want := DirectApply(pts, kernel.Coulomb{}, b)
 	for _, s := range []sample.Sampler{sample.AnchorNet{}, sample.FarthestPoint{}, sample.Random{Seed: 5}} {
 		m, err := Build(pts, kernel.Coulomb{}, Config{Kind: DataDriven, Tol: 1e-6, Sampler: s})
 		if err != nil {

@@ -44,7 +44,7 @@ func TestUnsymmetricAccuracyDataDriven(t *testing.T) {
 	pts := pointset.Cube(2000, 3, 70)
 	b := randVec(2000, 71)
 	k := drift3()
-	want := DirectApply(pts, k, b, 0)
+	want := DirectApply(pts, k, b)
 	for _, tol := range []float64{1e-4, 1e-7} {
 		for _, mode := range []MemoryMode{Normal, OnTheFly} {
 			m, err := Build(pts, k, Config{Kind: DataDriven, Mode: mode, Tol: tol, LeafSize: 80})
@@ -64,7 +64,7 @@ func TestUnsymmetricAccuracyInterpolation(t *testing.T) {
 	pts := pointset.Cube(1500, 3, 72)
 	b := randVec(1500, 73)
 	k := drift3()
-	want := DirectApply(pts, k, b, 0)
+	want := DirectApply(pts, k, b)
 	for _, mode := range []MemoryMode{Normal, OnTheFly} {
 		m, err := Build(pts, k, Config{Kind: Interpolation, Mode: mode, Tol: 1e-5, LeafSize: 100})
 		if err != nil {
@@ -160,7 +160,7 @@ func TestUnsymmetricErrorEstimator(t *testing.T) {
 	}
 	y := m.Apply(b)
 	est := m.RelErrorVs(b, y, 32, 80)
-	want := DirectApply(pts, k, b, 0)
+	want := DirectApply(pts, k, b)
 	truth := relErr(y, want)
 	if est > 100*truth+1e-14 || truth > 100*est+1e-14 {
 		t.Fatalf("estimator %g vs true %g", est, truth)

@@ -11,7 +11,7 @@ import (
 func TestACACompressorAccuracy(t *testing.T) {
 	pts := pointset.Cube(2000, 3, 20)
 	b := randVec(2000, 21)
-	want := core.DirectApply(pts, kernel.Coulomb{}, b, 0)
+	want := core.DirectApply(pts, kernel.Coulomb{}, b)
 	m, err := Build(pts, kernel.Coulomb{}, Config{Tol: 1e-7, LeafSize: 64, Compressor: "aca"})
 	if err != nil {
 		t.Fatal(err)
